@@ -3,8 +3,8 @@
 PYTHON ?= python
 
 .PHONY: install test test-verbose bench bench-smoke bench-tenants \
-	bench-tenants-smoke chaos-smoke fleet-smoke examples artifacts lint \
-	lint-json clean
+	bench-tenants-smoke chaos-smoke fleet-smoke perfbench-smoke examples \
+	artifacts lint lint-json clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -53,6 +53,24 @@ chaos-smoke:
 # in-process E7 simulation (see benchmarks/bench_fleet.py).
 fleet-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_fleet.py --smoke
+
+# CI perfbench smoke: the benchmark's own tests, then a short traced run of
+# each workload against a stock `repro serve`.  perfbench/run.py exits 0
+# even when a run is incorrect, so its last line (the result object) must
+# say "correct": true.
+PERFBENCH_WORKLOADS = ingest_churn query_cold fleet_rounds
+PERFBENCH_CORRECT = import json, sys; sys.exit(json.loads(sys.stdin.read())["correct"] is not True)
+
+perfbench-smoke:
+	$(PYTHON) -m pytest perfbench/test_perfbench.py -q
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		echo "== perfbench $$w"; \
+		last=$$($(PYTHON) perfbench/run.py --workload $$w --seed 1 \
+			--seconds 2 --trace 1 | tail -n 1); \
+		echo "$$last"; \
+		echo "$$last" | $(PYTHON) -c '$(PERFBENCH_CORRECT)' \
+			|| { echo "perfbench-smoke: $$w run is not correct"; exit 1; }; \
+	done
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f || exit 1; done

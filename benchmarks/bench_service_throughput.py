@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import time
 
 import numpy as np
@@ -34,7 +35,7 @@ from repro.service import (
     ClusteringService,
     ServiceConfig,
     ShardedIngest,
-    WorkerPoolIngest,
+    SupervisedWorkerPool,
 )
 from repro.solvers.pilot import estimate_opt_cost
 from repro.streaming import materialize
@@ -59,7 +60,8 @@ def run_parallel_curve(n: int = 4000, delta: int = 1024,
 
     For each worker count W, feed the identical chunked stream through
     ``ShardedIngest(num_shards=W)`` (serial baseline) and
-    ``WorkerPoolIngest(num_workers=W)``, timing enqueue *plus drain* for
+    ``SupervisedWorkerPool(num_workers=W)`` — the pool ``repro serve
+    --workers W`` builds — timing enqueue *plus drain* for
     the pool (``worker_stats`` queues behind all batches), and check the
     two checkpoints are byte-identical.  Pool spawn time is reported
     separately — it is a fixed startup cost, not ingest throughput.
@@ -79,8 +81,8 @@ def run_parallel_curve(n: int = 4000, delta: int = 1024,
         serial_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        pool = WorkerPoolIngest(params, num_workers=w, seed=9,
-                                backend="exact", o_range=orange)
+        pool = SupervisedWorkerPool(params, num_workers=w, seed=9,
+                                    backend="exact", o_range=orange)
         spawn_s = time.perf_counter() - t0
         try:
             t0 = time.perf_counter()
@@ -105,7 +107,10 @@ def run_parallel_curve(n: int = 4000, delta: int = 1024,
         })
     return {
         "bench": "service parallel vs serial ingest",
+        "pool": "SupervisedWorkerPool",
         "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "n_points": n,
         "delta": delta,
         "batch": batch,

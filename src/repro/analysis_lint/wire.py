@@ -1,19 +1,19 @@
 """WIRE — cross-file consistency of the JSON-lines wire protocol.
 
 The service speaks one op vocabulary, declared once
-(:data:`repro.service.protocol.OPS`) and re-implemented three times: the
-asyncio multi-tenant server (``aserver.py``), the threaded ``--sync``
-server (``server.py``), and the blocking client (``client.py``).  Protocol
-drift between them is nasty precisely because it is *not* an error at the
-wire layer — an op added to ``OPS`` but forgotten in a server passes
-``decode_line`` and then falls into the servers' "unreachable" tail, and a
+(:data:`repro.service.protocol.OPS`) and re-implemented twice: the asyncio
+multi-tenant server (``aserver.py``) and the blocking client
+(``client.py``).  Protocol drift between them is nasty precisely because
+it is *not* an error at the wire layer — an op added to ``OPS`` but
+forgotten in the server passes ``decode_line`` and then falls into the
+server's "unreachable" tail, and a
 client sending an undeclared op gets a generic error envelope.  Either way
 the symptom is a confused (or hung) client far from the actual bug.  This
 rule makes drift a lint failure instead.
 
 Mechanics: the rule groups files by directory around each ``protocol.py``
 that assigns an ``OPS`` tuple; sibling role files (``aserver.py``,
-``server.py``, ``client.py``) are pulled from the scanned set, or loaded
+``client.py``) are pulled from the scanned set, or loaded
 from disk when the lint invocation named only part of the group.  Handled
 ops are string literals compared against the ``op`` variable (or
 ``req["op"]``); client ops are literal first arguments of
@@ -37,7 +37,7 @@ cannot go stale.
 
 Codes
 -----
-WIRE401  op declared in OPS but not handled by a server (anchored at the
+WIRE401  op declared in OPS but not handled by the server (anchored at the
          OPS declaration, naming the offending file)
 WIRE402  op handled or sent somewhere but missing from OPS (anchored at
          the stray literal)
@@ -58,7 +58,7 @@ from repro.analysis_lint.core import Finding, Rule, load_source_file
 
 __all__ = ["WireProtocolRule"]
 
-_SERVER_ROLES = ("aserver.py", "server.py")
+_SERVER_ROLE = "aserver.py"
 _CLIENT_ROLE = "client.py"
 
 #: ``# repro-lint: wire-speaker=<path-to-protocol.py> ops=<a,b,...>`` —
@@ -158,11 +158,11 @@ def _attr_refs(sf, vocabulary) -> dict:
 
 class WireProtocolRule(Rule):
     family = "WIRE"
-    description = ("every op in protocol.OPS is handled by both servers "
+    description = ("every op in protocol.OPS is handled by the server "
                    "and reachable from the client; no undeclared ops; "
                    "wire-speaker files stay in sync with their protocol")
     codes = {
-        "WIRE401": "op declared in OPS but unhandled by a server",
+        "WIRE401": "op declared in OPS but unhandled by the server",
         "WIRE402": "op handled/sent but missing from protocol OPS",
         "WIRE403": "op declared in OPS but not reachable from the client",
         "WIRE404": "wire-speaker references an op absent from its protocol",
@@ -253,25 +253,23 @@ class WireProtocolRule(Rule):
 
     def _check_group(self, directory, members, proto, ops, ops_line):
         declared = set(ops)
-        for role in _SERVER_ROLES:
-            sf = self._sibling(directory, members, role)
-            if sf is None:
-                continue
-            handled = _handled_ops(sf)
+        server = self._sibling(directory, members, _SERVER_ROLE)
+        if server is not None:
+            handled = _handled_ops(server)
             for op in ops:
                 if op not in handled:
                     yield Finding(
                         path=proto.rel, line=ops_line, col=0, code="WIRE401",
                         message=f"op '{op}' is declared in OPS but never "
-                                f"handled in {role}; a client sending it "
-                                "gets the generic error tail instead of "
-                                "the operation")
+                                f"handled in {_SERVER_ROLE}; a client "
+                                "sending it gets the generic error tail "
+                                "instead of the operation")
             for op, line in sorted(handled.items()):
                 if op not in declared:
                     yield Finding(
-                        path=sf.rel, line=line, col=0, code="WIRE402",
-                        message=f"{role} handles op '{op}' which is not "
-                                "declared in protocol OPS — decode_line "
+                        path=server.rel, line=line, col=0, code="WIRE402",
+                        message=f"{_SERVER_ROLE} handles op '{op}' which is "
+                                "not declared in protocol OPS — decode_line "
                                 "rejects it before dispatch ever sees it")
         client = self._sibling(directory, members, _CLIENT_ROLE)
         if client is not None:

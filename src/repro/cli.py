@@ -10,8 +10,8 @@ Subcommands
 ``solve``      balanced k-clustering on a saved coreset (optionally extend
                the assignment to the original points)
 ``info``       print a saved coreset's provenance
-``serve``      run the long-lived clustering service (JSON-lines TCP; async
-               multi-tenant by default, threaded single-tenant via --sync)
+``serve``      run the long-lived clustering service (JSON-lines TCP,
+               asyncio multi-tenant)
 ``coordinator`` pull and merge a fleet of site servers over the wire
                (--sites host:port,... attaches to running sites;
                --sites spawn:N launches, feeds, and verifies a local fleet)
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("coreset")
 
     srv = sub.add_parser("serve", help="run the streaming clustering service "
-                                       "(async multi-tenant by default)")
+                                       "(async multi-tenant)")
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=7071)
     srv.add_argument("--k", type=int, default=4)
@@ -123,16 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "must match the coordinator's reference exactly)")
     srv.add_argument("--seed", type=int, default=7)
     srv.add_argument("--restore", default=None, metavar="CKPT",
-                     help="start from a checkpoint instead of empty state "
-                          "(async mode: restores the 'default' tenant)")
-    srv.add_argument("--sync", action="store_true",
-                     help="run the threaded single-tenant server instead of "
-                          "the async multi-tenant one (for environments "
-                          "without an event loop)")
+                     help="start the 'default' tenant from a checkpoint "
+                          "instead of empty state")
     srv.add_argument("--tenants-dir", default=None, metavar="DIR",
                      help="directory for cold-tenant eviction checkpoints; "
-                          "enables LRU eviction and shutdown persistence "
-                          "(async mode only)")
+                          "enables LRU eviction and shutdown persistence")
     srv.add_argument("--max-live-tenants", type=int, default=None,
                      metavar="N",
                      help="keep at most N tenant sketches in memory, "
@@ -344,7 +339,8 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.service import ServiceConfig, faults
+    from repro.service import ServiceConfig, TenantQuota, faults
+    from repro.service.aserver import serve_forever_async
 
     if args.fault_plan:
         plan = faults.install(faults.load_plan(args.fault_plan))
@@ -360,24 +356,6 @@ def _cmd_serve(args) -> int:
         seed=args.seed, backend=args.backend,
         capacity_slack=args.capacity_slack, restarts=args.restarts,
     )
-    max_bytes = args.max_request_mb * 1024 * 1024
-    if args.sync:
-        from repro.service.server import serve_forever
-
-        for flag, name in ((args.tenants_dir, "--tenants-dir"),
-                           (args.max_live_tenants, "--max-live-tenants"),
-                           (args.max_events_per_tenant, "--max-events-per-tenant"),
-                           (args.max_mb_per_tenant, "--max-mb-per-tenant")):
-            if flag is not None:
-                print(f"{name} requires the async server; drop --sync",
-                      file=sys.stderr)
-                return 2
-        serve_forever(config, args.host, args.port, restore_path=args.restore,
-                      max_request_bytes=max_bytes)
-        return 0
-    from repro.service import TenantQuota
-    from repro.service.aserver import serve_forever_async
-
     quota = None
     if args.max_events_per_tenant is not None or args.max_mb_per_tenant is not None:
         quota = TenantQuota(
@@ -388,7 +366,7 @@ def _cmd_serve(args) -> int:
                         tenants_dir=args.tenants_dir,
                         max_live_tenants=args.max_live_tenants,
                         quota=quota, restore_path=args.restore,
-                        max_request_bytes=max_bytes)
+                        max_request_bytes=args.max_request_mb * 1024 * 1024)
     return 0
 
 

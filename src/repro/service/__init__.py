@@ -7,12 +7,11 @@ service needs: state can be sharded across independent workers
 memoization (:mod:`repro.service.engine`), multiplexed across any number
 of named streams with cold-tenant eviction (:mod:`repro.service.tenants` /
 :mod:`repro.service.eviction`), and exposed over a wire protocol
-(:mod:`repro.service.aserver` / :mod:`repro.service.server` /
-:mod:`repro.service.client`).
+(:mod:`repro.service.aserver` / :mod:`repro.service.client`).
 
 Layering: ``state`` (codec) → ``shards`` (ingest) → ``engine`` (queries)
 → ``tenants`` (multi-stream registry) → ``protocol``/``aserver``/
-``server``/``client`` (wire).  Everything below the wire layer is
+``client`` (wire).  Everything below the wire layer is
 importable and testable without opening a socket.
 
 Robustness rides across every layer: :mod:`repro.service.faults` injects
@@ -39,7 +38,6 @@ from repro.service.client import (
 from repro.service.engine import ClusteringService, QueryResult, ServiceConfig
 from repro.service.eviction import EvictionPolicy, LRUEvictionPolicy
 from repro.service.faults import FaultPlan, FaultRule, InjectedFault
-from repro.service.server import ClusteringServer, serve_forever, start_server
 from repro.service.shards import ShardedIngest
 from repro.service.state import (
     sharded_state_from_dict,
@@ -60,7 +58,6 @@ from repro.service.workers import WorkerDied, WorkerPoolIngest
 __all__ = [
     "AsyncClusteringServer",
     "CircuitBreaker",
-    "ClusteringServer",
     "ClusteringService",
     "EvictionPolicy",
     "FaultPlan",
@@ -82,12 +79,10 @@ __all__ = [
     "WorkerDied",
     "WorkerPoolIngest",
     "faults",
-    "serve_forever",
     "serve_forever_async",
     "sharded_state_from_dict",
     "sharded_state_to_dict",
     "start_async_server",
-    "start_server",
     "streaming_state_from_dict",
     "streaming_state_to_dict",
     "write_checkpoint",

@@ -1,6 +1,6 @@
 """Asyncio JSON-lines front end for the multi-tenant registry.
 
-The default ``repro serve`` server: ``asyncio.start_server`` accepts any
+The ``repro serve`` server: ``asyncio.start_server`` accepts any
 number of concurrent connections on one thread, parses frames on the event
 loop, and runs sketch work (ingest, solve, checkpoint) in worker threads
 via ``asyncio.to_thread``.  Serialization is **per tenant**, not global —
@@ -9,10 +9,8 @@ keep eviction away from in-flight operations, and queries solve on a
 version-keyed snapshot outside the ingest lock, so one tenant's expensive
 solve never stalls another tenant's (or its own) ingest.
 
-Wire compatibility: the protocol is the same JSON-lines format as the
-threaded single-tenant server (kept available behind ``repro serve
---sync``), plus the optional ``stream_id`` field routing each request to a
-named tenant and the ``tenants`` op listing them.  A request without
+Wire compatibility: the optional ``stream_id`` field routes each request
+to a named tenant and the ``tenants`` op lists them.  A request without
 ``stream_id`` addresses the ``"default"`` tenant, so pre-tenant clients
 work unchanged.
 """
@@ -99,7 +97,10 @@ class AsyncClusteringServer:
         """Request a stop from any thread (idempotent)."""
         loop, stop = self._loop, self._stop_event
         if loop is not None and stop is not None:
-            loop.call_soon_threadsafe(stop.set)
+            try:
+                loop.call_soon_threadsafe(stop.set)
+            except RuntimeError:  # loop closed: the server already stopped
+                pass
 
     # ------------------------------------------------------------ connection
     async def _handle_connection(self, reader: asyncio.StreamReader,
@@ -210,7 +211,6 @@ class AsyncClusteringServer:
                 eviction_failures=list(registry.eviction_failures),
             ), False
         stream_id = parse_stream_id(req)
-        config: ServiceConfig = registry.config
         if op in ("insert", "delete"):
             idem = parse_idempotency(req)
             if idem is not None:
@@ -219,9 +219,14 @@ class AsyncClusteringServer:
                     # A retry of a mutation we already applied: answer from
                     # the cache, touch nothing — no double count.
                     return cached, False
-            arr = parse_points(req, config.d, config.delta)
+
+            def parse(params):
+                # Validated against the addressed tenant's own shape: a
+                # restored tenant may differ from the server's flags.
+                return parse_points(req, params.d, params.delta)
+
             fn = registry.insert if op == "insert" else registry.delete
-            payload = await asyncio.to_thread(fn, stream_id, arr)
+            payload = await asyncio.to_thread(fn, stream_id, parse)
             response = ok_response(stream_id=stream_id, **payload)
             if idem is not None:
                 self._idem.record(idem[0], idem[1], response)
@@ -269,8 +274,7 @@ def start_async_server(registry: TenantRegistry, host: str = "127.0.0.1",
     """Serve in a daemon thread running its own event loop; returns
     ``(server, thread)`` once the socket is bound.
 
-    The blocking-client ergonomics of :func:`repro.service.server.start_server`,
-    for tests and embedders: drive it with :class:`ServiceClient` from any
+    For tests and embedders: drive it with :class:`ServiceClient` from any
     thread, stop it with ``server.shutdown()``.
     """
     server = AsyncClusteringServer(registry, host, port,
@@ -301,7 +305,7 @@ def serve_forever_async(config: ServiceConfig, host: str, port: int, *,
                         quota: TenantQuota | None = None,
                         restore_path=None,
                         max_request_bytes: int | None = None) -> None:
-    """Blocking entry point used by ``repro serve`` (the default mode)."""
+    """Blocking entry point used by ``repro serve``."""
     registry = TenantRegistry(config, tenants_dir=tenants_dir,
                               max_live_tenants=max_live_tenants, quota=quota)
     try:

@@ -1,4 +1,4 @@
-"""JSON-lines wire protocol shared by the servers and the client.
+"""JSON-lines wire protocol shared by the server and the client.
 
 One request per line, one response per line, UTF-8 JSON — trivially
 debuggable with ``nc`` and language-agnostic.  Requests are objects with an
@@ -192,8 +192,7 @@ class IdempotencyCache:
     events.  One entry per client suffices because the client assigns seqs
     monotonically and never pipelines mutations — a replay is always of
     the latest logical request.  Client ids are evicted LRU beyond
-    :data:`IDEMPOTENCY_CACHE_CLIENTS`.  Thread-safe (the sync server
-    handles connections on threads).
+    :data:`IDEMPOTENCY_CACHE_CLIENTS`.  Thread-safe.
     """
 
     def __init__(self, max_clients: int = IDEMPOTENCY_CACHE_CLIENTS):

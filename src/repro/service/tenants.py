@@ -32,7 +32,8 @@ independent hash functions while every tenant remains exactly reproducible
 isolation tests rebuild reference single-tenant services from it.  The
 :data:`~repro.service.protocol.DEFAULT_STREAM_ID` tenant keeps the base
 seed unchanged, so a multi-tenant server addressed by a pre-tenant client
-behaves bit-identically to the old single-tenant server.
+behaves bit-identically to one :class:`ClusteringService` built from the
+base config.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import numpy as np
 from repro.core.io import read_json
 from repro.service.engine import ClusteringService, ServiceConfig
 from repro.service.eviction import EvictionPolicy, LRUEvictionPolicy
-from repro.service.protocol import DEFAULT_STREAM_ID
+from repro.service.protocol import DEFAULT_STREAM_ID, ProtocolError
 from repro.service.state import tenant_checkpoint_filename, tenant_id_from_filename
 from repro.service.supervisor import CircuitBreaker
 from repro.utils.rng import derive_seed
@@ -213,8 +214,8 @@ class TenantRegistry:
         The tenant's circuit breaker brackets the lease: an open circuit
         rejects the operation before any sketch work, and the operation's
         outcome (exception vs. clean return) feeds the breaker.  Quota
-        rejections and the degraded rejection itself are *not* failures —
-        they are the service working as intended."""
+        rejections, malformed requests and the degraded rejection itself
+        are *not* failures — they are the service working as intended."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("tenant registry is closed")
@@ -234,7 +235,7 @@ class TenantRegistry:
                     if rec.service is None:
                         self._load_locked(rec)
                 yield rec
-            except (QuotaExceeded, TenantDegraded):
+            except (QuotaExceeded, TenantDegraded, ProtocolError):
                 raise
             except Exception:
                 breaker.record_failure()
@@ -370,7 +371,7 @@ class TenantRegistry:
                 f"stream {rec.stream_id!r}: {n_events} events would exceed "
                 f"the {q.max_events}-event quota "
                 f"({service.ingest.num_events} already ingested)")
-        n_bytes = n_events * 8 * self.config.d
+        n_bytes = n_events * 8 * service.params.d
         if (q.max_bytes is not None
                 and service.bytes_ingested + n_bytes > q.max_bytes):
             raise QuotaExceeded(
@@ -381,20 +382,27 @@ class TenantRegistry:
 
     # ------------------------------------------------------------- operations
     def insert(self, stream_id: str, points) -> dict:
-        """Insert rows of an (n, d) int array into one tenant's stream."""
-        arr = np.asarray(points)
-        with self._lease(stream_id) as rec:
-            self._check_quota(rec, len(arr))
-            applied = rec.service.insert(arr)
-            return {"applied": applied, "version": rec.service.ingest.version}
+        """Insert rows of an (n, d) int array into one tenant's stream.
+
+        ``points`` may instead be a callable ``params -> array`` run inside
+        the lease with the tenant's own :class:`CoresetParams`: the wire
+        server validates raw request rows this way, because a restored
+        tenant's ``d`` and ``delta`` need not match the base config."""
+        return self._mutate(stream_id, points, ClusteringService.insert)
 
     def delete(self, stream_id: str, points) -> dict:
-        """Delete rows of an (n, d) int array from one tenant's stream."""
-        arr = np.asarray(points)
+        """Delete rows from one tenant's stream (``points`` as for
+        :meth:`insert`)."""
+        return self._mutate(stream_id, points, ClusteringService.delete)
+
+    def _mutate(self, stream_id: str, points, apply) -> dict:
         with self._lease(stream_id) as rec:
+            service = rec.service
+            arr = (points(service.params) if callable(points)
+                   else np.asarray(points))
             self._check_quota(rec, len(arr))
-            applied = rec.service.delete(arr)
-            return {"applied": applied, "version": rec.service.ingest.version}
+            applied = apply(service, arr)
+            return {"applied": applied, "version": service.ingest.version}
 
     def apply_events(self, stream_id: str, events) -> dict:
         """Apply a mixed (point, ±1) batch to one tenant's stream."""

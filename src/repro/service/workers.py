@@ -159,8 +159,8 @@ class WorkerPoolIngest:
         Worker processes, one shard each.
     start_method:
         ``multiprocessing`` start method.  Defaults to ``"spawn"`` — safe
-        under the threaded wire server (``fork`` from a multi-threaded
-        parent can deadlock in the child) and identical across platforms;
+        in the wire server's multi-threaded process (``fork`` from a
+        multi-threaded parent can deadlock in the child) and identical across platforms;
         shard construction is seed-derived, so the start method cannot
         affect results.
     queue_batches:

@@ -1,12 +1,11 @@
-"""Fixture async server: handles ping/query/mystery plus an undeclared op."""
+"""Fixture async server: forgot 'query' (WIRE401); handles an undeclared
+op (WIRE402)."""
 
 
 def dispatch(req):
     op = req["op"]
     if op == "ping":
         return {"pong": True}
-    if op == "query":
-        return {"result": None}
     if op == "mystery":
         return {"spooky": True}
     if op == "extra":            # WIRE402: not in OPS

@@ -7,7 +7,7 @@ Three layers, cheapest first:
   site-permutation-independent, and bit-identical to a single process that
   ingested the concatenated stream — for random and adversarially skewed
   partitions, with and without deletions.
-- **Wire ops**: ``pull_state`` / ``site_stats`` round-trip on both servers,
+- **Wire ops**: ``pull_state`` / ``site_stats`` round-trip over the wire,
   and the pulled envelope is byte-identical to a local ``state_payload``.
 - **Real fleet**: `run_fleet` spawns actual ``repro serve`` subprocesses;
   the merged state, the query answer, and the metered wire bits must all
@@ -41,7 +41,6 @@ from repro.service import (
     ServiceConfig,
     TenantRegistry,
     start_async_server,
-    start_server,
 )
 from repro.service import faults
 from repro.service.faults import FaultPlan, FaultRule
@@ -145,7 +144,7 @@ class TestMergeProperties:
 
 
 class TestWireOps:
-    """pull_state / site_stats round-trip on both server front ends."""
+    """pull_state / site_stats round-trip through the async server."""
 
     def _workload(self, n=40):
         rng = np.random.default_rng(5)
@@ -177,23 +176,6 @@ class TestWireOps:
             SITE_STATS_FIELDS + ("stream_id",)))
         assert site["events"] == len(pts)
         reference.close()
-
-    def test_sync_server_speaks_the_fleet_ops(self):
-        cfg = ServiceConfig(**CHEAP)
-        server, _ = start_server(ClusteringService(cfg))
-        host, port = server.server_address
-        pts = self._workload(24)
-        try:
-            with ServiceClient(host, port) as cli:
-                cli.insert(pts, batch_size=24)
-                state = cli.pull_state()
-                site = cli.site_stats()
-        finally:
-            server.shutdown()
-        restored = ClusteringService.from_payload(state)
-        assert restored.ingest.num_events == len(pts) == site["events"]
-        assert site["num_shards"] == cfg.num_shards
-        restored.close()
 
     def test_pull_state_bits_policy_is_structural(self):
         """The charge depends on sketch structure, not JSON encoding."""

@@ -36,13 +36,15 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
     ShardedIngest,
-    start_server,
+    TenantRegistry,
+    start_async_server,
 )
 from repro.service.state import (
     sharded_state_from_dict,
     sharded_state_to_dict,
     streaming_state_from_dict,
     streaming_state_to_dict,
+    tenant_checkpoint_filename,
 )
 from repro.solvers.capacitated_lloyd import CapacitatedKClustering
 from repro.streaming import StreamingCoreset, materialize
@@ -265,6 +267,42 @@ class TestQueryEngine:
         assert np.allclose(got.centers, want.centers)
         assert got.cost == want.cost and got.o == want.o
 
+    def test_legacy_supervise_key_restores(self, world, tmp_path):
+        """Envelopes from before pools were always supervised carry a
+        ``supervise`` config flag.  Checkpoints, evicted-tenant files and
+        pulled states in that format restore bit-identically; any other
+        unknown config key is still an error."""
+        stream, _, _ = world
+        svc = ClusteringService(
+            ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=17))
+        svc.apply_events(stream)
+        want, _ = svc.query()
+        current = svc.state_payload()
+        legacy = json.loads(json.dumps(current))
+        legacy["config"]["supervise"] = False
+
+        twin = ClusteringService.from_payload(legacy)
+        assert json.dumps(twin.state_payload(), sort_keys=True) == \
+            json.dumps(current, sort_keys=True)
+        got, _ = twin.query()
+        assert got.centers.tolist() == want.centers.tolist()
+        assert got.cost == want.cost and got.o == want.o
+
+        atomic_write_json(tmp_path / "legacy.json", legacy)
+        assert ClusteringService.restore(tmp_path / "legacy.json") \
+            .ingest.version == svc.ingest.version
+        tenants = tmp_path / "tenants"
+        tenants.mkdir()
+        atomic_write_json(tenants / tenant_checkpoint_filename("default"),
+                          legacy)
+        with TenantRegistry(svc.config, tenants_dir=tenants) as registry:
+            got, _ = registry.query("default")
+            assert got.cost == want.cost
+
+        legacy["config"]["unheard_of"] = 1
+        with pytest.raises(TypeError, match="unheard_of"):
+            ClusteringService.from_payload(legacy)
+
 
 class TestServiceEndToEnd:
     """The acceptance-criterion scenario, over a real TCP socket."""
@@ -273,8 +311,9 @@ class TestServiceEndToEnd:
         stream, survivors, params = world
         config = ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=17,
                                capacity_slack=1.2)
-        server, _ = start_server(ClusteringService(config))
-        host, port = server.server_address
+        registry = TenantRegistry(config)
+        server, _ = start_async_server(registry)
+        host, port = server.address
         inserts = np.array([ev.point for ev in stream if ev.sign > 0])
         deletes = np.array([ev.point for ev in stream if ev.sign < 0])
         ckpt = tmp_path / "e2e.ckpt.json"
@@ -310,19 +349,22 @@ class TestServiceEndToEnd:
                 cli.checkpoint(ckpt)
         finally:
             server.shutdown()
-            server.server_close()
+            registry.close()
 
-        # "Kill" the server; a fresh process restores and answers identically.
-        twin, _ = start_server(ClusteringService.restore(ckpt))
+        # "Kill" the server; a fresh one restores (as `serve --restore`
+        # does) and answers identically.
+        twin_registry = TenantRegistry(config)
+        twin_registry.restore("default", ckpt)
+        twin, _ = start_async_server(twin_registry)
         try:
-            with ServiceClient(*twin.server_address) as cli:
+            with ServiceClient(*twin.address) as cli:
                 restored = cli.query()
                 assert restored["centers"] == answer["centers"]
                 assert restored["cost"] == answer["cost"]
                 assert restored["version"] == answer["version"]
         finally:
             twin.shutdown()
-            twin.server_close()
+            twin_registry.close()
 
     def test_out_of_range_insert_rejected_atomically(self, world):
         """Regression: an insert with a coordinate outside [0, Δ] used to
@@ -332,9 +374,10 @@ class TestServiceEndToEnd:
         both the connection and the state healthy."""
         from repro.service.client import ServiceError
 
-        server, _ = start_server(ClusteringService(
-            ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=1)))
-        host, port = server.server_address
+        registry = TenantRegistry(
+            ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=1))
+        server, _ = start_async_server(registry)
+        host, port = server.address
         try:
             with ServiceClient(host, port) as cli:
                 for bad in ([[3, 3], [1, -1]],   # negative coordinate
@@ -349,7 +392,7 @@ class TestServiceEndToEnd:
                 assert cli.stats()["events"] == 2
         finally:
             server.shutdown()
-            server.server_close()
+            registry.close()
 
     def test_oversized_request_line_rejected(self, world):
         """Regression: the handler read request lines with an unbounded
@@ -357,11 +400,10 @@ class TestServiceEndToEnd:
         memory.  Over-long frames now get an error envelope and a close."""
         import socket
 
-        server, _ = start_server(
-            ClusteringService(ServiceConfig(k=3, d=2, delta=64, num_shards=2,
-                                            seed=1)),
-            max_request_bytes=2048)
-        host, port = server.server_address
+        registry = TenantRegistry(
+            ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=1))
+        server, _ = start_async_server(registry, max_request_bytes=2048)
+        host, port = server.address
         try:
             with socket.create_connection((host, port), timeout=10) as sock:
                 fh = sock.makefile("rwb")
@@ -380,12 +422,13 @@ class TestServiceEndToEnd:
                 assert json.loads(fh.readline())["ok"] is True
         finally:
             server.shutdown()
-            server.server_close()
+            registry.close()
 
     def test_malformed_requests_get_error_responses(self, world):
-        server, _ = start_server(ClusteringService(
-            ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=1)))
-        host, port = server.server_address
+        registry = TenantRegistry(
+            ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=1))
+        server, _ = start_async_server(registry)
+        host, port = server.address
         try:
             import socket
 
@@ -403,7 +446,7 @@ class TestServiceEndToEnd:
                 assert json.loads(fh.readline())["ok"] is True
         finally:
             server.shutdown()
-            server.server_close()
+            registry.close()
 
 
 class TestModuleEntryPoint:

@@ -11,9 +11,8 @@ Covered here: the seeded :class:`FaultPlan` engine itself, crash-safe
 checkpoint writes, worker SIGKILL / soft-crash recovery in
 :class:`SupervisedWorkerPool`, ``close()`` escalation on wedged workers,
 the resilient client (typed :class:`ServiceUnavailable`, reconnects,
-sequence-numbered idempotent retries on both servers), abrupt-disconnect
-handling on both servers, and the per-tenant circuit breaker with its
-``degraded`` wire envelope.
+sequence-numbered idempotent retries), abrupt-disconnect handling, and
+the per-tenant circuit breaker with its ``degraded`` wire envelope.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import os
 import signal
 import socket
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -44,7 +44,6 @@ from repro.service import (
     WorkerPoolIngest,
     faults,
     start_async_server,
-    start_server,
 )
 from repro.service.faults import FaultPlan, FaultRule, InjectedFault, fault_point
 from repro.service.protocol import IdempotencyCache, ProtocolError, parse_idempotency
@@ -233,8 +232,8 @@ class TestSupervisedRecovery:
                     pool.to_state_dict()
 
     def test_supervised_config_roundtrips_through_engine(self, world, tmp_path):
-        """ServiceConfig.supervise=True (the default) builds the supervised
-        pool, survives checkpoint/restore, and surfaces in stats."""
+        """``workers > 0`` builds the supervised pool, which survives
+        checkpoint/restore and surfaces in stats."""
         stream, _ = world
         path = tmp_path / "sup.ckpt.json"
         with ClusteringService(ServiceConfig(k=3, d=2, delta=64, workers=2,
@@ -251,12 +250,6 @@ class TestSupervisedRecovery:
             assert isinstance(twin.ingest, SupervisedWorkerPool)
         finally:
             twin.close()
-        plain = ClusteringService(ServiceConfig(k=3, d=2, delta=64, workers=2,
-                                                seed=17, supervise=False))
-        try:
-            assert type(plain.ingest) is WorkerPoolIngest
-        finally:
-            plain.close()
 
 
 # ========================================================= close escalation
@@ -316,11 +309,17 @@ class TestIdempotencyPlumbing:
 
 
 # ===================================================== resilient client I/O
-def _sync_server(config):
-    service = ClusteringService(config)
-    server, _ = start_server(service)
-    host, port = server.server_address[:2]
-    return service, server, host, port
+@contextmanager
+def _serving(config):
+    """An async server over a fresh registry; yields ``(server, thread)``."""
+    registry = TenantRegistry(config)
+    server, thread = start_async_server(registry)
+    try:
+        yield server, thread
+    finally:
+        server.shutdown()
+        thread.join(10)
+        registry.close()
 
 
 class TestResilientClient:
@@ -338,45 +337,35 @@ class TestResilientClient:
         cli.close()  # close() never raises, connected or not
 
     def test_server_death_mid_session_raises_typed_error(self):
-        service, server, host, port = _sync_server(self.CONFIG)
-        cli = ServiceClient(host, port, retries=1, backoff_s=0.01, timeout=5.0)
-        try:
-            assert cli.ping()
-            # Kill the server under the live connection: the shutdown op
-            # closes this connection, and closing the listener makes the
-            # reconnect attempt fail outright.
-            cli.shutdown()
-            server.server_close()
-            service.close()
-            with pytest.raises(ServiceUnavailable):
-                cli.stats()
-        finally:
-            cli.close()
+        with _serving(self.CONFIG) as (server, thread):
+            cli = ServiceClient(*server.address, retries=1, backoff_s=0.01,
+                                timeout=5.0)
+            try:
+                assert cli.ping()
+                # Kill the server under the live connection: the shutdown
+                # op closes this connection and then the listener, so the
+                # reconnect attempt fails outright.
+                cli.shutdown()
+                thread.join(10)
+                assert not thread.is_alive()
+                with pytest.raises(ServiceUnavailable):
+                    cli.stats()
+            finally:
+                cli.close()
 
     def test_context_manager_always_closes(self):
-        service, server, host, port = _sync_server(self.CONFIG)
-        try:
+        with _serving(self.CONFIG) as (server, _):
             with pytest.raises(RuntimeError, match="boom"):
-                with ServiceClient(host, port) as cli:
+                with ServiceClient(*server.address) as cli:
                     assert cli.ping()
                     raise RuntimeError("boom")
             assert cli._sock is None
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.close()
 
-    @pytest.mark.parametrize("flavor", ["sync", "async"])
-    def test_abrupt_disconnects_do_not_wedge_servers(self, flavor):
+    def test_abrupt_disconnects_do_not_wedge_servers(self):
         """Half a request frame, then a slammed connection mid-reply — the
         server must keep serving other clients through both."""
-        if flavor == "sync":
-            service, server, host, port = _sync_server(self.CONFIG)
-        else:
-            registry = TenantRegistry(self.CONFIG)
-            server, _ = start_async_server(registry)
+        with _serving(self.CONFIG) as (server, _):
             host, port = server.address
-        try:
             # Mid-request: partial JSON, no newline, then close.
             with socket.create_connection((host, port), timeout=5.0) as raw:
                 raw.sendall(b'{"op": "ins')
@@ -388,30 +377,15 @@ class TestResilientClient:
                 assert cli.ping()
                 assert cli.insert(np.array([[1, 2], [3, 4]])) == 2
                 assert cli.stats()["events"] == 2
-        finally:
-            if flavor == "sync":
-                server.shutdown()
-                server.server_close()
-                service.close()
-            else:
-                server.shutdown()
-                registry.close()
 
-    @pytest.mark.parametrize("flavor", ["sync", "async"])
-    def test_idempotent_retry_does_not_double_count(self, flavor):
+    def test_idempotent_retry_does_not_double_count(self):
         """Drop the reply of one insert *after* it was applied (the worst
         case for retries); the client's seq-numbered retry must be answered
         from the replay cache, leaving the event count exact."""
         faults.install(FaultPlan([FaultRule(point="server.reset", after=1,
                                             match={"op": "insert"})]))
-        if flavor == "sync":
-            service, server, host, port = _sync_server(self.CONFIG)
-        else:
-            registry = TenantRegistry(self.CONFIG)
-            server, _ = start_async_server(registry)
-            host, port = server.address
-        try:
-            with ServiceClient(host, port, retries=3, backoff_s=0.01,
+        with _serving(self.CONFIG) as (server, _):
+            with ServiceClient(*server.address, retries=3, backoff_s=0.01,
                                timeout=10.0) as cli:
                 assert cli.insert(np.array([[1, 1], [2, 2]])) == 2
                 assert cli.insert(np.array([[3, 3], [4, 4]])) == 2  # reply dropped
@@ -421,30 +395,17 @@ class TestResilientClient:
                 assert stats["events"] == 5
                 assert stats["insertions"] == 5
                 assert stats["fault_plan"]["fire_counts"] == {"server.reset": 1}
-        finally:
-            if flavor == "sync":
-                server.shutdown()
-                server.server_close()
-                service.close()
-            else:
-                server.shutdown()
-                registry.close()
 
     def test_pre_reset_drops_request_before_execution(self):
         """'pre' mode models a cut before the server reads the request:
         nothing is applied, and the retry (same seq) applies it once."""
         faults.install(FaultPlan([FaultRule(point="server.reset", mode="pre",
                                             match={"op": "insert"})]))
-        service, server, host, port = _sync_server(self.CONFIG)
-        try:
-            with ServiceClient(host, port, retries=3, backoff_s=0.01,
+        with _serving(self.CONFIG) as (server, _):
+            with ServiceClient(*server.address, retries=3, backoff_s=0.01,
                                timeout=10.0) as cli:
                 assert cli.insert(np.array([[7, 7]])) == 1
                 assert cli.stats()["events"] == 1
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.close()
 
     def test_short_and_slow_replies(self):
         """A truncated reply is a poisoned connection (typed retry); a slow
@@ -453,18 +414,13 @@ class TestResilientClient:
             FaultRule(point="server.short", match={"op": "stats"}),
             FaultRule(point="server.slow", delay_s=0.05, match={"op": "ping"}),
         ]))
-        service, server, host, port = _sync_server(self.CONFIG)
-        try:
-            with ServiceClient(host, port, retries=3, backoff_s=0.01,
+        with _serving(self.CONFIG) as (server, _):
+            with ServiceClient(*server.address, retries=3, backoff_s=0.01,
                                timeout=10.0) as cli:
                 assert cli.stats()["events"] == 0  # retried past the short read
                 t0 = time.monotonic()
                 assert cli.ping()
                 assert time.monotonic() - t0 >= 0.05
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.close()
 
 
 # ========================================================== circuit breaker

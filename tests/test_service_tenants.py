@@ -33,7 +33,6 @@ from repro.service import (
     TenantQuota,
     TenantRegistry,
     start_async_server,
-    start_server,
 )
 from repro.service.client import ServiceError
 from repro.service.protocol import DEFAULT_STREAM_ID
@@ -327,28 +326,37 @@ class TestAsyncWire:
             thread.join(10)
             reg.close()
 
-    def test_sync_server_is_single_tenant(self):
-        service = ClusteringService(cheap_config())
-        server, thread = start_server(service)
-        host, port = server.server_address
+    def test_points_checked_against_the_restored_tenants_shape(self, tmp_path):
+        """A tenant restored from a checkpoint keeps the checkpoint's d and
+        delta, whatever the server was started with: rows are validated
+        against the tenant's own parameters, and bad rows get a clean
+        protocol error without tripping the tenant's circuit breaker."""
+        ckpt = tmp_path / "d3.ckpt.json"
+        with ClusteringService(cheap_config(d=3, delta=64)) as svc:
+            svc.insert(stream_points("d3", n=3, delta=64, d=3))
+            svc.checkpoint(ckpt)
+        reg = TenantRegistry(cheap_config(d=2, delta=256))
+        reg.restore(DEFAULT_STREAM_ID, ckpt)
+        server, thread = start_async_server(reg)
         try:
-            with ServiceClient(host, port) as cli:
-                cli.insert(stream_points(DEFAULT_STREAM_ID, n=6))
-                # Explicitly addressing "default" is accepted...
-                cli.stream_id = DEFAULT_STREAM_ID
-                assert cli.stats()["events"] == 6
-                rows = cli.tenants()
-                assert [t["stream_id"] for t in rows] == [DEFAULT_STREAM_ID]
-                # ...any other stream gets pointed at the async server.
-                cli.stream_id = "other"
-                with pytest.raises(ServiceError, match="single-tenant"):
-                    cli.stats()
-                cli.stream_id = None
-                cli.shutdown()
-            thread.join(10)
+            with ServiceClient(*server.address) as cli:
+                assert cli.stats()["events"] == 3
+                # Four rejections in a row: past the breaker's threshold.
+                for bad, why in (([[10, 11]], r"must be \(n, 3\)"),
+                                 ([[10, 11, 65]], r"\[0, 64\]"),
+                                 ([[10, 11]], r"must be \(n, 3\)"),
+                                 ([[10, 11]], r"must be \(n, 3\)")):
+                    with pytest.raises(ServiceError, match=why):
+                        cli.request("insert", points=bad)
+                assert cli.insert(np.array([[10, 11, 12]])) == 1
+                assert cli.delete(np.array([[10, 11, 12]])) == 1
+                stats = cli.stats()
+                assert stats["events"] == 5
+                assert stats["breaker"]["state"] == "closed"
         finally:
-            server.server_close()
-            service.close()
+            server.shutdown()
+            thread.join(10)
+            reg.close()
 
 
 # --------------------------------------------------------------------------
