@@ -9,6 +9,9 @@ records claim-vs-measured.
 from __future__ import annotations
 
 import json
+import os
+import platform
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +31,46 @@ __all__ = [
 ]
 
 
+def _git_sha() -> str | None:
+    """Commit of the ``repro`` sources under test, suffixed ``-dirty`` when
+    the checkout has uncommitted changes; ``None`` without git."""
+    import repro
+
+    try:
+        proc = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40",
+             "--exclude=*"],
+            cwd=Path(repro.__file__).resolve().parent,
+            capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return proc.stdout.strip() or None
+
+
+def host_metadata() -> dict:
+    """What a later run needs to reproduce a record: host and versions."""
+    import scipy
+
+    return {
+        "cpu_count": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "git_sha": _git_sha(),
+    }
+
+
 def append_bench_record(record: dict, out=None) -> Path:
     """Append one run record to ``BENCH_service.json`` (repo root).
 
     The file holds ``{"format": 2, "runs": [...]}`` so successive bench
     invocations accumulate a history instead of clobbering each other; a
     pre-format-2 file (one bare run dict) is absorbed as the first run.
+    Every record is stamped with :func:`host_metadata` (keys the record
+    already sets win).
     """
+    record = {**host_metadata(), **record}
     out = (Path(out) if out is not None
            else Path(__file__).resolve().parents[1] / "BENCH_service.json")
     doc = {"format": 2, "runs": []}

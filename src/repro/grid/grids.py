@@ -221,6 +221,30 @@ class HierarchicalGrids:
         coords = tuple(t - self._offset(lvl) for t in digits)
         return CellKey(level=lvl, coords=coords)
 
+    def parent_keys(self, keys, level: int) -> np.ndarray:
+        """Keys of the parent cells (at ``level - 1``) of level-``level`` keys.
+
+        Vectorised decode → halve → encode on the int64 key path; bigint
+        keys fall back to the scalar :meth:`decode_cell_key`.
+        """
+        self._check_level(level)
+        self._check_level(level - 1)
+        if not self._fits64:
+            return np.array([
+                self.encode_cell(
+                    self.parent_coords(self.decode_cell_key(k).coords), level - 1)
+                for k in keys], dtype=object)
+        keys = np.asarray(keys, dtype=np.int64)
+        radix = self._coord_base**self.d
+        body, lvl = keys % radix, keys // radix
+        if np.any(lvl != level + 1):
+            raise ValueError(f"parent_keys: not all keys are at level {level}")
+        coords = np.empty((len(keys), self.d), dtype=np.int64)
+        for j in range(self.d - 1, -1, -1):
+            body, coords[:, j] = np.divmod(body, self._coord_base)
+        coords -= self._offset(level)
+        return self.encode_cell_coords(self.parent_coords(coords), level - 1)
+
     def point_keys(self, points: np.ndarray) -> np.ndarray:
         """Injective integer keys for points (for point-level hashing/sketches)."""
         return self.point_codec.encode(check_points(points, self.delta))

@@ -1,6 +1,6 @@
 """The query engine: merge shards on demand, solve, memoize by version.
 
-A query is expensive — deep-copy + fan-in of every shard, sketch decode,
+A query is expensive — copy + fan-in of every shard, sketch decode,
 coreset assembly, capacitated solve — while ingest is cheap.  The engine
 therefore keys its single-entry result cache on the ingest layer's state
 *version* (bumped once per applied batch): repeated queries against an
@@ -196,7 +196,9 @@ class ClusteringService:
             slack = self.config.capacity_slack if capacity_slack is None else capacity_slack
             merged = self.ingest.merged_state()
         # Finalize + solve outside the lock: they only touch the merged
-        # deep copy, so ingest can proceed concurrently.
+        # copy, which later ingest never writes into (it shares only
+        # columns that ingest rebinds, never mutates), so ingest can
+        # proceed concurrently.
         coreset, instance = merged.finalize_with_instance()
         capacity = max(coreset.total_weight / self.params.k * slack, 1e-12)
         solver = CapacitatedKClustering(

@@ -19,8 +19,6 @@ front of the service.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from repro.core.params import CoresetParams
@@ -229,10 +227,14 @@ class ShardedIngest:
     def merged_state(self) -> StreamingCoreset:
         """A fresh driver equal to one that saw the entire stream.
 
-        Deep-copies shard 0 (merging is in-place and must not disturb live
-        ingest state) and folds the remaining shards in; they are only read.
+        Copies shard 0 (:meth:`StreamingCoreset.copy` — exact stores share
+        their compacted columns copy-on-write, sketch stores copy their
+        buckets) and folds the other shards into the copy; they are only
+        read.  Exact merges are deferred, so only the stores a query
+        actually decodes ever pay the group-by.  Ingest that continues
+        afterwards never changes the returned driver.
         """
-        merged = copy.deepcopy(self.shards[0])
+        merged = self.shards[0].copy()
         for shard in self.shards[1:]:  # scalar-ok: per-shard merge fan-in
             merge_streaming_states(merged, shard)
         return merged

@@ -21,6 +21,8 @@ pipeline genuinely single-pass on dynamic streams.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.hashing.kwise import KWiseHash
@@ -58,6 +60,13 @@ class DistinctSampler:
                        seed=derive_seed(seed, f"l0-{j}"))
             for j in range(self.num_levels)
         ]
+
+    def copy(self) -> "DistinctSampler":
+        """An independent sampler with the same level sketches; shares the
+        level hash and the sketches' hash families."""
+        new = copy.copy(self)
+        new._sketches = [s.copy() for s in self._sketches]
+        return new
 
     def _level_of(self, key: int) -> int:
         """Deepest level j with h(key) < 2^{−j} (levels form a prefix)."""

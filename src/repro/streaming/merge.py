@@ -8,7 +8,8 @@ Section 4.3 — here exposed directly so users can shard a stream across
 workers and merge, or combine checkpointed states.
 
 Requirements (checked): identical parameters, identical seeds (same grids,
-hash polynomials, and sketch layouts), same backend.
+hash polynomials, and sketch layouts), same backend, same guess preference,
+and a pilot sampler on both sides or on neither.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ def merge_streaming_states(a: StreamingCoreset, b: StreamingCoreset) -> Streamin
     """Merge ``b``'s state into ``a`` (in place; returns ``a``).
 
     Both drivers must have been constructed with identical ``params``,
-    ``seed``, ``backend``, and guess windows — i.e. they are shards of one
-    logical computation, differing only in which updates they saw.
+    ``seed``, ``backend``, ``prefer``, ``auto_pilot`` and guess windows —
+    i.e. they are shards of one logical computation, differing only in
+    which updates they saw.
     """
     if a.params != b.params:
         raise ValueError("cannot merge: different parameters")
@@ -60,6 +62,11 @@ def merge_streaming_states(a: StreamingCoreset, b: StreamingCoreset) -> Streamin
         raise ValueError("cannot merge: different guess schedules")
     if any(x.backend != y.backend for x, y in zip(a.instances, b.instances)):
         raise ValueError("cannot merge: different backends")
+    if a.prefer != b.prefer:
+        raise ValueError("cannot merge: different guess preference (prefer)")
+    if (a._pilot_sampler is None) != (b._pilot_sampler is None):
+        raise ValueError("cannot merge: one driver has a pilot sampler and "
+                         "the other does not (auto_pilot differs)")
     # Same seed ⇒ same grid shift; cheap proxy check on the shift vector.
     import numpy as np
 
@@ -72,7 +79,7 @@ def merge_streaming_states(a: StreamingCoreset, b: StreamingCoreset) -> Streamin
                        (ia.store_hhat, ib.store_hhat)):
             for sa, sb in zip(ga, gb):
                 merge_storing(sa, sb)
-    if a._pilot_sampler is not None and b._pilot_sampler is not None:
+    if a._pilot_sampler is not None:
         for sa, sb in zip(a._pilot_sampler._sketches, b._pilot_sampler._sketches):
             _add_iblt(sa, sb)
     a.num_updates += b.num_updates

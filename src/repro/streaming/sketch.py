@@ -41,6 +41,8 @@ Implementation notes (performance — see the HPC guide):
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.hashing.kwise import KWiseHash, UniformBucketHash
@@ -188,6 +190,15 @@ class IBLTSketch:
             self._count[i] = int(b[0])
             self._keysum[i] = int(b[1])
             self._fpsum[i] = int(b[2])
+
+    def copy(self) -> "IBLTSketch":
+        """An independent sketch with the same buckets; shares the family."""
+        new = copy.copy(self)
+        new._slot = dict(self._slot)
+        new._count = self._count.copy()
+        new._keysum = self._keysum.copy()
+        new._fpsum = self._fpsum.copy()
+        return new
 
     # -- updates -------------------------------------------------------------
     def update(self, key: int, delta: int = 1) -> None:

@@ -30,6 +30,7 @@ the Python process actually holds).
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -100,12 +101,23 @@ class ExactStoring:
     per event on the scalar path) — and a flush aggregates the log into the
     compacted state with numpy group-by sweeps: cell keys sorted ascending
     with their nonzero exact counts, plus (cell, point) pairs in
-    lexicographic order when ``recover_points``.  Flushes happen at query /
-    checkpoint / merge time and whenever the log outgrows the compacted
-    state, so ingest does no per-event Python dict work at all while every
-    observable output (results, counts, serialized state) is a canonical
-    function of the multiset of updates — independent of event order and of
-    how the stream was batched.
+    lexicographic order when ``recover_points``.  Every observable output
+    (results, counts, serialized state) is a canonical function of the
+    multiset of updates — independent of event order, of how the stream was
+    batched, and of when the flushes ran.
+
+    Flushes happen whenever the log outgrows the compacted state (on
+    ingest) and on every read of the compacted state: :meth:`result`,
+    :meth:`live_cells`, :meth:`space_bits` and the checkpoint views.
+    :meth:`merge_from` and :meth:`copy` never flush; a merge only appends
+    the other side's columns to the log, so a k-way fold costs one
+    group-by, paid by the first reader.
+
+    Immutability contract: the compacted columns (``_ckeys``/``_ccounts``/
+    ``_pcell``/``_ppoint``/``_pcount``) and the logged arrays are never
+    written in place — flushes and setters *rebind* them to fresh arrays.
+    That is what lets :meth:`copy` share them in O(1) and
+    :meth:`merge_from` log another structure's columns by reference.
     """
 
     #: Minimum pending-log size before an automatic compaction; beyond it
@@ -121,7 +133,9 @@ class ExactStoring:
         self._pcell = np.empty(0, dtype=np.int64)   # pairs, lex-sorted
         self._ppoint = np.empty(0, dtype=np.int64)
         self._pcount = np.empty(0, dtype=np.int64)
-        self._log: list = []      # (cells, points | None, signs) array triples
+        # Pending log, flat: cells, points | None, signs, cells, ... — no
+        # tuple per entry, so ingest allocates no GC-tracked objects.
+        self._log: list = []
         self._slog_c: list = []   # scalar-update staging (Python ints)
         self._slog_p: list = []
         self._slog_s: list = []
@@ -148,32 +162,50 @@ class ExactStoring:
             return
         signs = np.asarray(signs, dtype=np.int64)
         pts = _as_key_array(point_keys) if self.recover_points else None
-        self._log.append((cell_keys, pts, signs))
+        self._log += (cell_keys, pts, signs)
         self._log_events += n
         if self._log_events > max(self.FLUSH_THRESHOLD, len(self._ckeys)):
             self._flush()
+
+    def _staged(self) -> tuple:
+        """The scalar-path staging lists as one log entry (array triple)."""
+        return (
+            _as_key_array(self._slog_c),
+            _as_key_array(self._slog_p) if self.recover_points else None,
+            np.asarray(self._slog_s, dtype=np.int64),
+        )
 
     def _flush(self) -> None:
         """Compact the pending log into the sorted columnar state."""
         if not self._log_events:
             return
         if self._slog_c:
-            self._log.append((
-                _as_key_array(self._slog_c),
-                _as_key_array(self._slog_p) if self.recover_points else None,
-                np.asarray(self._slog_s, dtype=np.int64),
-            ))
+            self._log += self._staged()
             self._slog_c, self._slog_p, self._slog_s = [], [], []
         logs, self._log = self._log, []
         self._log_events = 0
-        cells = np.concatenate([self._ckeys] + [c for c, _, _ in logs])
-        deltas = np.concatenate([self._ccounts] + [s for _, _, s in logs])
-        self._ckeys, self._ccounts = _group_sum(cells, deltas)
+        cells, signs = logs[0::3], logs[2::3]
+        self._ckeys, self._ccounts = _group_sum(
+            np.concatenate([self._ckeys] + cells),
+            np.concatenate([self._ccounts] + signs))
         if self.recover_points:
-            pc = np.concatenate([self._pcell] + [c for c, _, _ in logs])
-            pp = np.concatenate([self._ppoint] + [p for _, p, _ in logs])
-            pn = np.concatenate([self._pcount] + [s for _, _, s in logs])
+            pc = np.concatenate([self._pcell] + cells)
+            pp = np.concatenate([self._ppoint] + logs[1::3])
+            pn = np.concatenate([self._pcount] + signs)
             self._pcell, self._ppoint, self._pcount = _group_sum_pairs(pc, pp, pn)
+
+    def copy(self) -> "ExactStoring":
+        """An independent structure with the same contents, in O(1).
+
+        Shares the compacted columns and the logged arrays (see the
+        immutability contract); only the log and staging lists are copied.
+        """
+        new = copy.copy(self)
+        new._log = list(self._log)
+        new._slog_c = list(self._slog_c)
+        new._slog_p = list(self._slog_p)
+        new._slog_s = list(self._slog_s)
+        return new
 
     # -- live-count queries (early-kill support) ------------------------------
     def live_cells_upper(self) -> int:
@@ -223,17 +255,24 @@ class ExactStoring:
         self._pcount = np.asarray([v for _, _, v in flat], dtype=np.int64)
 
     def merge_from(self, other: "ExactStoring") -> None:
-        """Add another structure's counts into this one (linearity)."""
-        self._flush()
-        other._flush()
-        self._ckeys, self._ccounts = _group_sum(
-            np.concatenate([self._ckeys, other._ckeys]),
-            np.concatenate([self._ccounts, other._ccounts]))
+        """Add another structure's counts into this one (linearity).
+
+        Deferred: ``other``'s compacted columns and pending log are appended
+        to this log by reference, and neither side is flushed.  With
+        ``recover_points`` the (cell, point) pairs carry everything, since a
+        cell's count is the sum of its pair counts; otherwise the cells do.
+        """
+        log = list(other._log)
+        if other._slog_c:
+            log += other._staged()
         if self.recover_points:
-            self._pcell, self._ppoint, self._pcount = _group_sum_pairs(
-                np.concatenate([self._pcell, other._pcell]),
-                np.concatenate([self._ppoint, other._ppoint]),
-                np.concatenate([self._pcount, other._pcount]))
+            log += (other._pcell, other._ppoint, other._pcount)
+        else:
+            log += (other._ckeys, None, other._ccounts)
+        for i in range(0, len(log), 3):  # scalar-ok: per log entry
+            if len(log[i + 2]):
+                self._log += log[i:i + 3]
+                self._log_events += len(log[i + 2])
 
     def result(self) -> StoringResult:
         """Decode the structure (Lemma 4.2's output); FAIL if > α cells."""
@@ -294,6 +333,18 @@ class SketchStoring:
             max(8, 2 * self.beta), point_universe_bits,
             seed=derive_seed(seed, "pt-family")) if recover_points else None
         self._nested: dict[tuple[int, int], IBLTSketch] = {}
+
+    def copy(self) -> "SketchStoring":
+        """An independent structure with the same contents.
+
+        Copies the bucket arrays of the cell sketch and of every nested
+        sketch (in creation order, which the checkpoint bytes follow) and
+        shares the hash families, which are immutable after construction.
+        """
+        new = copy.copy(self)
+        new._cells = self._cells.copy()
+        new._nested = {key: sk.copy() for key, sk in self._nested.items()}
+        return new
 
     def _nested_at(self, row: int, pos: int) -> IBLTSketch:
         key = (row, pos)

@@ -25,6 +25,7 @@ returns the smallest guess whose instance does not FAIL.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -46,13 +47,21 @@ from repro.utils.validation import (
 __all__ = ["StreamingCoresetInstance", "StreamingCoreset", "assemble_coreset"]
 
 
-def _parent_key(grids: HierarchicalGrids, cell_key: int) -> int:
-    """Key of a cell's parent one level up (nested grids ⇒ halve coords)."""
-    ck = grids.decode_cell_key(int(cell_key))
-    if ck.level == 0:
-        return ROOT_CELL_KEY
-    parent = np.floor_divide(np.asarray(ck.coords, dtype=np.int64), 2)
-    return grids.encode_cell(parent, ck.level - 1)
+def _parent_map(grids: HierarchicalGrids, L: int, *results) -> dict:
+    """Parent key (one level up) of every decoded cell of every level.
+
+    One vectorised :meth:`HierarchicalGrids.parent_keys` call per level over
+    the union of the levels' cells; level-0 cells all hang off the root.
+    """
+    parent: dict[int, int] = {}
+    for i in range(0, L + 1):  # scalar-ok: finalize: per level
+        keys = sorted({cell for res in results for cell in res[i].cells})
+        if i == 0:
+            parent.update(dict.fromkeys(keys, ROOT_CELL_KEY))
+        else:
+            parents = grids.parent_keys(keys, i).tolist()  # scalar-ok: finalize: <= alpha cells
+            parent.update(zip(keys, parents))
+    return parent
 
 
 def assemble_coreset(params: CoresetParams, o: float, grids: HierarchicalGrids,
@@ -67,6 +76,7 @@ def assemble_coreset(params: CoresetParams, o: float, grids: HierarchicalGrids,
     Raises :class:`FailedConstruction` with the paper's FAIL conditions.
     """
     L = params.L
+    parent_of = _parent_map(grids, L, res_h, res_hp, res_hhat)
 
     # --- Algorithm 1: heavy cells, top-down. -------------------------------
     heavy: dict[int, set] = {}
@@ -85,7 +95,7 @@ def assemble_coreset(params: CoresetParams, o: float, grids: HierarchicalGrids,
         for cell, cnt in res_h[i].cells.items():  # scalar-ok: finalize: <= alpha cells
             if cnt / psi < params.threshold(i, o):
                 continue
-            if _parent_key(grids, cell) in heavy[i - 1]:
+            if parent_of[cell] in heavy[i - 1]:
                 level_heavy.add(cell)
         heavy[i] = level_heavy
         total_heavy += len(level_heavy)
@@ -104,7 +114,7 @@ def assemble_coreset(params: CoresetParams, o: float, grids: HierarchicalGrids,
         for cell, cnt in res_hp[i].cells.items():  # scalar-ok: finalize: <= alpha cells
             if i < L and cell in heavy[i]:
                 continue
-            parent = _parent_key(grids, cell)
+            parent = parent_of[cell]
             if parent not in heavy[i - 1]:
                 continue
             est = cnt / psip
@@ -132,7 +142,7 @@ def assemble_coreset(params: CoresetParams, o: float, grids: HierarchicalGrids,
             # Crucial-cell test mirrors the h'-stream logic.
             if i < L and cell in heavy[i]:
                 continue
-            parent = _parent_key(grids, cell)
+            parent = parent_of[cell]
             if parent not in heavy[i - 1]:
                 continue
             key = (i, int(parent))
@@ -372,6 +382,18 @@ class StreamingCoresetInstance:
                 [vhhat[i][j] for i in range(L1)],
             )
 
+    def copy(self) -> "StreamingCoresetInstance":
+        """An independent instance with the same Storing contents.
+
+        Shares the parameters, grids, hashes and thresholds (immutable after
+        construction) and copies every store.
+        """
+        new = copy.copy(self)
+        new.store_h = [s.copy() for s in self.store_h]
+        new.store_hp = [s.copy() for s in self.store_hp]
+        new.store_hhat = [s.copy() for s in self.store_hhat]
+        return new
+
     # -- finalization ----------------------------------------------------------
     def finalize(self) -> Coreset:
         """Replay Algorithms 1+2 from the decoded sketches; may FAIL."""
@@ -566,6 +588,21 @@ class StreamingCoreset:
         if self._pilot_sampler is not None:
             self._pilot_sampler.update(pkey, sign)
         self.num_updates += 1
+
+    def copy(self) -> "StreamingCoreset":
+        """An independent driver with the same sketch contents.
+
+        ``params``, ``grids`` and the shared hashes are immutable after
+        construction and are shared; every instance's stores and the pilot
+        sampler are copied, and the hash-value cache starts empty.  Merging
+        into or ingesting into the copy leaves this driver untouched.
+        """
+        new = copy.copy(self)
+        new.instances = [inst.copy() for inst in self.instances]
+        if self._pilot_sampler is not None:
+            new._pilot_sampler = self._pilot_sampler.copy()
+        new._value_cache = {}
+        return new
 
     # -- results ---------------------------------------------------------------
     def finalize(self) -> Coreset:

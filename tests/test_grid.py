@@ -123,6 +123,27 @@ class TestHierarchicalGrids:
         keys = {int(g.cell_keys(pt, lv)[0]) for lv in range(0, g.L + 1)}
         assert len(keys) == g.L + 1
 
+    @pytest.mark.parametrize("delta,d", [(64, 2), (1024, 3), (1 << 12, 8)])
+    def test_parent_keys_match_scalar_decode(self, delta, d):
+        """Vectorised parents equal decode → halve → encode, key by key
+        (the d=8 grid exercises the bigint fallback)."""
+        g = HierarchicalGrids(delta, d, seed=2)
+        pts = np.random.default_rng(3).integers(1, delta + 1, size=(40, d))
+        for level in range(1, g.L + 1):
+            keys = g.cell_keys(pts, level)
+            want = [g.encode_cell(g.parent_coords(g.decode_cell_key(k).coords),
+                                  level - 1) for k in keys]
+            assert g.parent_keys(list(keys), level).tolist() == want
+            # Parents of a level's cells are that level-1's cells.
+            assert want == [int(k) for k in g.cell_keys(pts, level - 1)]
+        assert len(g.parent_keys([], 1)) == 0
+
+    def test_parent_keys_reject_wrong_level(self):
+        g = HierarchicalGrids(64, 2, seed=1)
+        keys = g.cell_keys(np.array([[10, 10]]), 3)
+        with pytest.raises(ValueError):
+            g.parent_keys(keys, 2)
+
     def test_invalid_level_rejected(self):
         g = HierarchicalGrids(64, 2, seed=1)
         with pytest.raises(ValueError):

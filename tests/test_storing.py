@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,3 +138,28 @@ class TestSketchSpecifics:
         for ck in range(100):
             ex.update(ck, ck, +1)
         assert ex.space_bits() > base
+
+
+class TestExactLog:
+    def test_update_many_allocates_no_gc_tracked_objects(self):
+        """Batched updates log arrays only, so ingest never triggers the
+        cyclic collector and its full passes stay out of ingest latency."""
+        ex = ExactStoring(10 ** 6, 4)
+        batches = [(np.arange(b, b + 8, dtype=np.int64),
+                    np.arange(8, dtype=np.int64), np.ones(8, dtype=np.int64))
+                   for b in range(400)]
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            before = gc.get_count()[0]
+            for cells, pts, signs in batches:
+                ex.update_many(cells, pts, signs)
+            grown = gc.get_count()[0] - before
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert ex._log_events == 400 * 8  # still pending: nothing flushed
+        assert grown < 10
+        expected = Counter(k for cells, _, _ in batches for k in cells.tolist())
+        assert ex.result().cells == dict(expected)
