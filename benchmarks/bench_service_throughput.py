@@ -23,7 +23,9 @@ from __future__ import annotations
 import json
 import os
 import platform
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,13 +122,14 @@ def run_parallel_curve(n: int = 4000, delta: int = 1024,
 
 def run_scalar_vs_batched(n: int = 4000, delta: int = 1024,
                           batch: int = 1024, seed: int = 3) -> dict:
-    """Scalar per-event ``update`` vs vectorized ``update_batch``, same driver.
+    """Per-event reference ingest vs vectorized ``update_batch``.
 
+    The reference is ``scalar_ingest`` from ``tests/scalar_oracle.py``.
     The batched path is only allowed to exist because it is bit-identical
-    to the scalar reference — this pass re-checks that on the bench
-    workload (checkpoint bytes compared) while timing both, and records
-    the speedup ratio so a regression that quietly falls back to scalar
-    work shows up in the bench history.
+    to it — this pass re-checks that on the bench workload (checkpoint
+    bytes compared) while timing both, and records the speedup ratio so a
+    regression that quietly falls back to per-event work shows up in the
+    bench history.
     """
     params = CoresetParams.practical(k=3, d=2, delta=delta)
     stream, _, pilot = _workload(n=n, delta=delta, seed=seed)
@@ -136,10 +139,14 @@ def run_scalar_vs_batched(n: int = 4000, delta: int = 1024,
     from repro.service.state import streaming_state_to_dict
     from repro.streaming.streaming_coreset import StreamingCoreset
 
+    repo_root = str(Path(__file__).resolve().parents[1])
+    if repo_root not in sys.path:
+        sys.path.insert(0, repo_root)
+    from tests.scalar_oracle import scalar_ingest
+
     scalar = StreamingCoreset(params, seed=9, backend="exact", o_range=orange)
     t0 = time.perf_counter()
-    for ev in events:
-        scalar.update(ev.point, ev.sign)
+    scalar_ingest(scalar, events)
     scalar_s = time.perf_counter() - t0
 
     batched = StreamingCoreset(params, seed=9, backend="exact", o_range=orange)

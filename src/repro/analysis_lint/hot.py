@@ -31,12 +31,13 @@ __all__ = ["HOT_FILES", "HotPathRule", "MARKER"]
 #: The marker a hot-file loop / .tolist() must carry on its header line.
 MARKER = "scalar-ok"
 
-#: The six vectorized hot files (the ingest path end to end: hashing →
-#: sketches → storing → driver → shard router → worker frames).
+#: The seven vectorized hot files (the ingest path end to end: hashing →
+#: sketches → storing → ℓ₀ sampler → driver → shard router → worker frames).
 HOT_FILES = (
     "repro/hashing/kwise.py",
     "repro/streaming/sketch.py",
     "repro/streaming/storing.py",
+    "repro/streaming/l0sampler.py",
     "repro/streaming/streaming_coreset.py",
     "repro/service/shards.py",
     "repro/service/workers.py",

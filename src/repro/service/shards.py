@@ -29,7 +29,7 @@ from repro.streaming.streaming_coreset import StreamingCoreset
 from repro.utils.rng import derive_seed
 from repro.utils.validation import check_stream_points, coerce_integral_rows
 
-__all__ = ["ShardedIngest", "normalize_events"]
+__all__ = ["ShardedIngest"]
 
 #: Fibonacci-style multiplicative mixer: point keys are mixed-radix encodings
 #: whose low bits carry only the last coordinate, so reducing the raw key
@@ -53,19 +53,6 @@ def _mix_array(keys: np.ndarray) -> np.ndarray:
     h = keys.astype(np.uint64) * np.uint64(_MIX)
     h ^= h >> np.uint64(29)
     return h
-
-
-def normalize_events(events) -> list[tuple[tuple, int]]:
-    """Normalize StreamEvents / (point, sign) pairs to (int tuple, int) pairs.
-
-    Points are made hashable, cheaply picklable (for worker queues), and
-    uniform regardless of whether the caller handed over tuples, lists, or
-    ndarrays.  Funnels through :func:`events_to_arrays`, so non-integral
-    coordinates raise ``ValueError`` instead of being truncated.
-    """
-    rows, signs = events_to_arrays(events)
-    return [(tuple(r), int(s))
-            for r, s in zip(rows.tolist(), signs.tolist())]  # scalar-ok: legacy tuple view, test-only helper
 
 
 class ShardedIngest:
@@ -149,16 +136,6 @@ class ShardedIngest:
         return _mix(key) % len(self.shards)
 
     # -------------------------------------------------------------- ingest
-    def apply(self, point, sign: int) -> int:
-        """Apply one update to its shard; returns the shard index.
-
-        Bumps :attr:`version` — prefer :meth:`apply_batch` for bulk traffic
-        so the version moves once per batch.
-        """
-        idx = self._apply_one(point, sign)
-        self.version += 1
-        return idx
-
     def apply_batch(self, events) -> int:
         """Apply a batch of events (StreamEvent or (point, sign) pairs).
 
@@ -208,20 +185,6 @@ class ShardedIngest:
         """Delete each row of an (n, d) array; one version bump."""
         rows = coerce_integral_rows(points)
         return self.apply_arrays(rows, np.full(len(rows), -1, dtype=np.int64))
-
-    def _apply_one(self, point, sign: int) -> int:
-        point = tuple(int(c) for c in point)
-        idx = self.shard_of(point)
-        self.shards[idx].update(point, sign)
-        self.events_per_shard[idx] += 1
-        self._count_sign(sign)
-        return idx
-
-    def _count_sign(self, sign: int) -> None:
-        if sign > 0:
-            self.num_insertions += 1
-        else:
-            self.num_deletions += 1
 
     # --------------------------------------------------------------- fan-in
     def merged_state(self) -> StreamingCoreset:

@@ -111,7 +111,7 @@ class SupervisedWorkerPool(WorkerPoolIngest):
         if not self._journals:  # construction-time handshake, pre-journal
             super()._send(idx, msg)
             return
-        is_batch = msg[0] in ("batch", "abatch")
+        is_batch = msg[0] == "abatch"
         if is_batch:
             self._journals[idx].append(msg)
             self._maybe_inject_kill(idx)

@@ -105,13 +105,7 @@ def _worker_main(spec: dict, cmd_q, out_q) -> None:
         msg = cmd_q.get()
         op = msg[0]
         try:
-            if op == "batch":
-                t0 = time.perf_counter()
-                shard.update_batch(msg[1])
-                busy_s += time.perf_counter() - t0
-                events += len(msg[1])
-                batches += 1
-            elif op == "abatch":
+            if op == "abatch":
                 # Columnar payload: (rows, signs) arrays straight into the
                 # vectorized ingest path — no per-event tuples on the wire.
                 t0 = time.perf_counter()
@@ -264,15 +258,6 @@ class WorkerPoolIngest:
         return _mix(self._codec.encode_one(point)) % len(self._procs)
 
     # -------------------------------------------------------------- ingest
-    def apply(self, point, sign: int) -> int:
-        """Apply one update to its shard's worker; returns the shard index."""
-        idx = self.shard_of(point)
-        self._send(idx, ("batch", [(tuple(int(c) for c in point), int(sign))]))
-        self.events_per_shard[idx] += 1
-        self._count_sign(sign)
-        self.version += 1
-        return idx
-
     def apply_batch(self, events) -> int:
         """Apply a batch of events (StreamEvent or (point, sign) pairs).
 
@@ -319,12 +304,6 @@ class WorkerPoolIngest:
         """Delete each row of an (n, d) array; one version bump."""
         rows = coerce_integral_rows(points)
         return self.apply_arrays(rows, np.full(len(rows), -1, dtype=np.int64))
-
-    def _count_sign(self, sign: int) -> None:
-        if sign > 0:
-            self.num_insertions += 1
-        else:
-            self.num_deletions += 1
 
     # --------------------------------------------------------------- fan-in
     def merged_state(self) -> StreamingCoreset:
@@ -490,7 +469,7 @@ class WorkerPoolIngest:
         """Enqueue one command; blocks for backpressure when the worker lags."""
         if self._closed:
             raise RuntimeError("worker pool is closed")
-        if msg[0] in ("batch", "abatch"):
+        if msg[0] == "abatch":
             self._maybe_inject_kill(idx)
         if not self._procs[idx].is_alive():
             raise WorkerDied(

@@ -68,33 +68,14 @@ class DistinctSampler:
         new._sketches = [s.copy() for s in self._sketches]
         return new
 
-    def _level_of(self, key: int) -> int:
-        """Deepest level j with h(key) < 2^{−j} (levels form a prefix)."""
-        p = self._level_hash.prime
-        v = self._level_hash.value(int(key))
-        j = 0
-        threshold = p
-        while j + 1 < self.num_levels:
-            threshold //= 2
-            if v >= threshold:
-                break
-            j += 1
-        return j
-
-    def update(self, key: int, sign: int) -> None:
-        """Insert (+1) or delete (−1) a key."""
-        deepest = self._level_of(key)
-        for j in range(deepest + 1):
-            self._sketches[j].update(int(key), sign)
-
     def update_many(self, keys, signs) -> None:
-        """Batched :meth:`update`: one Horner sweep decides every key's
-        deepest level, then each level sketch takes one batched scatter.
+        """Insert (+1) or delete (−1) a batch of keys.
 
-        Bit-identical to per-event updates: a key's level set is a prefix
+        One Horner sweep decides every key's deepest level, then each level
+        sketch takes one batched scatter.  A key's level set is a prefix
         (level j holds exactly the keys with hash below p/2^j), so sketch j
         receives the in-order subsequence of events whose deepest level is
-        ≥ j — the same subsequence the scalar path feeds it.
+        ≥ j.
         """
         if not isinstance(keys, np.ndarray):
             keys = np.asarray(keys)
@@ -103,16 +84,15 @@ class DistinctSampler:
         signs = np.asarray(signs, dtype=np.int64)
         vals = self._level_hash.values_np(keys)
         # deepest(key) = number of successive halvings p//2, p//4, … that
-        # the hash value stays below (exactly `_level_of`'s loop, unrolled
-        # across the batch; p//2^t == iterated floor-halving for t >= 1).
+        # the hash value stays below (p//2^t == iterated floor-halving).
         p = self._level_hash.prime
         deepest = np.zeros(len(vals), dtype=np.int64)
-        for t in range(1, self.num_levels):
+        for t in range(1, self.num_levels):  # scalar-ok: per level, vectorized over events
             below = np.asarray(vals < (p >> t), dtype=bool)
             if not below.any():
                 break
             deepest += below
-        for j in range(self.num_levels):
+        for j in range(self.num_levels):  # scalar-ok: per level, batched scatter inside
             mask = deepest >= j
             if j > 0 and not mask.any():
                 break
@@ -129,7 +109,7 @@ class DistinctSampler:
         streams shorter than 2^num_levels·m).
         """
         last_error = None
-        for j in range(self.num_levels):
+        for j in range(self.num_levels):  # scalar-ok: decode, per level
             try:
                 decoded = self._sketches[j].decode()
             except DecodeFailure as exc:

@@ -23,10 +23,10 @@ Implementation notes (performance — see the HPC guide):
   accumulator arrays (int64 counts; object-dtype key/fingerprint sums, since
   both can exceed 64 bits).  :meth:`IBLTSketch.update_many` applies a whole
   batch with two Horner sweeps and three ``np.add.at`` scatters.  Slots are
-  assigned in *first-touch event order* (event-major, row-minor — exactly
-  the order the scalar path materializes buckets), so the :attr:`buckets`
-  view, and therefore checkpoint bytes, are identical whether a stream was
-  ingested one event at a time or in batches of any size.
+  assigned in *first-touch event order* (event-major, row-minor), so the
+  :attr:`buckets` view, and therefore checkpoint bytes, are identical
+  whether a stream was ingested one event at a time or in batches of any
+  size.
 - a zeroed slot is equivalent to an absent one; decoding only walks touched
   slots.  ``space_bits`` still charges the full pre-allocated layout a
   space-bounded implementation would use; ``resident_bits`` reports what is
@@ -129,7 +129,7 @@ class IBLTSketch:
         # Sparse-columnar bucket state: flat position (row·m + pos) → slot
         # index into the parallel accumulator arrays.  Slots are assigned in
         # first-touch order, which keeps the `buckets` view (and checkpoint
-        # bytes) identical between the scalar and batched update paths.
+        # bytes) independent of batch boundaries.
         self._slot: dict[int, int] = {}
         self._count = np.zeros(0, dtype=np.int64)
         self._keysum = np.zeros(0, dtype=object)  # can exceed 64 bits
@@ -166,7 +166,7 @@ class IBLTSketch:
         A fresh dict of Python ints in first-touch order — the exact view
         (and serialization order) the pre-columnar implementation stored.
         Mutating the returned dict does not write through; use
-        :meth:`update` / :meth:`update_many` / :meth:`merge_from`.
+        :meth:`update_many` / :meth:`merge_from`.
         """
         m = self.m
         count, keysum, fpsum = self._count, self._keysum, self._fpsum
@@ -201,24 +201,12 @@ class IBLTSketch:
         return new
 
     # -- updates -------------------------------------------------------------
-    def update(self, key: int, delta: int = 1) -> None:
-        """Add ``delta`` (may be negative) copies of ``key`` (scalar path)."""
-        key = int(key)
-        fp = self.family.fingerprint(key)
-        dk = delta * key
-        dfp = delta * fp
-        m = self.m
-        for r, pos in enumerate(self.family.positions(key)):  # scalar-ok: ROWS=3
-            i = self._slot_of(r * m + pos)
-            self._count[i] += delta
-            self._keysum[i] += dk
-            self._fpsum[i] += dfp
-
     def update_many(self, keys, deltas) -> None:
         """Apply a batch of signed updates in vectorized sweeps.
 
-        ``keys``/``deltas`` are equal-length sequences; the result is
-        bit-identical to calling :meth:`update` per element in order.
+        ``keys``/``deltas`` are equal-length sequences; buckets materialize
+        in first-touch order, so the state does not depend on how a stream
+        is split into batches.
         """
         if not isinstance(keys, np.ndarray):
             keys = list(keys)
@@ -245,9 +233,9 @@ class IBLTSketch:
         n = pos_rows.shape[1]
         m = self.m
         rows = self.ROWS
-        # Flat positions interleaved in scalar visitation order: entry
-        # 3·i + r is event i, row r — so first-touch slot assignment matches
-        # the per-event path exactly.
+        # Flat positions interleaved in event-major order: entry 3·i + r is
+        # event i, row r — so first-touch slot assignment follows the
+        # stream, not the batching.
         flat = np.empty(rows * n, dtype=np.int64)
         for r in range(rows):  # scalar-ok: ROWS=3, vectorized over events
             flat[r::rows] = np.int64(r) * m + pos_rows[r]

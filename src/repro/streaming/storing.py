@@ -11,8 +11,8 @@ and it must not FAIL (w.h.p.) whenever the number of non-empty cells is ≤ α.
 
 Two interchangeable implementations:
 
-- :class:`ExactStoring` — a dictionary (reference semantics; linear space in
-  the live set, used for fast experiments and as the test oracle);
+- :class:`ExactStoring` — exact columnar counts (linear space in the live
+  set, used for fast experiments and by the service);
 - :class:`SketchStoring` — the true sublinear linear sketch: a cell-level
   IBLT of capacity α whose every (row, bucket) slot carries a *nested* point
   IBLT of capacity β (all nested sketches share one hash family; their
@@ -97,10 +97,10 @@ def _group_sum_pairs(cells: np.ndarray, points: np.ndarray, deltas: np.ndarray):
 class ExactStoring:
     """Reference implementation, log-structured columnar.
 
-    Updates *append* to a pending log — one O(1) list append per batch (or
-    per event on the scalar path) — and a flush aggregates the log into the
-    compacted state with numpy group-by sweeps: cell keys sorted ascending
-    with their nonzero exact counts, plus (cell, point) pairs in
+    Updates *append* to a pending log — one O(1) list append per batch —
+    and a flush aggregates the log into the compacted state with numpy
+    group-by sweeps: cell keys sorted ascending with their nonzero exact
+    counts, plus (cell, point) pairs in
     lexicographic order when ``recover_points``.  Every observable output
     (results, counts, serialized state) is a canonical function of the
     multiset of updates — independent of event order, of how the stream was
@@ -136,19 +136,7 @@ class ExactStoring:
         # Pending log, flat: cells, points | None, signs, cells, ... — no
         # tuple per entry, so ingest allocates no GC-tracked objects.
         self._log: list = []
-        self._slog_c: list = []   # scalar-update staging (Python ints)
-        self._slog_p: list = []
-        self._slog_s: list = []
         self._log_events = 0
-
-    def update(self, cell_key: int, point_key: int, sign: int) -> None:
-        """Apply one insertion (+1) / deletion (−1) of a point in a cell."""
-        self._slog_c.append(int(cell_key))
-        self._slog_p.append(int(point_key))
-        self._slog_s.append(int(sign))
-        self._log_events += 1
-        if self._log_events > max(self.FLUSH_THRESHOLD, len(self._ckeys)):
-            self._flush()
 
     def update_many(self, cell_keys, point_keys, signs) -> None:
         """Append a batch of signed updates (one vectorized log entry).
@@ -167,21 +155,10 @@ class ExactStoring:
         if self._log_events > max(self.FLUSH_THRESHOLD, len(self._ckeys)):
             self._flush()
 
-    def _staged(self) -> tuple:
-        """The scalar-path staging lists as one log entry (array triple)."""
-        return (
-            _as_key_array(self._slog_c),
-            _as_key_array(self._slog_p) if self.recover_points else None,
-            np.asarray(self._slog_s, dtype=np.int64),
-        )
-
     def _flush(self) -> None:
         """Compact the pending log into the sorted columnar state."""
         if not self._log_events:
             return
-        if self._slog_c:
-            self._log += self._staged()
-            self._slog_c, self._slog_p, self._slog_s = [], [], []
         logs, self._log = self._log, []
         self._log_events = 0
         cells, signs = logs[0::3], logs[2::3]
@@ -198,13 +175,10 @@ class ExactStoring:
         """An independent structure with the same contents, in O(1).
 
         Shares the compacted columns and the logged arrays (see the
-        immutability contract); only the log and staging lists are copied.
+        immutability contract); only the log list is copied.
         """
         new = copy.copy(self)
         new._log = list(self._log)
-        new._slog_c = list(self._slog_c)
-        new._slog_p = list(self._slog_p)
-        new._slog_s = list(self._slog_s)
         return new
 
     # -- live-count queries (early-kill support) ------------------------------
@@ -217,13 +191,46 @@ class ExactStoring:
         self._flush()
         return len(self._ckeys)
 
+    def first_overflow(self, cells, signs, bound) -> int | None:
+        """First position at which applying ``(cells, signs)`` in order would
+        leave more than ``bound`` non-empty cells, or ``None``.
+
+        Exact and vectorised: each cell's running count is its compacted
+        base count plus a per-cell cumulative sum (stable sort keeps event
+        order within a cell); a cell turning nonzero / zero moves the live
+        count by ±1.  Reads the structure without changing its contents.
+        """
+        base_live = self.live_cells()
+        cells = _as_key_array(cells)
+        signs = np.asarray(signs, dtype=np.int64)
+        n = len(cells)
+        if n == 0:
+            return None
+        order = np.argsort(cells, kind="stable")
+        c, s = cells[order], signs[order]
+        start = np.ones(n, dtype=bool)
+        start[1:] = np.asarray(c[1:] != c[:-1], dtype=bool)
+        base = np.zeros(n, dtype=np.int64)
+        if len(self._ckeys):
+            pos = np.minimum(np.searchsorted(self._ckeys, c), len(self._ckeys) - 1)
+            hit = np.asarray(self._ckeys[pos] == c, dtype=bool)
+            base[hit] = self._ccounts[pos[hit]]
+        run = np.cumsum(s)
+        gid = np.cumsum(start) - 1
+        after = base + run - (run - s)[start][gid]
+        before = after - s
+        step = np.zeros(n, dtype=np.int64)
+        step[order] = (after != 0).astype(np.int64) - (before != 0)
+        over = np.flatnonzero(base_live + np.cumsum(step) > bound)
+        return int(over[0]) if len(over) else None
+
     # -- dict views (tests, merge, checkpoint codec) --------------------------
     @property
     def _cells(self) -> Counter:
         """Counter snapshot of the exact cell counts, sorted by key.
 
-        A fresh object: mutations do not write through — use :meth:`update`
-        / :meth:`update_many` / :meth:`merge_from` (or assign a full mapping,
+        A fresh object: mutations do not write through — use
+        :meth:`update_many` / :meth:`merge_from` (or assign a full mapping,
         as checkpoint restore does).
         """
         self._flush()
@@ -263,8 +270,6 @@ class ExactStoring:
         cell's count is the sum of its pair counts; otherwise the cells do.
         """
         log = list(other._log)
-        if other._slog_c:
-            log += other._staged()
         if self.recover_points:
             log += (other._pcell, other._ppoint, other._pcount)
         else:
@@ -355,30 +360,15 @@ class SketchStoring:
             self._nested[key] = sk
         return sk
 
-    def update(self, cell_key: int, point_key: int, sign: int) -> None:
-        """Apply one signed update to the cell IBLT and its nested sketches.
-
-        Routed through the shared :class:`IBLTSketch` update path (the
-        scalar reference of the batched :meth:`update_many`); the cell and
-        nested updates are no longer hand-inlined here, so there is exactly
-        one implementation of the bucket arithmetic to keep correct.
-        """
-        cell_key = int(cell_key)
-        self._cells.update(cell_key, sign)
-        if self.recover_points:
-            pk = int(point_key)
-            for r, pos in enumerate(self._cells.family.positions(cell_key)):  # scalar-ok: ROWS=3
-                self._nested_at(r, pos).update(pk, sign)
-
     def update_many(self, cell_keys, point_keys, signs) -> None:
         """Apply a batch of signed updates in vectorized sweeps.
 
-        Bit-identical to calling :meth:`update` per event in order: the cell
-        IBLT takes one batched scatter, and the point-side hash sweeps run
-        once for the whole batch (every nested sketch shares one hash
-        family) before fanning out per (row, cell-bucket) group.  Nested
-        sketches materialize in first-touch event order — the same order the
-        scalar path creates them — so checkpoint bytes are unchanged.
+        The cell IBLT takes one batched scatter, and the point-side hash
+        sweeps run once for the whole batch (every nested sketch shares one
+        hash family) before fanning out per (row, cell-bucket) group.
+        Nested sketches materialize in first-touch event order, so the
+        state — checkpoint bytes included — is the same however the stream
+        was batched, one event at a time included.
         """
         if not isinstance(cell_keys, np.ndarray):
             cell_keys = np.asarray(cell_keys)

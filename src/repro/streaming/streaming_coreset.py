@@ -38,11 +38,7 @@ from repro.hashing.kwise import KWiseHash, StackedHashes, exact_field_threshold
 from repro.streaming.storing import ExactStoring, SketchStoring
 from repro.streaming.stream import events_to_arrays
 from repro.utils.rng import derive_seed
-from repro.utils.validation import (
-    FailedConstruction,
-    check_stream_points,
-    coerce_integral_rows,
-)
+from repro.utils.validation import FailedConstruction, check_stream_points
 
 __all__ = ["StreamingCoresetInstance", "StreamingCoreset", "assemble_coreset"]
 
@@ -284,32 +280,6 @@ class StreamingCoresetInstance:
         self._thr_hhat_col = _threshold_column(self._thr_hhat)
 
     # -- streaming -----------------------------------------------------------
-    def update_with_values(self, point_key: int, cell_keys, sign: int,
-                           values_h, values_hp, values_hhat) -> None:
-        """Process one update given precomputed hash values per level."""
-        if self.dead_reason is not None:
-            return
-        for i in range(self.params.L + 1):  # scalar-ok: scalar reference path, per level
-            ck = int(cell_keys[i])
-            if values_h[i] < self._thr_h[i]:
-                self.store_h[i].update(ck, point_key, sign)
-                if self._early_kill is not None:
-                    store = self.store_h[i]
-                    bound = self._early_kill * store.alpha
-                    # Cheap overcount first; compact for the exact count only
-                    # when the bound might actually be crossed.
-                    if (store.live_cells_upper() > bound
-                            and store.live_cells() > bound):
-                        self.dead_reason = (
-                            f"level {i} cell count blew past "
-                            f"{self._early_kill:g}x alpha (o={self.o:g})"
-                        )
-                        return
-            if values_hp[i] < self._thr_hp[i]:
-                self.store_hp[i].update(ck, point_key, sign)
-            if values_hhat[i] < self._thr_hhat[i]:
-                self.store_hhat[i].update(ck, point_key, sign)
-
     @staticmethod
     def _scatter(store, cell_keys, pkeys, signs, mask, nsel: int, n: int) -> None:
         """Feed the mask-selected events of a batch into one store.
@@ -327,60 +297,67 @@ class StreamingCoresetInstance:
 
     def update_batch_arrays(self, pkeys, cell_keys, signs,
                             vh, vhp, vhhat) -> None:
-        """Batched :meth:`update_with_values` over per-level value arrays.
+        """Feed one batch into every Storing structure of this guess.
 
         ``cell_keys`` is a list indexed by level; ``vh``/``vhp``/``vhhat``
         are ``(L+1, n)`` value matrices aligned with ``pkeys``/``signs``.
         Threshold masks come from one broadcast compare per sub-stream and
-        Storing scatters run per level instead of per event, bit-identically
-        to the scalar path — including the early-kill semantics: the scalar
-        path may die *mid-batch* (skipping the rest of the stream), so
-        whenever a batch could push any level's cell count past the kill
-        line, this falls back to exact per-event replay for the whole batch.
+        Storing scatters run per level.
+
+        Early kill: the instance dies at the first event after which some
+        level's h-store holds more than ``early_kill_factor · α`` live
+        cells.  Only levels whose cheap pre-check fires (compacted count
+        plus the batch's selected events could cross the line) pay an
+        exact :meth:`ExactStoring.first_overflow`.  On a kill at event j of
+        level i, the batch is cut where a per-event loop would have stopped:
+        events before j go everywhere, event j reaches every sub-stream of
+        the levels below i and the h-store of level i, and nothing later.
         """
         if self.dead_reason is not None:
             return
-        L1 = self.params.L + 1
         n = len(signs)
         mh = _bool_mask(vh < self._thr_h_col)
-        nh = mh.sum(axis=1)
-        if self._early_kill is not None:
-            for i in range(L1):  # scalar-ok: per level per batch
-                nsel = int(nh[i])
-                if not nsel:
-                    continue
-                store = self.store_h[i]
-                bound = self._early_kill * store.alpha
-                if (store.live_cells_upper() + nsel > bound
-                        and store.live_cells() + nsel > bound):
-                    self._replay_scalar(pkeys, cell_keys, signs, vh, vhp, vhhat)
-                    return
         mhp = _bool_mask(vhp < self._thr_hp_col)
         mhh = _bool_mask(vhhat < self._thr_hhat_col)
-        nhp = mhp.sum(axis=1)
-        nhh = mhh.sum(axis=1)
-        for i in range(L1):  # scalar-ok: per level per batch
+        nh = mh.sum(axis=1)
+        kill = None
+        if self._early_kill is not None:
+            kill = self._first_kill(cell_keys, signs, mh, nh)
+        if kill is not None:
+            j, lvl = kill
+            mh[:, j + 1:] = mhp[:, j + 1:] = mhh[:, j + 1:] = False
+            mh[lvl + 1:, j] = mhp[lvl:, j] = mhh[lvl:, j] = False
+            nh = mh.sum(axis=1)
+        nhp, nhh = mhp.sum(axis=1), mhh.sum(axis=1)
+        for i in range(self.params.L + 1):  # scalar-ok: per level per batch
             ck = cell_keys[i]
             self._scatter(self.store_h[i], ck, pkeys, signs, mh[i], int(nh[i]), n)
             self._scatter(self.store_hp[i], ck, pkeys, signs, mhp[i], int(nhp[i]), n)
             self._scatter(self.store_hhat[i], ck, pkeys, signs, mhh[i], int(nhh[i]), n)
-
-    def _replay_scalar(self, pkeys, cell_keys, signs, vh, vhp, vhhat) -> None:
-        """Per-event replay of a batch (reference semantics, incl. mid-batch
-        early kill).  Only reached when an instance is about to die, which
-        happens at most once per instance — never on the steady-state path."""
-        L1 = self.params.L + 1
-        for j in range(len(signs)):  # scalar-ok: early-kill replay
-            if self.dead_reason is not None:
-                return
-            self.update_with_values(
-                int(pkeys[j]),
-                [cell_keys[i][j] for i in range(L1)],
-                int(signs[j]),
-                [vh[i][j] for i in range(L1)],
-                [vhp[i][j] for i in range(L1)],
-                [vhhat[i][j] for i in range(L1)],
+        if kill is not None:
+            self.dead_reason = (
+                f"level {kill[1]} cell count blew past "
+                f"{self._early_kill:g}x alpha (o={self.o:g})"
             )
+
+    def _first_kill(self, cell_keys, signs, mh, nh) -> tuple[int, int] | None:
+        """(event, level) of the earliest early kill in a batch, or None;
+        on a tie the lowest level kills, as a per-level loop would."""
+        kill = None
+        for i in range(self.params.L + 1):  # scalar-ok: per level per batch
+            store = self.store_h[i]
+            bound = self._early_kill * store.alpha
+            nsel = int(nh[i])
+            # Cheap overcount first; compact for the exact count only when
+            # the bound might actually be crossed.
+            if not nsel or (store.live_cells_upper() + nsel <= bound
+                            or store.live_cells() + nsel <= bound):
+                continue
+            idx = np.flatnonzero(mh[i])
+            k = store.first_overflow(cell_keys[i][idx], signs[idx], bound)
+            if k is not None and (kill is None or idx[k] < kill[0]):
+                kill = (int(idx[k]), i)
+        return kill
 
     def copy(self) -> "StreamingCoresetInstance":
         """An independent instance with the same Storing contents.
@@ -486,7 +463,6 @@ class StreamingCoreset:
                 ))
             o *= 2.0
         self.num_updates = 0
-        self._value_cache: dict[int, tuple] = {}
         self._pilot_sampler = None
         if auto_pilot:
             from repro.streaming.l0sampler import DistinctSampler
@@ -497,24 +473,10 @@ class StreamingCoreset:
                 seed=derive_seed(seed, "pilot-l0"),
             )
 
-    #: Entries kept in the per-point hash-value cache (a deletion re-hashes
-    #: the same key as its insertion; caching halves the Horner work on
-    #: churn streams).  Values are deterministic per key, so the cache can
-    #: never go stale; eviction is arbitrary.
-    VALUE_CACHE_LIMIT = 200_000
-
     # -- streaming ------------------------------------------------------------
     def update(self, point, sign: int) -> None:
-        """Process one insertion (+1) / deletion (−1).
-
-        Coordinates are validated against the codec's injective window
-        [0, Δ] *before* any sketch is touched — an out-of-range or
-        non-integral coordinate would otherwise alias (or truncate) to a
-        different point's key and silently corrupt the state.
-        """
-        row = check_stream_points(coerce_integral_rows(point), self.params.delta)
-        pkey = int(self.grids.point_codec.encode(row)[0])
-        self._apply_keyed(pkey, self._entry_for(pkey, row), sign)
+        """Process one insertion (+1) / deletion (−1): a one-event batch."""
+        self.update_batch([(point, sign)])
 
     def update_batch(self, events) -> int:
         """Apply a batch of :class:`StreamEvent` / ``(point, sign)`` pairs.
@@ -534,9 +496,9 @@ class StreamingCoreset:
 
         One Horner sweep per (level, sub-stream) over the batch's *distinct*
         point keys replaces per-event hashing; threshold masks and sketch
-        scatters run per level.  Bit-identical to per-event :meth:`update`
-        calls in the same order (asserted by the property tests and the
-        bench harness).
+        scatters run per level.  The resulting state does not depend on how
+        the stream is split into batches; the tests and the bench harness
+        pin it to a per-event reference.
         """
         rows = check_stream_points(np.asarray(rows), self.params.delta)
         n = len(rows)
@@ -564,44 +526,18 @@ class StreamingCoreset:
         """Consume an iterable of :class:`StreamEvent` (or (point, sign) pairs)."""
         return self.update_batch(stream)
 
-    def _entry_for(self, pkey: int, row: np.ndarray):
-        """Cached (cell keys, hash values) tuple for one encoded point."""
-        cached = self._value_cache.get(pkey)
-        if cached is None:
-            levels = range(self.params.L + 1)
-            cached = (
-                [int(self.grids.cell_keys(row, i)[0]) for i in levels],
-                [self.shared.h[i].value(pkey) for i in levels],
-                [self.shared.hp[i].value(pkey) for i in levels],
-                [self.shared.hhat[i].value(pkey) for i in levels],
-            )
-            if len(self._value_cache) >= self.VALUE_CACHE_LIMIT:
-                self._value_cache.pop(next(iter(self._value_cache)))
-            self._value_cache[pkey] = cached
-        return cached
-
-    def _apply_keyed(self, pkey: int, entry, sign: int) -> None:
-        """Feed one keyed update into every instance plus the pilot sampler."""
-        cell_keys, vh, vhp, vhh = entry
-        for inst in self.instances:  # scalar-ok: scalar reference path, per instance
-            inst.update_with_values(pkey, cell_keys, sign, vh, vhp, vhh)
-        if self._pilot_sampler is not None:
-            self._pilot_sampler.update(pkey, sign)
-        self.num_updates += 1
-
     def copy(self) -> "StreamingCoreset":
         """An independent driver with the same sketch contents.
 
         ``params``, ``grids`` and the shared hashes are immutable after
         construction and are shared; every instance's stores and the pilot
-        sampler are copied, and the hash-value cache starts empty.  Merging
-        into or ingesting into the copy leaves this driver untouched.
+        sampler are copied.  Merging into or ingesting into the copy leaves
+        this driver untouched.
         """
         new = copy.copy(self)
         new.instances = [inst.copy() for inst in self.instances]
         if self._pilot_sampler is not None:
             new._pilot_sampler = self._pilot_sampler.copy()
-        new._value_cache = {}
         return new
 
     # -- results ---------------------------------------------------------------

@@ -12,21 +12,24 @@ from repro.streaming import StreamingCoreset, materialize
 from repro.streaming.l0sampler import DistinctSampler
 
 
+def feed(sampler, keys, sign):
+    """Insert (+1) or delete (−1) every key of ``keys`` as one batch."""
+    keys = np.asarray(list(keys), dtype=np.int64)
+    sampler.update_many(keys, np.full(len(keys), sign, dtype=np.int64))
+
+
 class TestDistinctSampler:
     def test_small_live_set_fully_recovered(self):
         s = DistinctSampler(64, 32, seed=1)
-        for key in range(30):
-            s.update(key, +1)
+        feed(s, range(30), +1)
         keys, est = s.sample()
         assert sorted(keys) == list(range(30))
         assert est == pytest.approx(30.0)
 
     def test_deletions_respected(self):
         s = DistinctSampler(64, 32, seed=2)
-        for key in range(40):
-            s.update(key, +1)
-        for key in range(35):
-            s.update(key, -1)
+        feed(s, range(40), +1)
+        feed(s, range(35), -1)
         keys, est = s.sample()
         assert sorted(keys) == list(range(35, 40))
 
@@ -38,8 +41,7 @@ class TestDistinctSampler:
     def test_large_live_set_sampled(self):
         s = DistinctSampler(32, 40, seed=4)
         n = 5000
-        for key in range(n):
-            s.update(key, +1)
+        feed(s, range(n), +1)
         keys, est = s.sample()
         assert 0 < len(keys) <= 4 * 32 * 2
         assert est == pytest.approx(n, rel=0.6)  # coarse (one level granularity)
@@ -49,8 +51,7 @@ class TestDistinctSampler:
         """Keys below/above the median are sampled in similar proportions."""
         s = DistinctSampler(128, 40, seed=5)
         n = 20000
-        for key in range(n):
-            s.update(key, +1)
+        feed(s, range(n), +1)
         keys, _ = s.sample()
         low = sum(1 for k in keys if k < n // 2)
         assert 0.25 < low / len(keys) < 0.75
@@ -59,12 +60,9 @@ class TestDistinctSampler:
         a = DistinctSampler(32, 32, seed=6)
         b = DistinctSampler(32, 32, seed=6)
         # a: insert 0..99, delete evens;  b: insert odds only.
-        for key in range(100):
-            a.update(key, +1)
-        for key in range(0, 100, 2):
-            a.update(key, -1)
-        for key in range(1, 100, 2):
-            b.update(key, +1)
+        feed(a, range(100), +1)
+        feed(a, range(0, 100, 2), -1)
+        feed(b, range(1, 100, 2), +1)
         assert sorted(a.sample()[0]) == sorted(b.sample()[0])
 
     def test_space_bits_positive(self):

@@ -27,12 +27,9 @@ class TestMergeStoring:
         a, b, ref = make(), make(), make()
         ops_a = [(1, 10, 1), (1, 11, 1), (2, 20, 1)]
         ops_b = [(1, 10, -1), (3, 30, 1)]
-        for cell, pt, sign in ops_a:
-            a.update(cell, pt, sign)
-            ref.update(cell, pt, sign)
-        for cell, pt, sign in ops_b:
-            b.update(cell, pt, sign)
-            ref.update(cell, pt, sign)
+        for store, ops in ((a, ops_a), (b, ops_b), (ref, ops_a + ops_b)):
+            cells, pts, signs = zip(*ops)
+            store.update_many(list(cells), list(pts), list(signs))
         merged = merge_storing(a, b)
         assert merged.result().cells == ref.result().cells
         assert merged.result().small_points == ref.result().small_points

@@ -118,11 +118,11 @@ def _rows(events):
 
 
 def _feed_with_cross_shard_deletions(ing: ShardedIngest, events) -> None:
-    """Batched and scalar ingest, plus deletions sent to the wrong shard."""
+    """Large and one-event batches, plus deletions sent to the wrong shard."""
     half = len(events) // 2
     ing.apply_batch(events[:half])
     for ev in events[half: half + 8]:
-        ing.apply(ev.point, ev.sign)
+        ing.apply_batch([ev])
     rest = events[half + 8:]
     ing.apply_batch(rest[: len(rest) // 2])
     # Delete a few live points through a shard that never saw them, then
@@ -177,7 +177,8 @@ _updates = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 9),
 
 
 def _store(ops, recover: bool, flush: bool) -> ExactStoring:
-    """A store fed half batched, half scalar; optionally compacted."""
+    """A store fed half in one batch, half one event at a time; optionally
+    compacted in between."""
     s = ExactStoring(6, 2, recover_points=recover)
     half = len(ops) // 2
     if half:
@@ -186,7 +187,7 @@ def _store(ops, recover: bool, flush: bool) -> ExactStoring:
     if flush:
         s._flush()
     for c, p, sign in ops[half:]:
-        s.update(c, p, sign)
+        s.update_many([c], [p], [sign])
     return s
 
 
@@ -228,7 +229,7 @@ class TestDeferredMergeProperty:
         snap = _observed(copy.deepcopy(a))
         b = a.copy()
         for c, p, sign in ops_b:
-            b.update(c, p, sign)
+            b.update_many([c], [p], [sign])
         b.merge_from(_store(ops_b, recover, flush=True))
         b._flush()
         assert _observed(a) == snap

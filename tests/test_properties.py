@@ -99,8 +99,8 @@ class TestSketchLinearity:
         combined = IBLTSketch(64, 16, seed=seed)
         for i, (key, sign) in enumerate(updates):
             target = a if i % 2 == 0 else b
-            target.update(key, sign)
-            combined.update(key, sign)
+            target.update_many([key], [sign])
+            combined.update_many([key], [sign])
         # Merge a and b bucket-wise (linearity).
         merged = IBLTSketch(64, 16, seed=seed)
         merged.merge_from(a)
@@ -123,8 +123,8 @@ class TestSketchLinearity:
         for cell, pt in ops:
             sign = -1 if (cell, pt) in live else 1
             (live.add if sign == 1 else live.discard)((cell, pt))
-            ex.update(cell, pt, sign)
-            sk.update(cell, pt, sign)
+            ex.update_many([cell], [pt], [sign])
+            sk.update_many([cell], [pt], [sign])
         try:
             rs = sk.result()
         except FailedConstruction:

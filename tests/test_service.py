@@ -92,7 +92,7 @@ class TestShardRouting:
         assert ing.version == 1
         ing.apply_batch(list(stream)[10:20])
         assert ing.version == 2
-        ing.apply(list(stream)[20].point, list(stream)[20].sign)
+        ing.apply_batch(list(stream)[20:21])
         assert ing.version == 3
 
 
@@ -118,8 +118,8 @@ class TestShardedMergeExact:
         events = list(stream)
         shards = [StreamingCoreset(params, seed=9, backend="exact")
                   for _ in range(3)]
-        for i, ev in enumerate(events):
-            shards[i % 3].update(ev.point, ev.sign)
+        for i, shard in enumerate(shards):
+            shard.update_batch(events[i::3])
         # The round-robin shards really do hold negative entries (a deletion
         # whose insertion went to a different shard) — the case under test.
         assert any(

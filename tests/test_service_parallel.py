@@ -102,8 +102,8 @@ class TestParallelDeterminism:
         stream, _, params = world
         events = list(stream)[:5]
         with WorkerPoolIngest(params, num_workers=2, seed=3) as pool:
-            idx = pool.apply(events[0].point, events[0].sign)
-            assert idx == pool.shard_of(events[0].point)
+            assert pool.apply_batch(events[:1]) == 1
+            assert pool.events_per_shard[pool.shard_of(events[0].point)] == 1
             assert pool.version == 1 and pool.num_events == 1
             pool.apply_batch(events[1:])
             assert pool.version == 2 and pool.num_events == 5
@@ -192,7 +192,7 @@ class TestPoolRobustness:
         pool.close()
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
-            pool.apply((3, 3), 1)
+            pool.apply_batch([((3, 3), 1)])
 
     def test_stats_extra_shape(self, world):
         stream, _, params = world

@@ -14,6 +14,12 @@ from repro.streaming.storing import ExactStoring, SketchStoring
 from repro.utils.validation import FailedConstruction
 
 
+def feed(store, *ops):
+    """Apply ``(cell, point, sign)`` updates as one batch."""
+    cells, pts, signs = zip(*ops)
+    store.update_many(list(cells), list(pts), list(signs))
+
+
 def both_storings(alpha=32, beta=8, recover=True, seed=0):
     return [
         ExactStoring(alpha, beta, recover_points=recover),
@@ -28,21 +34,15 @@ class TestContract:
     def test_cells_and_counts(self, impl):
         s = both_storings()[impl]
         # Cell 1: 3 points; cell 2: 1 point.
-        s.update(1, 100, +1)
-        s.update(1, 101, +1)
-        s.update(1, 102, +1)
-        s.update(2, 200, +1)
+        feed(s, (1, 100, +1), (1, 101, +1), (1, 102, +1), (2, 200, +1))
         res = s.result()
         assert res.cells == {1: 3, 2: 1}
 
     @pytest.mark.parametrize("impl", range(2))
     def test_small_cell_points_recovered(self, impl):
         s = both_storings(beta=2)[impl]
-        s.update(1, 100, +1)
-        s.update(1, 101, +1)
-        s.update(2, 200, +1)
-        s.update(2, 201, +1)
-        s.update(2, 202, +1)  # cell 2 has 3 > beta=2 points
+        feed(s, (1, 100, +1), (1, 101, +1),
+             (2, 200, +1), (2, 201, +1), (2, 202, +1))  # cell 2: 3 > beta=2
         res = s.result()
         assert res.small_points[1] == {100: 1, 101: 1}
         assert 2 not in res.small_points
@@ -50,9 +50,7 @@ class TestContract:
     @pytest.mark.parametrize("impl", range(2))
     def test_deletions(self, impl):
         s = both_storings()[impl]
-        s.update(1, 100, +1)
-        s.update(1, 101, +1)
-        s.update(1, 100, -1)
+        feed(s, (1, 100, +1), (1, 101, +1), (1, 100, -1))
         res = s.result()
         assert res.cells == {1: 1}
         assert res.small_points[1] == {101: 1}
@@ -60,25 +58,22 @@ class TestContract:
     @pytest.mark.parametrize("impl", range(2))
     def test_full_deletion_empties(self, impl):
         s = both_storings()[impl]
-        for pk in range(20):
-            s.update(5, pk, +1)
-        for pk in range(20):
-            s.update(5, pk, -1)
+        feed(s, *[(5, pk, +1) for pk in range(20)])
+        feed(s, *[(5, pk, -1) for pk in range(20)])
         res = s.result()
         assert res.cells == {}
 
     @pytest.mark.parametrize("impl", range(2))
     def test_too_many_cells_fail(self, impl):
         s = both_storings(alpha=4)[impl]
-        for ck in range(50):
-            s.update(ck, ck * 1000, +1)
+        feed(s, *[(ck, ck * 1000, +1) for ck in range(50)])
         with pytest.raises(FailedConstruction):
             s.result()
 
     @pytest.mark.parametrize("impl", range(2))
     def test_no_point_recovery_mode(self, impl):
         s = both_storings(recover=False)[impl]
-        s.update(1, 100, +1)
+        feed(s, (1, 100, +1))
         res = s.result()
         assert res.cells == {1: 1}
         assert res.small_points == {}
@@ -101,8 +96,8 @@ class TestContract:
                 live.add(key)
             else:
                 live.discard(key)
-            ex.update(cell, pt, sign)
-            sk.update(cell, pt, sign)
+            feed(ex, (cell, pt, sign))
+            feed(sk, (cell, pt, sign))
         assert ex.result().cells == sk.result().cells
         assert ex.result().small_points == sk.result().small_points
 
@@ -113,10 +108,8 @@ class TestSketchSpecifics:
         (isolated) small cells still decode."""
         sk = SketchStoring(64, 4, cell_universe_bits=32,
                            point_universe_bits=48, seed=3)
-        for pk in range(500):
-            sk.update(999, pk, +1)  # the monster cell
-        for ck in range(10):
-            sk.update(ck, ck * 7, +1)
+        feed(sk, *[(999, pk, +1) for pk in range(500)])  # the monster cell
+        feed(sk, *[(ck, ck * 7, +1) for ck in range(10)])
         res = sk.result()
         assert res.cells[999] == 500
         assert 999 not in res.small_points
@@ -128,15 +121,14 @@ class TestSketchSpecifics:
                            point_universe_bits=48, seed=1)
         charged = sk.space_bits()
         resident0 = sk.resident_bits()
-        sk.update(1, 2, +1)
+        feed(sk, (1, 2, +1))
         assert sk.space_bits() == charged  # worst-case layout is static
         assert sk.resident_bits() > resident0
 
     def test_exact_space_grows_with_live_set(self):
         ex = ExactStoring(1000, 4)
         base = ex.space_bits()
-        for ck in range(100):
-            ex.update(ck, ck, +1)
+        feed(ex, *[(ck, ck, +1) for ck in range(100)])
         assert ex.space_bits() > base
 
 

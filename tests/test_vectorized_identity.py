@@ -1,15 +1,16 @@
 """Bit-identity of the vectorized hot path against the scalar reference.
 
 The vectorized ingest path (numpy Horner sweeps, columnar IBLT state,
-batched storing updates) is an *optimization*, never a semantic change:
-every test here pins some observable — hash values, bucket state, decode
-output, checkpoint bytes — to the scalar reference implementation that the
-batched code replaced.  A lint guard at the bottom keeps per-event Python
-loops from creeping back into the hot files.
+batched storing updates, the early-kill prefix cut) is the only ingest
+implementation in ``src/``: every test here pins some observable — hash
+values, bucket state, decode output, checkpoint bytes — to the per-event
+reference in :mod:`tests.scalar_oracle`.  A lint guard at the bottom keeps
+per-event Python loops from creeping back into the hot files.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -34,6 +35,7 @@ from repro.streaming.sketch import DecodeFailure, IBLTSketch
 from repro.streaming.storing import ExactStoring
 from repro.streaming.streaming_coreset import StreamingCoreset
 from repro.utils.validation import FailedConstruction
+from tests.scalar_oracle import CounterStoring, iblt_update, scalar_ingest
 
 
 # --------------------------------------------------------------------------
@@ -122,7 +124,7 @@ class TestIBLTBatchedIdentity:
         scalar = IBLTSketch(32, 16, seed=seed)
         batched = IBLTSketch(32, 16, seed=seed)
         for k, s in ups:
-            scalar.update(k, s)
+            iblt_update(scalar, k, s)
         if ups:
             keys = np.asarray([k for k, _ in ups], dtype=np.int64)
             signs = np.asarray([s for _, s in ups], dtype=np.int64)
@@ -150,8 +152,10 @@ class TestExactStoringCanonical:
     def test_batched_equals_scalar_equals_shuffled(self, ops, chunk):
         scalar = ExactStoring(64, 8)
         batched = ExactStoring(64, 8)
+        mirror = CounterStoring(scalar)
         for c, p, s in ops:
-            scalar.update(c, p, s)
+            mirror.update(c, p, s)
+        mirror.write_back()
         for lo in range(0, len(ops), chunk):
             part = ops[lo: lo + chunk]
             batched.update_many(
@@ -230,8 +234,7 @@ class TestDriverBitIdentity:
         kw = dict(seed=7, backend=backend, o_range=(8.0, 64.0))
         scalar = StreamingCoreset(params, **kw)
         batched = StreamingCoreset(params, **kw)
-        for p, s in events:
-            scalar.update(p, s)
+        scalar_ingest(scalar, events)
         for lo in range(0, len(events), chunk):
             batched.update_batch(events[lo: lo + chunk])
         da = json.dumps(streaming_state_to_dict(scalar), sort_keys=True)
@@ -243,8 +246,7 @@ class TestDriverBitIdentity:
         kw = dict(seed=7, backend="exact", o_range=(8.0, 64.0))
         scalar = StreamingCoreset(params, **kw)
         batched = StreamingCoreset(params, **kw)
-        for p, s in events:
-            scalar.update(p, s)
+        scalar_ingest(scalar, events)
         batched.update_batch(events)
 
         def outcome(drv):
@@ -284,6 +286,156 @@ class TestWorkerPoolBitIdentity:
 
 
 # --------------------------------------------------------------------------
+# Early kill as an exact prefix cut: batched == per-event oracle, kills and
+# near-misses included.
+# --------------------------------------------------------------------------
+def _running_overflow(store: ExactStoring, ops, bound):
+    """Per-event reference for ``ExactStoring.first_overflow``."""
+    mirror = CounterStoring(store)
+    for j, (c, s) in enumerate(ops):
+        mirror.update(c, 0, s)
+        if mirror.live > bound:
+            return j
+    return None
+
+
+def _dense_events(seed, n, delta, d=2):
+    """Churn over a dense random point set: live cell counts climb fast."""
+    from repro.data.workloads import churn_stream
+
+    rng = np.random.default_rng(seed)
+    pts = np.unique(rng.integers(1, delta + 1, size=(n, d)), axis=0)
+    return list(churn_stream(pts, delete_fraction=0.3, seed=seed))
+
+
+def _state(driver) -> str:
+    return json.dumps(streaming_state_to_dict(driver), sort_keys=True)
+
+
+def _state_of(store: ExactStoring):
+    return dict(store._cells), store._points
+
+
+class TestEarlyKillPrefixCut:
+    @given(st.lists(st.tuples(st.integers(0, 12), st.sampled_from([1, -1])),
+                    max_size=40),
+           st.lists(st.tuples(st.integers(0, 12), st.sampled_from([1, -1])),
+                    max_size=40),
+           st.booleans(), st.booleans(), st.integers(0, 14))
+    @settings(max_examples=60, deadline=None)
+    def test_first_overflow_matches_running_count(self, base_ops, ops,
+                                                  flush, bigint, bound):
+        offset = (1 << 70) if bigint else 0
+        store = ExactStoring(8, 2, recover_points=False)
+        for c, s in base_ops:
+            store.update_many([c + offset], [0], [s])
+        if flush:
+            store.live_cells()
+        ops = [(c + offset, s) for c, s in ops]
+        want = _running_overflow(store, ops, bound)
+        before = _state_of(store)
+        got = store.first_overflow([c for c, _ in ops], [s for _, s in ops],
+                                   bound)
+        assert got == want
+        assert _state_of(store) == before  # a read, not a write
+
+    def test_dense_streams_match_oracle(self, monkeypatch):
+        """Random dense churn, shrunken Storing budgets, any chunk size,
+        both backends: checkpoint JSON equals the per-event oracle."""
+        from repro.streaming.streaming_coreset import StreamingCoresetInstance
+
+        cuts = []
+        first_kill = StreamingCoresetInstance._first_kill
+
+        def spy(inst, cell_keys, signs, mh, nh):
+            kill = first_kill(inst, cell_keys, signs, mh, nh)
+            if kill is not None:
+                cuts.append((kill[0], len(signs)))
+            return kill
+
+        monkeypatch.setattr(StreamingCoresetInstance, "_first_kill", spy)
+
+        @given(seed=st.integers(0, 10_000),
+               delta=st.sampled_from([32, 64]),
+               factor=st.sampled_from([0.03, 0.1, 0.3]),
+               backend=st.sampled_from(["exact", "exact", "sketch"]),
+               data=st.data())
+        @settings(max_examples=8, deadline=None)
+        def check(seed, delta, factor, backend, data):
+            # The sketch backend has no early kill and ingests slowly: a
+            # short stream and three guesses cover its bucket order.
+            sketch = backend == "sketch"
+            events = _dense_events(seed, 80 if sketch else 900, delta)
+            chunk = data.draw(st.integers(1, len(events)), label="chunk")
+            params = dataclasses.replace(
+                CoresetParams.practical(k=2, d=2, delta=delta),
+                storing_alpha_factor=factor)
+            o_range = (2.0 ** 10, 2.0 ** 12) if sketch else (1.0, 2.0 ** 12)
+            kw = dict(seed=seed, backend=backend, o_range=o_range)
+            batched = StreamingCoreset(params, **kw)
+            for lo in range(0, len(events), chunk):
+                batched.update_batch(events[lo: lo + chunk])
+            scalar = StreamingCoreset(params, **kw)
+            scalar_ingest(scalar, events)
+            assert _state(batched) == _state(scalar)
+
+        check()
+        # At least one drawn case killed a guess strictly inside a batch,
+        # where the cut (not the batch boundary) decides what got applied.
+        assert any(j < n - 1 for j, n in cuts)
+
+    def test_precheck_fires_without_kill_then_kills_mid_batch(self, monkeypatch):
+        """Churn hovering just under the kill line fires the cheap pre-check
+        but never overflows; a later burst overflows mid-batch."""
+        params = dataclasses.replace(
+            CoresetParams.practical(k=2, d=2, delta=64),
+            storing_alpha_factor=0.03)
+        kw = dict(seed=3, o_range=(1.0, 1.0))
+        batched = StreamingCoreset(params, **kw)
+        scalar = StreamingCoreset(params, **kw)
+        inst = batched.instances[0]
+        bound = int(inst._early_kill * inst.store_h[params.L].alpha)
+        grid = [(x, y) for x in range(1, 65) for y in range(1, 65)]
+        live, fresh = grid[: bound - 6], grid[bound - 6:]
+        churn = [ev for old, new in zip(live[:40], fresh[:40])
+                 for ev in ((old, -1), (new, 1))]
+        burst = [(p, 1) for p in fresh[40:60]]
+        calls = []
+        first_overflow = ExactStoring.first_overflow
+
+        def spy(store, cells, signs, bound):
+            calls.append(first_overflow(store, cells, signs, bound))
+            return calls[-1]
+
+        monkeypatch.setattr(ExactStoring, "first_overflow", spy)
+        batched.update_batch([(p, 1) for p in live])
+        assert calls == []  # the pre-check cannot fire yet
+        batched.update_batch(churn)
+        assert calls == [None] and inst.dead_reason is None
+        batched.update_batch(burst)
+        assert calls[-1] == 6 and inst.dead_reason is not None
+        scalar_ingest(scalar, [(p, 1) for p in live] + churn + burst)
+        assert _state(batched) == _state(scalar)
+
+    @pytest.mark.parametrize("chunk", [1, 13, 64, 10_000])
+    def test_object_dtype_cell_keys(self, chunk):
+        """d=6, Δ=1024: cell keys need > 63 bits (object arrays)."""
+        params = dataclasses.replace(
+            CoresetParams.practical(k=2, d=6, delta=1024),
+            storing_alpha_factor=0.03)
+        events = _dense_events(5, 400, 1024, d=6)
+        kw = dict(seed=3, o_range=(1.0, 64.0))
+        batched = StreamingCoreset(params, **kw)
+        assert batched.grids.cell_universe_bits > 63
+        for lo in range(0, len(events), chunk):
+            batched.update_batch(events[lo: lo + chunk])
+        scalar = StreamingCoreset(params, **kw)
+        scalar_ingest(scalar, events)
+        assert any(inst.dead_reason for inst in batched.instances)
+        assert _state(batched) == _state(scalar)
+
+
+# --------------------------------------------------------------------------
 # Satellite 2 — non-integral coordinates are rejected, never truncated.
 # --------------------------------------------------------------------------
 class TestNonIntegralRejection:
@@ -317,6 +469,55 @@ class TestNonIntegralRejection:
         arr = parse_points({"points": [[1, 2.0]]}, d=2, delta=64)
         assert arr.dtype == np.int64 and arr.tolist() == [[1, 2]]
 
+    @pytest.mark.parametrize("entry", ["update", "update_batch",
+                                       "update_arrays"])
+    def test_driver_entry_points_reject_fraction(self, params, entry):
+        """(2.5, 3) is rejected, never ingested as (2, 3), and the driver's
+        update count and checkpoint bytes do not move."""
+        sc = StreamingCoreset(params, seed=0, o_range=(8.0, 64.0))
+        sc.update_batch([((1, 1), 1)])
+        before = (sc.num_updates, _state(sc))
+        call = {
+            "update": lambda: sc.update((2.5, 3), 1),
+            "update_batch": lambda: sc.update_batch([((1, 2), 1),
+                                                     ((2.5, 3), 1)]),
+            "update_arrays": lambda: sc.update_arrays(
+                np.array([[1.0, 2.0], [2.5, 3.0]]), np.ones(2, dtype=np.int64)),
+        }[entry]
+        with pytest.raises(ValueError):
+            call()
+        assert (sc.num_updates, _state(sc)) == before
+
+    @pytest.mark.parametrize("entry", ["apply_batch", "apply_arrays",
+                                       "insert_points"])
+    def test_sharded_entry_points_reject_fraction(self, params, entry):
+        ing = ShardedIngest(params, num_shards=2, seed=0, o_range=(8.0, 64.0))
+        ing.apply_batch([((1, 1), 1)])
+        before = (ing.version, json.dumps(ing.to_state_dict(), sort_keys=True))
+        call = {
+            "apply_batch": lambda: ing.apply_batch([((1, 2), 1), ((2.5, 3), 1)]),
+            "apply_arrays": lambda: ing.apply_arrays(
+                [[1, 2], [2.5, 3]], np.ones(2, dtype=np.int64)),
+            "insert_points": lambda: ing.insert_points([[1, 2], [2.5, 3]]),
+        }[entry]
+        with pytest.raises(ValueError, match="integral"):
+            call()
+        assert (ing.version,
+                json.dumps(ing.to_state_dict(), sort_keys=True)) == before
+
+    def test_worker_pool_apply_arrays_rejects_fraction(self, params):
+        from repro.service.workers import WorkerPoolIngest
+
+        with WorkerPoolIngest(params, num_workers=2, seed=0,
+                              o_range=(8.0, 64.0)) as pool:
+            pool.apply_batch([((1, 1), 1)])
+            before = (pool.version,
+                      json.dumps(pool.to_state_dict(), sort_keys=True))
+            with pytest.raises(ValueError, match="integral"):
+                pool.apply_arrays([[1, 2], [2.5, 3]], np.ones(2, dtype=np.int64))
+            assert (pool.version,
+                    json.dumps(pool.to_state_dict(), sort_keys=True)) == before
+
     def test_nan_and_overflow_rejected(self, params):
         sc = StreamingCoreset(params, seed=0, o_range=(8.0, 64.0))
         with pytest.raises(ValueError, match="finite"):
@@ -329,7 +530,7 @@ class TestNonIntegralRejection:
 # Lint guard: no per-event Python in the hot files (delegates to the HOT
 # rule of ``repro lint``, the AST-accurate successor of the old regex scan —
 # it also sees `.tolist()` calls and multi-line loop headers, and covers all
-# six vectorized files instead of three).
+# seven vectorized files instead of three).
 # --------------------------------------------------------------------------
 class TestNoScalarLoopsInHotPath:
     def test_hot_rule_clean_on_hot_files(self):
