@@ -17,10 +17,18 @@ no float128, no Barrett approximation) for primes up to ~2^55.  Only truly
 huge universes fall back to chunked Python-int arithmetic on object arrays.
 The coefficient vector is the *entire* stored randomness: λ field elements,
 i.e. λ·log2(p) bits, which is what the space accounting charges.
+
+For an integer seed the coefficients are a pure function of (λ, p, seed),
+so they are drawn once per process and memoised (a bounded LRU cache of
+immutable tuples): rebuilding a driver from a checkpoint, or building shard
+2..n of a sharded service, reuses the draws instead of re-running the
+rejection sampler.  ``seed=None`` and ``Generator`` seeds bypass the cache
+and consume the generator exactly as an uncached draw would.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -41,6 +49,12 @@ _MULTI_LIMB_MAX_BITS = 55
 #: Chunk size of the Python-int (object dtype) fallback — bounds the peak
 #: number of live bigint temporaries per Horner sweep.
 _OBJECT_CHUNK = 32768
+
+#: Entries of the per-process cache of seeded coefficient draws.  One
+#: service configuration draws a few hundred distinct (λ, p, seed) triples
+#: (~190 for a d=2, Δ=64 shard), so this holds the draws of ~20 distinct
+#: seeds/shapes; evicted entries are simply re-drawn.
+_COEFF_CACHE_SIZE = 4096
 
 
 def exact_field_threshold(phi: float, prime: int) -> int:
@@ -78,6 +92,12 @@ def _random_field_elements(rng: np.random.Generator, count: int, p: int) -> list
     return out
 
 
+@functools.lru_cache(maxsize=_COEFF_CACHE_SIZE)
+def _seeded_coeffs(independence: int, prime: int, seed: int) -> tuple[int, ...]:
+    """The coefficients an int-seeded :class:`KWiseHash` draws (memoised)."""
+    return tuple(_random_field_elements(np.random.default_rng(seed), independence, prime))
+
+
 class KWiseHash:
     """A single function drawn from a λ-wise independent family GF(p) → GF(p).
 
@@ -89,7 +109,8 @@ class KWiseHash:
         Keys must satisfy ``0 <= key < 2**universe_bits``; the modulus is the
         next prime above the universe so the key → field map is injective.
     seed:
-        Integer seed or ``numpy`` Generator.
+        Integer seed (coefficients memoised per process), ``numpy``
+        Generator (consumed), or ``None`` (fresh OS entropy).
     """
 
     def __init__(self, independence: int, universe_bits: int, seed=0):
@@ -107,8 +128,11 @@ class KWiseHash:
         self.independence = int(independence)
         self.universe_bits = int(universe_bits)
         self.prime = next_prime(max(1 << self.universe_bits, 1 << 16))
-        rng = as_rng(seed)
-        self._coeffs = _random_field_elements(rng, self.independence, self.prime)
+        if seed is None or isinstance(seed, np.random.Generator):
+            self._coeffs = tuple(_random_field_elements(
+                as_rng(seed), self.independence, self.prime))
+        else:
+            self._coeffs = _seeded_coeffs(self.independence, self.prime, int(seed))
 
     # -- core evaluation ---------------------------------------------------
     def value(self, key: int) -> int:

@@ -15,16 +15,18 @@ hash polynomials, sketch layouts) is derived deterministically from
    ℓ₀-sampler buckets, the update counter, and any early-kill verdicts.
 
 Restore rebuilds the driver from the arguments — regenerating identical
-randomness — and pours the data back in.  The round trip is bit-identical:
-``finalize()`` on the restored driver replays the same decode on the same
-sketch contents.  Everything is JSON (Python's ``json`` round-trips the
-arbitrary-precision integers our point/cell keys need), so checkpoints are
-portable and diffable.
+randomness, which :mod:`repro.hashing.kwise` draws once per process and
+seed — and pours the data back in column-wise (the Storing, IBLT and pilot
+codecs live next to their columns: ``ExactStoring.to_lists``/``load_lists``
+and ``IBLTSketch.bucket_rows``/``load_bucket_rows``).  The round trip is
+bit-identical: ``finalize()`` on the restored driver replays the same
+decode on the same sketch contents.  Everything is JSON (Python's ``json``
+round-trips the arbitrary-precision integers our point/cell keys need), so
+checkpoints are portable and diffable.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from urllib.parse import quote, unquote
 
 from repro.core.io import atomic_write_json, params_from_dict, params_to_dict
@@ -95,22 +97,14 @@ def write_checkpoint(path, payload: dict) -> None:
 def _storing_to_dict(store) -> dict:
     """Serialize one Storing structure's *contents* (layout is seed-derived)."""
     if isinstance(store, ExactStoring):
-        return {
-            "kind": "exact",
-            "cells": [[int(c), int(n)] for c, n in store._cells.items()],  # repro-lint: disable=DET104 sorted-by-key snapshot property
-            "points": [
-                [int(cell), [[int(p), int(n)] for p, n in pts.items()]]  # repro-lint: disable=DET104 sorted-by-(cell,point) snapshot property
-                for cell, pts in store._points.items()  # repro-lint: disable=DET104 sorted-by-cell snapshot property
-            ],
-        }
+        cells, points = store.to_lists()
+        return {"kind": "exact", "cells": cells, "points": points}
     if isinstance(store, SketchStoring):
         return {
             "kind": "sketch",
-            "cells": [[r, p, b[0], int(b[1]), int(b[2])]
-                      for (r, p), b in store._cells.buckets.items()],  # repro-lint: disable=DET104 first-touch bucket order IS the checkpoint byte contract
+            "cells": store._cells.bucket_rows(),
             "nested": [
-                [r, p, [[r2, p2, b[0], int(b[1]), int(b[2])]
-                        for (r2, p2), b in sk.buckets.items()]]  # repro-lint: disable=DET104 first-touch bucket order IS the checkpoint byte contract
+                [r, p, sk.bucket_rows()]
                 for (r, p), sk in store._nested.items()  # repro-lint: disable=DET104 first-touch nested order mirrors sequential-ingest creation order
             ],
         }
@@ -122,22 +116,15 @@ def _storing_from_dict(store, data: dict) -> None:
     if isinstance(store, ExactStoring):
         if data["kind"] != "exact":
             raise ValueError("checkpoint backend mismatch (expected exact)")
-        store._cells = Counter({int(c): int(n) for c, n in data["cells"]})
-        store._points = {
-            int(cell): Counter({int(p): int(n) for p, n in pts})
-            for cell, pts in data["points"]
-        }
+        store.load_lists(data["cells"], data["points"])
         return
     if isinstance(store, SketchStoring):
         if data["kind"] != "sketch":
             raise ValueError("checkpoint backend mismatch (expected sketch)")
-        store._cells.buckets = {
-            (r, p): [c, ks, fs] for r, p, c, ks, fs in data["cells"]
-        }
+        store._cells.load_bucket_rows(data["cells"])
         store._nested = {}
-        for r, p, buckets in data["nested"]:
-            sk = store._nested_at(r, p)
-            sk.buckets = {(r2, p2): [c, ks, fs] for r2, p2, c, ks, fs in buckets}
+        for r, p, rows in data["nested"]:
+            store._nested_at(r, p).load_bucket_rows(rows)
         return
     raise TypeError(f"unknown Storing type {type(store)!r}")
 
@@ -156,10 +143,7 @@ def streaming_state_to_dict(sc: StreamingCoreset) -> dict:
         })
     pilot = None
     if sc._pilot_sampler is not None:
-        pilot = [
-            [[r, p, b[0], int(b[1]), int(b[2])] for (r, p), b in sk.buckets.items()]  # repro-lint: disable=DET104 first-touch bucket order IS the checkpoint byte contract
-            for sk in sc._pilot_sampler._sketches
-        ]
+        pilot = [sk.bucket_rows() for sk in sc._pilot_sampler._sketches]
     return {
         "format_version": STATE_FORMAT_VERSION,
         "params": params_to_dict(sc.params),
@@ -216,8 +200,13 @@ def streaming_state_from_dict(data: dict) -> StreamingCoreset:
     if data["pilot"] is not None:
         if sc._pilot_sampler is None:
             raise ValueError("checkpoint has pilot state but rebuilt driver has none")
-        for sk, buckets in zip(sc._pilot_sampler._sketches, data["pilot"]):
-            sk.buckets = {(r, p): [c, ks, fs] for r, p, c, ks, fs in buckets}
+        levels = sc._pilot_sampler._sketches
+        if len(levels) != len(data["pilot"]):
+            raise ValueError(
+                f"checkpoint pilot level count {len(data['pilot'])} does not "
+                f"match rebuilt {len(levels)}")
+        for sk, rows in zip(levels, data["pilot"]):
+            sk.load_bucket_rows(rows)
     sc.num_updates = int(data["num_updates"])
     return sc
 

@@ -191,6 +191,37 @@ class IBLTSketch:
             self._keysum[i] = int(b[1])
             self._fpsum[i] = int(b[2])
 
+    def bucket_rows(self) -> list[list[int]]:
+        """Materialized buckets as ``[row, pos, count, keysum, fpsum]`` rows
+        of Python ints, in first-touch order — the checkpoint form, built
+        column-wise from the accumulator arrays."""
+        n = len(self._slot)
+        flat = np.fromiter(self._slot, dtype=np.int64, count=n)
+        idx = np.fromiter(self._slot.values(), dtype=np.int64, count=n)
+        row, pos = np.divmod(flat, self.m)
+        cols = (row, pos, self._count[idx], self._keysum[idx], self._fpsum[idx])
+        return np.column_stack(cols).tolist()  # scalar-ok: checkpoint encode
+
+    def load_bucket_rows(self, rows) -> None:
+        """Inverse of :meth:`bucket_rows` (checkpoint restore).
+
+        Rows naming distinct buckets load column-wise in the given order;
+        anything else (a bucket listed twice) goes through the
+        :attr:`buckets` setter, whose last-row-wins normalisation is the
+        format's reference semantics.
+        """
+        cols = np.array(rows, dtype=object)
+        if cols.ndim == 2 and cols.shape[1] == 5:
+            flat = cols[:, 0].astype(np.int64) * self.m + cols[:, 1].astype(np.int64)
+            slot = dict(zip(flat.tolist(), range(len(flat))))  # scalar-ok: checkpoint restore
+            if len(slot) == len(flat):
+                self._slot = slot
+                self._count = cols[:, 2].astype(np.int64)
+                self._keysum = cols[:, 3].copy()
+                self._fpsum = cols[:, 4].copy()
+                return
+        self.buckets = {(r, p): [c, ks, fs] for r, p, c, ks, fs in rows}
+
     def copy(self) -> "IBLTSketch":
         """An independent sketch with the same buckets; shares the family."""
         new = copy.copy(self)

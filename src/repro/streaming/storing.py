@@ -33,6 +33,7 @@ from __future__ import annotations
 import copy
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -61,6 +62,39 @@ def _as_key_array(x) -> np.ndarray:
         return np.asarray(x, dtype=np.int64)
     except (OverflowError, TypeError, ValueError):
         return np.array([int(v) for v in x], dtype=object)
+
+
+def _int_columns(rows) -> tuple[np.ndarray, np.ndarray]:
+    """``(keys, counts)`` columns of ``[key, count]`` rows: keys as
+    :func:`_as_key_array` types them (object beyond int64), counts int64."""
+    if not len(rows):
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    try:
+        arr = np.array(rows, dtype=np.int64)
+    except OverflowError:  # a key wider than int64
+        arr = np.array(rows, dtype=object)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError("checkpoint rows must be [key, count] pairs") from None
+        return (_as_key_array(arr[:, 0].tolist()),  # scalar-ok: wide keys only
+                np.asarray(arr[:, 1].tolist(), dtype=np.int64))  # scalar-ok: wide keys only
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("checkpoint rows must be [key, count] pairs")
+    return arr[:, 0].copy(), arr[:, 1].copy()
+
+
+def _is_canonical(keys: tuple, counts: np.ndarray) -> bool:
+    """Whether rows are strictly increasing in the lexicographic order of
+    the ``keys`` columns (most significant first) and no count is zero."""
+    if not counts.all():
+        return False
+    if len(counts) < 2:
+        return True
+    less = np.asarray(keys[-1][:-1] < keys[-1][1:], dtype=bool)
+    for col in keys[-2::-1]:  # scalar-ok: ≤ 2 key columns, vectorized over rows
+        head, tail = col[:-1], col[1:]
+        less = np.asarray(head < tail, dtype=bool) | (
+            np.asarray(head == tail, dtype=bool) & less)
+    return bool(less.all())
 
 
 def _group_sum(keys: np.ndarray, deltas: np.ndarray):
@@ -260,6 +294,52 @@ class ExactStoring:
         self._pcell = _as_key_array([c for c, _, _ in flat])
         self._ppoint = _as_key_array([p for _, p, _ in flat])
         self._pcount = np.asarray([v for _, _, v in flat], dtype=np.int64)
+
+    # -- checkpoint codec -------------------------------------------------------
+    def to_lists(self) -> tuple[list, list]:
+        """The checkpoint form, built column-wise from the compacted state:
+        ``cells`` as ``[cell, count]`` rows sorted by cell, and ``points``
+        as ``[cell, [[point, count], ...]]`` per cell run of the pairs."""
+        self._flush()
+        cells = np.column_stack((self._ckeys, self._ccounts)).tolist()  # scalar-ok: checkpoint encode
+        pcell = self._pcell
+        if not len(pcell):
+            return cells, []
+        pairs = np.column_stack((self._ppoint, self._pcount)).tolist()  # scalar-ok: checkpoint encode
+        starts = np.flatnonzero(np.r_[True, np.asarray(pcell[1:] != pcell[:-1], dtype=bool)])
+        heads = pcell[starts].tolist()  # scalar-ok: checkpoint encode, one per cell
+        bounds = np.r_[starts, len(pcell)].tolist()  # scalar-ok: checkpoint encode, one per cell
+        return cells, [[c, pairs[lo:hi]] for c, lo, hi in zip(heads, bounds, bounds[1:])]
+
+    def load_lists(self, cells, points) -> None:
+        """Inverse of :meth:`to_lists` (checkpoint restore into a fresh
+        structure).
+
+        Canonical input — cells strictly increasing with nonzero counts,
+        one non-empty run per cell in ``points``, pairs strictly increasing
+        with nonzero counts — loads column-wise.  Anything else goes through
+        the :attr:`_cells` / :attr:`_points` setters, whose last-entry-wins,
+        sort-and-drop-zeros normalisation is the format's reference
+        semantics.
+        """
+        ckeys, ccounts = _int_columns(cells)
+        if _is_canonical((ckeys,), ccounts):
+            self._ckeys, self._ccounts = ckeys, ccounts
+        else:
+            self._cells = {int(c): int(n) for c, n in cells}
+        if not points:
+            self._points = {}
+            return
+        heads = _as_key_array([c for c, _ in points])
+        lengths = np.asarray([len(run) for _, run in points], dtype=np.int64)
+        ppoint, pcount = _int_columns(list(chain.from_iterable(run for _, run in points)))
+        pcell = np.repeat(heads, lengths)
+        if (_is_canonical((heads,), lengths)
+                and _is_canonical((pcell, ppoint), pcount)):
+            self._pcell, self._ppoint, self._pcount = pcell, ppoint, pcount
+        else:
+            self._points = {int(c): {int(p): int(n) for p, n in run}
+                            for c, run in points}
 
     def merge_from(self, other: "ExactStoring") -> None:
         """Add another structure's counts into this one (linearity).

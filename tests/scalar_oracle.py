@@ -13,7 +13,11 @@ that batched ingest reproduce it byte for byte:
   nested point sketches, row by row;
 - :func:`l0_update` — the ℓ₀ sampler's level loop;
 - :func:`scalar_ingest` — Algorithm 4 per event for every guess instance,
-  including the mid-event early kill, plus the pilot sampler.
+  including the mid-event early kill, plus the pilot sampler;
+- :func:`counter_state_to_dict` / :func:`counter_state_from_dict` — the v1
+  checkpoint codec written entry by entry through the Counter and bucket
+  dict views, the reference the columnar codec in
+  :mod:`repro.service.state` must match byte for byte.
 
 Import as ``from tests.scalar_oracle import scalar_ingest`` (the repo root
 must be on ``sys.path``; pytest and the benchmark scripts arrange that).
@@ -23,12 +27,17 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.streaming.storing import ExactStoring
+from repro.core.io import params_from_dict
+from repro.service.state import streaming_state_to_dict
+from repro.streaming.storing import ExactStoring, SketchStoring
 from repro.streaming.stream import events_to_arrays
+from repro.streaming.streaming_coreset import StreamingCoreset
 from repro.utils.validation import check_stream_points
 
 __all__ = [
     "CounterStoring",
+    "counter_state_from_dict",
+    "counter_state_to_dict",
     "iblt_update",
     "l0_update",
     "scalar_ingest",
@@ -158,3 +167,80 @@ def scalar_ingest(driver, events) -> int:
     for mirror in mirrors.values():
         mirror.write_back()
     return len(signs)
+
+
+# ------------------------------------------------------------ v1 codec
+_GROUPS = ("store_h", "store_hp", "store_hhat")
+
+
+def _bucket_rows(sk) -> list:
+    return [[r, p, b[0], int(b[1]), int(b[2])] for (r, p), b in sk.buckets.items()]
+
+
+def _load_bucket_rows(sk, rows) -> None:
+    sk.buckets = {(r, p): [c, ks, fs] for r, p, c, ks, fs in rows}
+
+
+def _storing_to_dict(store) -> dict:
+    if isinstance(store, ExactStoring):
+        return {
+            "kind": "exact",
+            "cells": [[int(c), int(n)] for c, n in store._cells.items()],
+            "points": [
+                [int(cell), [[int(p), int(n)] for p, n in pts.items()]]
+                for cell, pts in store._points.items()
+            ],
+        }
+    assert isinstance(store, SketchStoring)
+    return {
+        "kind": "sketch",
+        "cells": _bucket_rows(store._cells),
+        "nested": [[r, p, _bucket_rows(sk)] for (r, p), sk in store._nested.items()],
+    }
+
+
+def _storing_from_dict(store, data: dict) -> None:
+    if isinstance(store, ExactStoring):
+        store._cells = Counter({int(c): int(n) for c, n in data["cells"]})
+        store._points = {
+            int(cell): Counter({int(p): int(n) for p, n in pts})
+            for cell, pts in data["points"]
+        }
+        return
+    _load_bucket_rows(store._cells, data["cells"])
+    store._nested = {}
+    for r, p, rows in data["nested"]:
+        _load_bucket_rows(store._nested_at(r, p), rows)
+
+
+def counter_state_to_dict(sc) -> dict:
+    """``streaming_state_to_dict(sc)`` with every store and pilot level
+    encoded entry by entry from the dict views."""
+    data = streaming_state_to_dict(sc)
+    for inst, rec in zip(sc.instances, data["instances"]):
+        for group in _GROUPS:
+            rec[group] = [_storing_to_dict(s) for s in getattr(inst, group)]
+    if sc._pilot_sampler is not None:
+        data["pilot"] = [_bucket_rows(sk) for sk in sc._pilot_sampler._sketches]
+    return data
+
+
+def counter_state_from_dict(data: dict):
+    """Rebuild a driver from its arguments and pour ``data`` in through the
+    Counter and bucket-dict setters."""
+    o_range = tuple(data["o_range"]) if data["o_range"] is not None else None
+    sc = StreamingCoreset(
+        params_from_dict(data["params"]), seed=data["seed"],
+        backend=data["backend"], o_range=o_range, prefer=data["prefer"],
+        auto_pilot=data["auto_pilot"],
+    )
+    for inst, rec in zip(sc.instances, data["instances"]):
+        inst.dead_reason = rec["dead_reason"]
+        for group in _GROUPS:
+            for store, payload in zip(getattr(inst, group), rec[group]):
+                _storing_from_dict(store, payload)
+    if data["pilot"] is not None:
+        for sk, rows in zip(sc._pilot_sampler._sketches, data["pilot"]):
+            _load_bucket_rows(sk, rows)
+    sc.num_updates = int(data["num_updates"])
+    return sc

@@ -81,6 +81,71 @@ class TestKWiseHash:
             KWiseHash(0, 32)
 
 
+def _reference_field_elements(rng, count, p):
+    """The byte-wide rejection sampler every seeded hash has always used
+    (the seed → coefficient contract checkpoints rely on)."""
+    nbytes = (p.bit_length() + 7) // 8
+    out = []
+    while len(out) < count:
+        raw = rng.bytes(nbytes * (count - len(out) + 4))
+        for i in range(0, len(raw) - nbytes + 1, nbytes):
+            v = int.from_bytes(raw[i: i + nbytes], "big")
+            if v < p:
+                out.append(v)
+                if len(out) == count:
+                    break
+    return out
+
+
+class TestKWiseRandomness:
+    """Pins the seed → coefficient derivation: checkpoints store only the
+    seed, so a drift here silently changes every restored sketch."""
+
+    @pytest.mark.parametrize("lam,bits,seed,prime,coeffs", [
+        (4, 8, 0, 65537, (23277, 12417, 26962, 48293)),
+        (6, 16, 12345, 65537, (8495, 60409, 59309, 6001, 14568, 13762)),
+        (4, 16, 7633338632128305107, 65537, (42060, 24128, 32196, 49169)),
+        (3, 40, 7, 1099511627791, (727809669987, 206531643384, 880691628196)),
+        (3, 70, 7, 1180591620717411303449,
+         (195158799970182768490, 934001369132143552017, 1060408217557609695452)),
+    ])
+    def test_pinned_coefficients(self, lam, bits, seed, prime, coeffs):
+        for _ in range(2):  # a fresh draw, then the memoised one
+            h = KWiseHash(lam, bits, seed=seed)
+            assert h.prime == prime
+            assert h._coeffs == coeffs
+
+    @pytest.mark.parametrize("lam,bits", [(5, 16), (3, 40), (2, 70)])
+    def test_generator_seed_consumes_like_reference(self, lam, bits):
+        rng = np.random.default_rng(99)
+        ref_rng = np.random.default_rng(99)
+        h = KWiseHash(lam, bits, seed=rng)
+        want = _reference_field_elements(ref_rng, lam, h.prime)
+        assert list(h._coeffs) == want
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # A second draw from the same generator continues the stream.
+        h2 = KWiseHash(lam, bits, seed=rng)
+        assert list(h2._coeffs) == _reference_field_elements(ref_rng, lam, h.prime)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_int_seed_matches_generator_seed(self):
+        assert (KWiseHash(7, 16, seed=31)._coeffs
+                == KWiseHash(7, 16, seed=np.random.default_rng(31))._coeffs)
+
+    def test_same_seed_shares_no_mutable_coefficients(self):
+        a = KWiseHash(6, 16, seed=4)
+        b = KWiseHash(6, 16, seed=4)
+        assert a._coeffs == b._coeffs
+        assert isinstance(a._coeffs, tuple)
+        assert all(type(c) is int for c in a._coeffs)
+        with pytest.raises(TypeError):
+            a._coeffs[0] = 0
+        assert a.values(range(50)) == b.values(range(50))
+
+    def test_unseeded_hashes_draw_fresh(self):
+        assert KWiseHash(8, 16, seed=None)._coeffs != KWiseHash(8, 16, seed=None)._coeffs
+
+
 class TestBernoulliHash:
     @pytest.mark.parametrize("phi", [0.1, 0.5, 0.9])
     def test_empirical_rate(self, phi):
