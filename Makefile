@@ -18,9 +18,9 @@ test-verbose:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# Quick serial-vs-parallel ingest check (2 workers) plus latency
-# percentiles; appends to BENCH_service.json and fails if the parallel
-# backend's state diverges from the serial one.
+# Quick ingest check plus latency percentiles: times the per-event oracle
+# against batched ingest, appends to BENCH_service.json, and fails unless
+# the two sketch states are bit-identical.
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_service_throughput.py --smoke
 
@@ -40,9 +40,9 @@ bench-tenants-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_service_tenants.py --smoke
 
 # CI chaos smoke: boot `python -m repro serve --fault-plan ...` in a
-# subprocess, kill workers / reset connections / fail a checkpoint write
-# mid-run, and require the final state bit-identical to a fault-free
-# reference (see benchmarks/bench_service_chaos.py).
+# subprocess, reset connections / fail a checkpoint write mid-run, and
+# require the final state bit-identical to a fault-free reference (see
+# benchmarks/bench_service_chaos.py).  Process death is fleet-smoke's.
 chaos-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_service_chaos.py --smoke
 

@@ -1,14 +1,14 @@
 """Chaos smoke benchmark — a seeded fault plan against the live service.
 
 Runs the robustness stack end to end: a :class:`~repro.service.faults.
-FaultPlan` kills shard workers (SIGKILL and soft crash), drops connections
-around insert/delete requests (before *and* after execution), and fails a
-checkpoint write, while a resilient :class:`ServiceClient` ingests a churn
-workload.  The pass bar is the same as ``tests/test_service_chaos.py``:
+FaultPlan` drops connections around insert/delete requests (before *and*
+after execution) and fails a checkpoint write, while a resilient
+:class:`ServiceClient` ingests a churn workload.  The pass bar is the same as ``tests/test_service_chaos.py``:
 the faulted service's serialized sketch state must be bit-identical to a
 fault-free in-process reference fed the same logical stream — no event
 lost, none double-counted — and a co-resident steady tenant must be
-untouched by the chaos tenant's faults.
+untouched by the chaos tenant's faults.  Process death is the fleet's to
+survive: ``bench_fleet.py`` SIGKILLs a site (``make fleet-smoke``).
 
 Also runnable as a script::
 
@@ -24,7 +24,6 @@ and shuts the server down over the wire.  Both modes append a record to
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import re
@@ -47,19 +46,17 @@ from repro.service import (
     start_async_server,
 )
 
-#: Service shape under chaos: 2 supervised workers per tenant, so a kill
-#: costs a respawn + journal replay, not the run.  Only fields the ``serve``
-#: CLI exposes — the smoke's local references must mirror the subprocess
-#: server's config exactly (``o_range`` etc. shape the sketch state).
-CHAOS_CONFIG = dict(k=3, d=2, delta=128, workers=2, seed=17)
+#: Service shape under chaos: 2 in-process shards per tenant.  Only fields
+#: the ``serve`` CLI exposes — the smoke's local references must mirror the
+#: subprocess server's config exactly (``o_range`` etc. shape the sketch
+#: state).
+CHAOS_CONFIG = dict(k=3, d=2, delta=128, num_shards=2, seed=17)
 
 #: One seeded plan covering the whole failure menagerie; ``decide()`` is
 #: deterministic, so every run fires the same schedule.
 CHAOS_PLAN_SPEC = {
     "seed": 99,
     "rules": [
-        {"point": "worker.kill", "mode": "hard", "after": 2, "times": 1},
-        {"point": "worker.kill", "mode": "soft", "after": 9, "times": 1},
         {"point": "server.reset", "after": 2, "times": 3,
          "match": {"op": "insert"}},
         {"point": "server.reset", "after": 1, "times": 1,
@@ -77,13 +74,6 @@ def chaos_workload(delta: int = 128, n: int = 4000, seed: int = 23):
     rng = np.random.default_rng(seed)
     pts = np.unique(rng.integers(1, delta + 1, size=(n, 2)), axis=0)
     return np.array_split(pts, 12), np.array_split(pts[::3][:120], 3)
-
-
-def _reference_for(config: ServiceConfig) -> ClusteringService:
-    """Fault-free in-process oracle with the worker pool's shard count."""
-    shards = config.workers if config.workers > 0 else config.num_shards
-    return ClusteringService(dataclasses.replace(
-        config, workers=0, num_shards=shards))
 
 
 def drive_chaos_tenant(host: str, port: int, sid: str, ckpt_path,
@@ -122,8 +112,6 @@ def drive_chaos_tenant(host: str, port: int, sid: str, ckpt_path,
     return {
         "events": events,
         "reconnects": reconnects,
-        "restarts": stats.get("restarts", 0),
-        "recovery_events": len(stats.get("recovery_events", [])),
         "fire_counts": stats.get("fault_plan", {}).get("fire_counts", {}),
         "ckpt_write_failed": ckpt_write_failed,
         "identical": identical,
@@ -137,7 +125,7 @@ def _check_steady_tenant(host: str, port: int, sid: str,
     its own fault-free reference — chaos does not leak across tenants."""
     rng = np.random.default_rng(5)
     pts = rng.integers(1, 129, size=(200, 2))
-    ref = _reference_for(config)
+    ref = ClusteringService(config)
     try:
         with ServiceClient(host, port, stream_id=sid) as cli:
             cli.insert(pts)
@@ -155,8 +143,6 @@ def _verdict(chaos: dict, steady_ok: bool) -> bool:
     return bool(
         chaos["identical"] and chaos["ledger_ok"] and steady_ok
         and chaos["ckpt_write_failed"]
-        and chaos["restarts"] >= 2
-        and fires.get("worker.kill", 0) >= 2
         and fires.get("server.reset", 0) >= 5
         and fires.get("checkpoint.write", 0) >= 1)
 
@@ -168,7 +154,7 @@ def run_chaos_inprocess() -> dict:
     registry = TenantRegistry(config)
     server, thread = start_async_server(registry)
     host, port = server.address
-    reference = _reference_for(registry.tenant_config("chaos"))
+    reference = ClusteringService(registry.tenant_config("chaos"))
     try:
         with tempfile.TemporaryDirectory(prefix="chaos_bench_") as td:
             t0 = time.perf_counter()
@@ -206,7 +192,7 @@ def run_subprocess_smoke() -> dict:
     with tempfile.TemporaryDirectory(prefix="chaos_smoke_") as td:
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--k", "3", "--d", "2", "--delta", "128", "--workers", "2",
+             "--k", "3", "--d", "2", "--delta", "128", "--shards", "2",
              "--seed", "17", "--fault-plan", json.dumps(CHAOS_PLAN_SPEC)],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
             env={**os.environ,
@@ -231,7 +217,7 @@ def run_subprocess_smoke() -> dict:
             chaos_cfg = ref_registry.tenant_config("chaos")
             steady_cfg = ref_registry.tenant_config("steady")
             ref_registry.close()
-            reference = _reference_for(chaos_cfg)
+            reference = ClusteringService(chaos_cfg)
 
             t0 = time.perf_counter()
             chaos = drive_chaos_tenant(host, port, "chaos",
@@ -274,13 +260,12 @@ def main(argv=None) -> int:
     report = run_subprocess_smoke() if args.smoke else run_chaos_inprocess()
     fires = report["fire_counts"]
     print_table(
-        f"{report['bench']}: kills/resets/ckpt-fails = "
-        f"{fires.get('worker.kill', 0)}/{fires.get('server.reset', 0)}/"
-        f"{fires.get('checkpoint.write', 0)}",
-        ["events", "sec", "events/s", "restarts", "reconnects",
+        f"{report['bench']}: resets/ckpt-fails = "
+        f"{fires.get('server.reset', 0)}/{fires.get('checkpoint.write', 0)}",
+        ["events", "sec", "events/s", "reconnects",
          "identical", "ledger ok", "steady", "passed"],
         [[report["events"], report["elapsed_s"], report["events_per_s"],
-          report["restarts"], report["reconnects"], report["identical"],
+          report["reconnects"], report["identical"],
           report["ledger_ok"], report["steady_isolated"],
           report["passed"]]],
     )

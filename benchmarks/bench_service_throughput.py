@@ -1,28 +1,24 @@
 """Service benchmark — sharded ingest throughput and query-cache latency.
 
-The numbers every later scaling PR moves: (a) ingest events/sec through the
-sharded layer vs shard count, (b) serial vs process-parallel ingest through
-the same shard layout (bit-identical results, wall-clock diverges with
-cores), (c) cold (merge + decode + solve) vs cached query latency, and
-(d) checkpoint write/restore time — measured from this PR onward so the
-trajectory is visible.
+The numbers every later scaling change moves: (a) ingest events/sec
+through the sharded layer vs shard count, (b) cold (merge + decode + solve)
+vs cached query latency, and (c) checkpoint write/restore time.  Process
+parallelism is the fleet's and is measured by ``bench_fleet.py``.
 
-Also runnable as a script (spawn-safe: workers re-import this file, so it
-must stay a real file, never piped through stdin)::
+Also runnable as a script::
 
     PYTHONPATH=src python benchmarks/bench_service_throughput.py --smoke
 
-which runs a reduced serial-vs-parallel curve plus an ingest/query latency
-percentile pass (p50/p95/p99) and **appends** both records to
-``BENCH_service.json`` at the repo root (``make bench-smoke``) — runs
-accumulate as a history rather than overwriting each other.
+which runs an ingest/query latency percentile pass (p50/p95/p99) and the
+scalar-vs-batched ingest check (fails unless the two states are
+bit-identical), and **appends** both records to ``BENCH_service.json`` at
+the repo root (``make bench-smoke``) — runs accumulate as a history rather
+than overwriting each other.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import platform
 import sys
 import time
 from pathlib import Path
@@ -33,12 +29,7 @@ import pytest
 from common import append_bench_record, make_mixture, print_table
 from repro.core import CoresetParams
 from repro.data.workloads import churn_stream
-from repro.service import (
-    ClusteringService,
-    ServiceConfig,
-    ShardedIngest,
-    SupervisedWorkerPool,
-)
+from repro.service import ClusteringService, ServiceConfig, ShardedIngest
 from repro.solvers.pilot import estimate_opt_cost
 from repro.streaming import materialize
 
@@ -53,71 +44,6 @@ def _workload(n: int = 4000, delta: int = 1024, seed: int = 3):
 
 def _canonical(state_dict: dict) -> str:
     return json.dumps(state_dict, sort_keys=True)
-
-
-def run_parallel_curve(n: int = 4000, delta: int = 1024,
-                       workers: tuple = (2, 4), batch: int = 1024,
-                       seed: int = 3) -> dict:
-    """Serial vs process-parallel ingest over the same shard layout.
-
-    For each worker count W, feed the identical chunked stream through
-    ``ShardedIngest(num_shards=W)`` (serial baseline) and
-    ``SupervisedWorkerPool(num_workers=W)`` — the pool ``repro serve
-    --workers W`` builds — timing enqueue *plus drain* for
-    the pool (``worker_stats`` queues behind all batches), and check the
-    two checkpoints are byte-identical.  Pool spawn time is reported
-    separately — it is a fixed startup cost, not ingest throughput.
-    """
-    params = CoresetParams.practical(k=3, d=2, delta=delta)
-    stream, _, pilot = _workload(n=n, delta=delta, seed=seed)
-    orange = (pilot / 16, pilot / 4)
-    events = list(stream)
-    chunks = [events[lo: lo + batch] for lo in range(0, len(events), batch)]
-    rows = []
-    for w in workers:
-        serial = ShardedIngest(params, num_shards=w, seed=9,
-                               backend="exact", o_range=orange)
-        t0 = time.perf_counter()
-        for chunk in chunks:
-            serial.apply_batch(chunk)
-        serial_s = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        pool = SupervisedWorkerPool(params, num_workers=w, seed=9,
-                                    backend="exact", o_range=orange)
-        spawn_s = time.perf_counter() - t0
-        try:
-            t0 = time.perf_counter()
-            for chunk in chunks:
-                pool.apply_batch(chunk)
-            pool.worker_stats()  # drain barrier: all batches processed
-            pool_s = time.perf_counter() - t0
-            identical = (_canonical(pool.to_state_dict())
-                         == _canonical(serial.to_state_dict()))
-        finally:
-            pool.close()
-        rows.append({
-            "workers": w,
-            "events": len(events),
-            "serial_s": round(serial_s, 3),
-            "parallel_s": round(pool_s, 3),
-            "spawn_s": round(spawn_s, 3),
-            "serial_eps": int(len(events) / max(serial_s, 1e-9)),
-            "parallel_eps": int(len(events) / max(pool_s, 1e-9)),
-            "speedup": round(serial_s / max(pool_s, 1e-9), 2),
-            "bit_identical": identical,
-        })
-    return {
-        "bench": "service parallel vs serial ingest",
-        "pool": "SupervisedWorkerPool",
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "n_points": n,
-        "delta": delta,
-        "batch": batch,
-        "rows": rows,
-    }
 
 
 def run_scalar_vs_batched(n: int = 4000, delta: int = 1024,
@@ -312,42 +238,13 @@ def test_service_query_cache_latency(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
-@pytest.mark.benchmark(group="service")
-def test_service_parallel_vs_serial_ingest(benchmark):
-    """Worker-process ingest vs the in-process baseline, same shard layout.
-
-    Correctness is unconditional: the two backends' checkpoints must be
-    byte-identical at every worker count.  The ≥2× throughput claim is
-    asserted only on machines with ≥4 cores — on fewer cores the worker
-    processes time-slice one CPU and the table just records the overhead.
-    """
-    report = run_parallel_curve(n=4000, delta=1024, workers=(2, 4),
-                                batch=1024)
-    print_table(
-        f"service: parallel vs serial ingest "
-        f"({report['cpu_count']} cores; batch={report['batch']})",
-        ["workers", "events", "serial s", "parallel s", "spawn s",
-         "serial ev/s", "parallel ev/s", "speedup", "bit-identical"],
-        [[r["workers"], r["events"], r["serial_s"], r["parallel_s"],
-          r["spawn_s"], r["serial_eps"], r["parallel_eps"], r["speedup"],
-          r["bit_identical"]] for r in report["rows"]],
-    )
-    assert all(r["bit_identical"] for r in report["rows"])
-    cores = os.cpu_count() or 1
-    if cores >= 4:
-        four = [r for r in report["rows"] if r["workers"] == 4]
-        assert four and four[0]["speedup"] >= 2.0
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-
 def _smoke(argv=None) -> dict:
-    """Reduced curve for CI: 2 workers, small stream, appended JSON record."""
+    """Reduced sizes for CI: small stream, appended JSON records."""
     import argparse
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="reduced sizes + append to BENCH_service.json")
-    parser.add_argument("--workers", type=int, nargs="+", default=None)
     parser.add_argument("--n", type=int, default=None)
     parser.add_argument("--out", default=None,
                         help="output JSON path (default: repo-root "
@@ -355,35 +252,20 @@ def _smoke(argv=None) -> dict:
     args = parser.parse_args(argv)
     if args.smoke:
         n = args.n or 1500
-        workers = tuple(args.workers or (2,))
         delta, batch, queries = 256, 512, 6
     else:
         n = args.n or 4000
-        workers = tuple(args.workers or (2, 4))
         delta, batch, queries = 1024, 1024, 12
     stamp = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    report = run_parallel_curve(n=n, delta=delta, workers=workers,
-                                batch=batch)
-    report["timestamp"] = stamp
     latency = run_latency_percentiles(n=n, delta=delta,
                                       batch=batch, queries=queries)
     latency["timestamp"] = stamp
     vector = run_scalar_vs_batched(n=n, delta=delta, batch=batch)
     vector["timestamp"] = stamp
-    out = append_bench_record(report, out=args.out)
-    append_bench_record(latency, out=args.out)
+    out = append_bench_record(latency, out=args.out)
     append_bench_record(vector, out=args.out)
     print_table(
-        f"service: parallel vs serial ingest smoke "
-        f"({report['cpu_count']} cores) -> {out}",
-        ["workers", "events", "serial s", "parallel s", "spawn s",
-         "speedup", "bit-identical"],
-        [[r["workers"], r["events"], r["serial_s"], r["parallel_s"],
-          r["spawn_s"], r["speedup"], r["bit_identical"]]
-         for r in report["rows"]],
-    )
-    print_table(
-        f"service: latency percentiles (ms; batch={latency['batch']})",
+        f"service: latency percentiles (ms; batch={latency['batch']}) -> {out}",
         ["path", "p50", "p95", "p99"],
         _latency_rows(latency),
     )
@@ -393,15 +275,13 @@ def _smoke(argv=None) -> dict:
         [[vector["events"], vector["scalar_eps"], vector["batched_eps"],
           vector["scalar_vs_batched"], vector["bit_identical"]]],
     )
-    if not all(r["bit_identical"] for r in report["rows"]):
-        raise SystemExit("FAIL: parallel ingest state diverged from serial")
     if not vector["bit_identical"]:
         raise SystemExit("FAIL: batched ingest state diverged from scalar")
     if vector["scalar_vs_batched"] < 1.0:
         raise SystemExit(
             f"FAIL: batched ingest slower than scalar "
             f"({vector['batched_eps']} vs {vector['scalar_eps']} ev/s)")
-    return report
+    return vector
 
 
 if __name__ == "__main__":

@@ -31,8 +31,8 @@ __all__ = ["HOT_FILES", "HotPathRule", "MARKER"]
 #: The marker a hot-file loop / .tolist() must carry on its header line.
 MARKER = "scalar-ok"
 
-#: The seven vectorized hot files (the ingest path end to end: hashing →
-#: sketches → storing → ℓ₀ sampler → driver → shard router → worker frames).
+#: The six vectorized hot files (the ingest path end to end: hashing →
+#: sketches → storing → ℓ₀ sampler → driver → shard router).
 HOT_FILES = (
     "repro/hashing/kwise.py",
     "repro/streaming/sketch.py",
@@ -40,7 +40,6 @@ HOT_FILES = (
     "repro/streaming/l0sampler.py",
     "repro/streaming/streaming_coreset.py",
     "repro/service/shards.py",
-    "repro/service/workers.py",
 )
 
 

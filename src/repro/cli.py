@@ -108,11 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--eps", type=float, default=0.25)
     srv.add_argument("--eta", type=float, default=0.25)
     srv.add_argument("--shards", type=int, default=4)
-    srv.add_argument("--workers", type=int, default=0,
-                     help="shard worker processes per tenant; 0 = run the "
-                          "--shards in-process (N > 0 supersedes --shards "
-                          "and gives one sketch shard per process — results "
-                          "are bit-identical either way)")
     srv.add_argument("--max-request-mb", type=int, default=8,
                      help="per-connection request-line cap in MiB; "
                           "over-long frames get an error envelope")
@@ -143,6 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "plan (JSON file path or inline JSON) before "
                           "serving; the REPRO_FAULT_PLAN environment "
                           "variable is the no-flag equivalent")
+    # No --workers flag (shards always run in-process), but
+    # perfbench/workloads.py::serve_defaults() reads ``workers`` off the
+    # parsed serve arguments.
+    srv.set_defaults(workers=0)
 
     coord = sub.add_parser(
         "coordinator",
@@ -350,12 +349,16 @@ def _cmd_serve(args) -> int:
         print(f"fault plan installed from ${faults.ENV_FAULT_PLAN}",
               flush=True)
 
-    config = ServiceConfig(
-        k=args.k, d=args.d, delta=args.delta, r=args.r, eps=args.eps,
-        eta=args.eta, num_shards=args.shards, workers=args.workers,
-        seed=args.seed, backend=args.backend,
-        capacity_slack=args.capacity_slack, restarts=args.restarts,
-    )
+    try:
+        config = ServiceConfig(
+            k=args.k, d=args.d, delta=args.delta, r=args.r, eps=args.eps,
+            eta=args.eta, num_shards=args.shards, seed=args.seed,
+            backend=args.backend, capacity_slack=args.capacity_slack,
+            restarts=args.restarts,
+        )
+    except ValueError as exc:
+        print(f"repro serve: {exc}", file=sys.stderr)
+        return 2
     quota = None
     if args.max_events_per_tenant is not None or args.max_mb_per_tenant is not None:
         quota = TenantQuota(

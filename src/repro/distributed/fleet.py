@@ -50,7 +50,6 @@ never died, which the fleet tests assert end to end.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import re
@@ -205,20 +204,14 @@ class Coordinator:
         Returns ``(shared config, rebuilt ShardedIngest per site, raw
         envelopes)``.  Verifies all sites were built from one logical
         config (seed/params/backend/shards) — anything else would make
-        the merge silently wrong.  ``workers`` is normalized away: a site
-        running its shards in worker processes serializes the identical
-        state.
+        the merge silently wrong.
         """
         envelopes = []
         for j, cli in enumerate(self._clients):
             self.network.send_down(j, None, bits=REQUEST_BITS,
                                    label="pull_state-req")
             envelopes.append(cli.pull_state())
-        configs = [
-            dataclasses.replace(ServiceConfig.from_dict(env["config"]),
-                                workers=0)
-            for env in envelopes
-        ]
+        configs = [ServiceConfig.from_dict(env["config"]) for env in envelopes]
         base = configs[0]
         for j, cfg in enumerate(configs[1:], start=1):
             if cfg != base:
@@ -273,7 +266,6 @@ def _serve_argv(config: ServiceConfig, port: int = 0,
             "--delta", str(config.delta), "--r", str(config.r),
             "--eps", str(config.eps), "--eta", str(config.eta),
             "--shards", str(config.num_shards),
-            "--workers", str(config.workers),
             "--backend", config.backend,
             "--capacity-slack", str(config.capacity_slack),
             "--restarts", str(config.restarts),
@@ -555,7 +547,7 @@ def _reference_service(config: ServiceConfig,
     Batch structure is preserved (one version bump per batch), so even
     the version counter matches the fleet's merged state exactly.
     """
-    ref = ClusteringService(dataclasses.replace(config, workers=0))
+    ref = ClusteringService(config)
     for ops in site_ops:
         for op, rows in ops:
             (ref.insert if op == "insert" else ref.delete)(rows)
@@ -585,7 +577,7 @@ def simulate_fleet(config: ServiceConfig,
     network = accountant(len(site_ops))
     services = []
     for ops in site_ops:
-        svc = ClusteringService(dataclasses.replace(config, workers=0))
+        svc = ClusteringService(config)
         for op, rows in ops:
             (svc.insert if op == "insert" else svc.delete)(rows)
         services.append(svc)
@@ -601,8 +593,7 @@ def simulate_fleet(config: ServiceConfig,
                         label="pull_state")
         ingests.append(ingest)
         svc.close()
-    merged = ClusteringService(dataclasses.replace(config, workers=0),
-                               ingest=merge_sharded(ingests))
+    merged = ClusteringService(config, ingest=merge_sharded(ingests))
     return merged, network
 
 

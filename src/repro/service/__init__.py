@@ -1,7 +1,7 @@
 """Long-lived clustering service over dynamic streams.
 
 The paper's sketches are *linear*, which is exactly what a production
-service needs: state can be sharded across independent workers
+service needs: state can be sharded across independent sketches
 (:mod:`repro.service.shards`), persisted and restored bit-identically
 (:mod:`repro.service.state`), merged on demand and queried with result
 memoization (:mod:`repro.service.engine`), multiplexed across any number
@@ -16,11 +16,11 @@ importable and testable without opening a socket.
 
 Robustness rides across every layer: :mod:`repro.service.faults` injects
 deterministic, seeded failures at named points throughout the stack,
-:mod:`repro.service.supervisor` respawns dead shard workers and replays
-their journaled batches bit-identically, the client retries transport
-faults with sequence-numbered idempotent mutations, and the registry's
-per-tenant circuit breakers degrade failing tenants instead of letting
-them brown out the rest.
+the client retries transport faults with sequence-numbered idempotent
+mutations, and the registry's per-tenant circuit breakers degrade failing
+tenants instead of letting them brown out the rest.  Process parallelism
+lives one level up, in :mod:`repro.distributed.fleet`: separate service
+processes whose sketches a coordinator sums.
 """
 
 from repro.service import faults
@@ -46,14 +46,13 @@ from repro.service.state import (
     streaming_state_to_dict,
     write_checkpoint,
 )
-from repro.service.supervisor import CircuitBreaker, SupervisedWorkerPool
 from repro.service.tenants import (
+    CircuitBreaker,
     QuotaExceeded,
     TenantDegraded,
     TenantQuota,
     TenantRegistry,
 )
-from repro.service.workers import WorkerDied, WorkerPoolIngest
 
 __all__ = [
     "AsyncClusteringServer",
@@ -72,12 +71,9 @@ __all__ = [
     "ServiceError",
     "ServiceUnavailable",
     "ShardedIngest",
-    "SupervisedWorkerPool",
     "TenantDegraded",
     "TenantQuota",
     "TenantRegistry",
-    "WorkerDied",
-    "WorkerPoolIngest",
     "faults",
     "serve_forever_async",
     "sharded_state_from_dict",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import asyncio
 import threading
 
-from repro.service.engine import ServiceConfig
+from repro.service.engine import ServiceConfig, check_capacity_slack
 from repro.service.faults import active_plan, fault_point
 from repro.service.protocol import (
     DEFAULT_MAX_REQUEST_BYTES,
@@ -233,9 +233,15 @@ class AsyncClusteringServer:
             return response, False
         if op == "query":
             slack = req.get("capacity_slack")
+            if slack is not None:
+                # Rejected here, before any tenant lease: a bad slack is a
+                # malformed request, not a tenant failure.
+                try:
+                    slack = check_capacity_slack(slack)
+                except (TypeError, ValueError) as exc:
+                    raise ProtocolError(str(exc)) from None
             result, hit = await asyncio.to_thread(
-                registry.query, stream_id,
-                float(slack) if slack is not None else None)
+                registry.query, stream_id, slack)
             return ok_response(stream_id=stream_id, result=result.to_dict(),
                                cache_hit=hit), False
         if op == "checkpoint":

@@ -13,6 +13,7 @@ is observable over the wire.
 from __future__ import annotations
 
 import dataclasses
+import math
 import threading
 from dataclasses import dataclass
 
@@ -26,11 +27,28 @@ from repro.service.state import (
     sharded_state_from_dict,
     write_checkpoint,
 )
-from repro.service.supervisor import SupervisedWorkerPool
 from repro.solvers.capacitated_lloyd import CapacitatedKClustering
 from repro.utils.rng import derive_seed
 
-__all__ = ["ServiceConfig", "QueryResult", "ClusteringService"]
+__all__ = [
+    "ServiceConfig",
+    "QueryResult",
+    "ClusteringService",
+    "check_capacity_slack",
+]
+
+
+def check_capacity_slack(value) -> float:
+    """``value`` as a float; ``ValueError`` unless it is finite and >= 1.
+
+    Below 1 every solve is infeasible: the total capacity k·t = slack·W is
+    less than the total weight W that has to be placed.
+    """
+    slack = float(value)
+    if not (math.isfinite(slack) and slack >= 1.0):
+        raise ValueError(
+            f"capacity_slack must be finite and >= 1, got {value!r}")
+    return slack
 
 
 @dataclass(frozen=True)
@@ -44,14 +62,11 @@ class ServiceConfig:
     eps: float = 0.25
     eta: float = 0.25
     num_shards: int = 4
-    #: Worker processes for ingest: 0 = all shards in-process (one
-    #: ``StreamingCoreset`` per shard, fed sequentially); N > 0 = N shard
-    #: processes, one sketch each (supersedes ``num_shards``), run under
-    #: :class:`~repro.service.supervisor.SupervisedWorkerPool` — dead
-    #: workers are respawned from their per-shard checkpoint and the
-    #: journaled batches replayed.  Results are bit-identical either way —
-    #: workers build their shards from the same ``(params, seed)``, and the
-    #: merge fan-in is exact.
+    #: Always 0: every shard runs in-process.  The field stays because v1
+    #: checkpoints carry ``"workers":0`` and must re-serialize byte for
+    #: byte.  Process parallelism is the fleet's: separate ``repro serve``
+    #: sites whose sketches a coordinator sums
+    #: (:mod:`repro.distributed.fleet`).
     workers: int = 0
     seed: int = 0
     backend: str = "exact"
@@ -61,6 +76,16 @@ class ServiceConfig:
     restarts: int = 2
     #: Optional guess window (lo, hi); None = auto-pilot over the full range.
     o_range: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        if self.workers != 0:
+            raise ValueError(
+                f"workers must be 0, got {self.workers}: shards always run "
+                "in-process; for process parallelism run a fleet of "
+                "`repro serve` sites (`repro coordinator --sites spawn:N`)")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        check_capacity_slack(self.capacity_slack)
 
     def make_params(self) -> CoresetParams:
         """The shared :class:`CoresetParams` of every shard."""
@@ -76,9 +101,12 @@ class ServiceConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ServiceConfig":
         data = dict(data)
-        # Older envelopes carry a ``supervise`` flag from when the plain
-        # worker pool was selectable; pools are always supervised now.
+        # Envelopes of the removed worker pool: ``workers = N > 0`` ran one
+        # shard per process and wrote the same ingest block as N in-process
+        # shards (older ones also carry its ``supervise`` flag).
         data.pop("supervise", None)
+        if data.get("workers", 0) > 0:
+            data["num_shards"], data["workers"] = data["workers"], 0
         if data.get("o_range") is not None:
             data["o_range"] = tuple(data["o_range"])
         return cls(**data)
@@ -126,16 +154,10 @@ class ClusteringService:
         self.config = config
         self.params = config.make_params()
         if ingest is None:
-            if config.workers > 0:
-                ingest = SupervisedWorkerPool(
-                    self.params, num_workers=config.workers, seed=config.seed,
-                    backend=config.backend, o_range=config.o_range,
-                )
-            else:
-                ingest = ShardedIngest(
-                    self.params, num_shards=config.num_shards, seed=config.seed,
-                    backend=config.backend, o_range=config.o_range,
-                )
+            ingest = ShardedIngest(
+                self.params, num_shards=config.num_shards, seed=config.seed,
+                backend=config.backend, o_range=config.o_range,
+            )
         self.ingest = ingest
         self._lock = threading.RLock()
         self._cached: QueryResult | None = None
@@ -147,9 +169,9 @@ class ClusteringService:
         self.bytes_ingested = 0
 
     def close(self) -> None:
-        """Release the ingest backend (stops worker processes, if any)."""
-        with self._lock:
-            self.ingest.close()
+        """Nothing to release: every shard lives in this process's memory.
+        Kept so owners (the tenant registry, ``with`` blocks) can end a
+        service's lifetime explicitly."""
 
     def __enter__(self) -> "ClusteringService":
         return self
@@ -184,8 +206,11 @@ class ClusteringService:
         """Solve capacitated k-clustering on the current live set.
 
         Returns ``(result, cache_hit)``.  A non-default ``capacity_slack``
-        bypasses the cache (the memoized solve used the configured slack).
+        bypasses the cache (the memoized solve used the configured slack);
+        it must be finite and >= 1 (:func:`check_capacity_slack`).
         """
+        if capacity_slack is not None:
+            capacity_slack = check_capacity_slack(capacity_slack)
         with self._lock:
             version = self.ingest.version
             self.queries += 1
@@ -228,11 +253,9 @@ class ClusteringService:
         writes it to disk, and the ``pull_state`` wire op ships it to a
         fleet coordinator — the checkpoint format doubling as the transfer
         encoding, so anything that can restore a checkpoint can merge a
-        pulled site state.  With a worker pool, building the payload drains
-        the workers first (their ``state`` requests queue behind all pending
-        batches).  ``extra`` keys are merged into the envelope (the tenant
-        registry stamps its stream id this way); they must not collide with
-        the envelope's own fields.
+        pulled site state.  ``extra`` keys are merged into the envelope (the
+        tenant registry stamps its stream id this way); they must not
+        collide with the envelope's own fields.
         """
         with self._lock:
             payload = {
@@ -300,18 +323,12 @@ class ClusteringService:
                 f"unsupported service checkpoint format {payload.get('format_version')!r}"
             )
         config = ServiceConfig.from_dict(payload["config"])
-        if config.workers > 0:
-            ingest = SupervisedWorkerPool.from_state_dict(payload["ingest"])
-            if ingest.num_shards != config.workers:
-                ingest.close()
-                raise ValueError(
-                    f"checkpoint has {ingest.num_shards} shards but its "
-                    f"config asks for {config.workers} workers"
-                )
-        else:
-            ingest = sharded_state_from_dict(payload["ingest"])
+        ingest = sharded_state_from_dict(payload["ingest"])
+        if ingest.num_shards != config.num_shards:
+            raise ValueError(
+                f"checkpoint has {ingest.num_shards} shards but its config "
+                f"asks for {config.num_shards}")
         if ingest.params != config.make_params():
-            ingest.close()
             raise ValueError("checkpoint shard parameters do not match its config")
         service = cls(config, ingest=ingest)
         service.bytes_ingested = int(
@@ -323,29 +340,18 @@ class ClusteringService:
         and hence the wire server holding it, alive)."""
         fresh = ClusteringService.restore(path)
         with self._lock:
-            stale = self.ingest
             self.config = fresh.config
             self.params = fresh.params
             self.ingest = fresh.ingest
             self.bytes_ingested = fresh.bytes_ingested
             self._cached = None
-            stale.close()
 
     # ---------------------------------------------------------------- stats
     def stats(self) -> dict:
-        """Operational counters (also served over the wire).
-
-        With a worker pool the dict additionally carries ``worker_stats``
-        (per-worker pid / event count / batch latency) and ``queue_depth``
-        (pending batches per worker); gathering those synchronizes with the
-        workers, so ``stats`` doubles as a drain barrier.
-        """
+        """Operational counters (also served over the wire)."""
         with self._lock:
-            extra = (self.ingest.stats_extra()
-                     if hasattr(self.ingest, "stats_extra") else None)
-            base = {
+            return {
                 "version": self.ingest.version,
-                "mode": extra["mode"] if extra else "in-process",
                 "num_shards": self.ingest.num_shards,
                 "events": self.ingest.num_events,
                 "events_per_shard": list(self.ingest.events_per_shard),
@@ -357,19 +363,7 @@ class ClusteringService:
                 "cache_hits": self.cache_hits,
                 "cached_version": (self._cached.version
                                    if self._cached is not None else None),
-                "space_bits": (extra["space_bits"] if extra
-                               else self.ingest.space_bits()),
+                "space_bits": self.ingest.space_bits(),
                 "params": params_to_dict(self.params),
             }
-            if extra is not None:
-                base["queue_depth"] = extra["queue_depth"]
-                base["worker_stats"] = extra["workers"]
-                # Surface every other backend extra (supervision flags,
-                # restart totals, recovery events) without enumerating them
-                # here — the backend owns that vocabulary.
-                for key, value in sorted(extra.items()):
-                    if key in ("mode", "space_bits", "queue_depth", "workers"):
-                        continue
-                    base.setdefault(key, value)
-            return base
 

@@ -1,11 +1,11 @@
 """Deterministic, seeded fault injection for the service stack.
 
 The paper's recovery story rests on linearity: sketches merge exactly, so
-any shard, worker, or connection that dies can be rebuilt from its last
+any site process or connection that dies can be rebuilt from its last
 checkpoint and replayed without changing the answer.  This module is how
 we *prove* that in tests and chaos runs: a :class:`FaultPlan` is a seeded
-schedule of failures — worker kills (hard SIGKILL / soft error-and-exit),
-connection resets, slow and short replies, checkpoint write errors —
+schedule of failures — site kills (SIGKILL of a fleet site), connection
+resets, slow and short replies, checkpoint write errors —
 injected at named **fault points** wired through the service code.
 
 Design constraints:
@@ -27,9 +27,6 @@ Fault points currently wired (see docs/SERVICE.md "Failure modes and
 recovery" for the full table):
 
 ================== ========================================================
-``worker.kill``     before a batch is enqueued to a shard worker
-                    (``mode``: ``"hard"`` = SIGKILL, ``"soft"`` = the
-                    worker reports an error and exits cleanly)
 ``server.reset``    after a request is executed, before its reply is
                     written (``mode``: ``"pre"`` drops the request before
                     execution instead)
@@ -110,12 +107,11 @@ class FaultRule:
         Per-hit firing probability once past ``after`` (evaluated with the
         rule's own seeded RNG, so the schedule is reproducible).
     mode:
-        Point-specific variant (e.g. ``"hard"``/``"soft"`` for
-        ``worker.kill``, ``"pre"`` for ``server.reset``).
+        Point-specific variant (e.g. ``"pre"`` for ``server.reset``).
     delay_s:
         Delay for ``server.slow`` (clamped to :data:`MAX_DELAY_S`).
     match:
-        Context-equality filters: ``{"shard": 0}`` only hits shard 0,
+        Context-equality filters: ``{"site": 0}`` only hits site 0,
         ``{"op": "insert"}`` only insert requests.  Keys absent from the
         hook's context never match.
     """

@@ -208,11 +208,7 @@ class ShardedIngest:
 
     # ---------------------------------------------------------- persistence
     def to_state_dict(self) -> dict:
-        """Checkpoint payload (same schema as the worker-pool backend)."""
+        """Checkpoint payload (:func:`~repro.service.state.sharded_state_to_dict`)."""
         from repro.service.state import sharded_state_to_dict
 
         return sharded_state_to_dict(self)
-
-    def close(self) -> None:
-        """No-op: in-process shards hold no external resources.  Exists so
-        the engine can close any ingest backend uniformly."""

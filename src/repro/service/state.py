@@ -38,7 +38,6 @@ __all__ = [
     "STATE_FORMAT_VERSION",
     "streaming_state_to_dict",
     "streaming_state_from_dict",
-    "build_sharded_state_dict",
     "sharded_state_to_dict",
     "sharded_state_from_dict",
     "tenant_checkpoint_filename",
@@ -212,35 +211,17 @@ def streaming_state_from_dict(data: dict) -> StreamingCoreset:
 
 
 # ----------------------------------------------------------- shard fan-out
-def build_sharded_state_dict(shard_dicts: list, *, version: int,
-                             events_per_shard: list, num_insertions: int,
-                             num_deletions: int) -> dict:
-    """Assemble the sharded-checkpoint envelope from per-shard state dicts.
-
-    Shared by the in-process backend (which serializes its own shards) and
-    the worker-pool backend (whose shards serialize themselves inside their
-    worker processes) — both produce the identical, interchangeable format.
-    """
-    return {
-        "format_version": STATE_FORMAT_VERSION,
-        "num_shards": len(shard_dicts),
-        "version": int(version),
-        "events_per_shard": [int(x) for x in events_per_shard],
-        "num_insertions": int(num_insertions),
-        "num_deletions": int(num_deletions),
-        "shards": list(shard_dicts),
-    }
-
-
 def sharded_state_to_dict(ingest) -> dict:
     """JSON-safe state of a :class:`~repro.service.shards.ShardedIngest`."""
-    return build_sharded_state_dict(
-        [streaming_state_to_dict(s) for s in ingest.shards],
-        version=ingest.version,
-        events_per_shard=ingest.events_per_shard,
-        num_insertions=ingest.num_insertions,
-        num_deletions=ingest.num_deletions,
-    )
+    return {
+        "format_version": STATE_FORMAT_VERSION,
+        "num_shards": len(ingest.shards),
+        "version": int(ingest.version),
+        "events_per_shard": [int(x) for x in ingest.events_per_shard],
+        "num_insertions": int(ingest.num_insertions),
+        "num_deletions": int(ingest.num_deletions),
+        "shards": [streaming_state_to_dict(s) for s in ingest.shards],
+    }
 
 
 def sharded_state_from_dict(data: dict):

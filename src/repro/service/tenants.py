@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,14 +48,23 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.io import read_json
-from repro.service.engine import ClusteringService, ServiceConfig
+from repro.service.engine import (
+    ClusteringService,
+    ServiceConfig,
+    check_capacity_slack,
+)
 from repro.service.eviction import EvictionPolicy, LRUEvictionPolicy
 from repro.service.protocol import DEFAULT_STREAM_ID, ProtocolError
 from repro.service.state import tenant_checkpoint_filename, tenant_id_from_filename
-from repro.service.supervisor import CircuitBreaker
 from repro.utils.rng import derive_seed
 
-__all__ = ["QuotaExceeded", "TenantDegraded", "TenantQuota", "TenantRegistry"]
+__all__ = [
+    "CircuitBreaker",
+    "QuotaExceeded",
+    "TenantDegraded",
+    "TenantQuota",
+    "TenantRegistry",
+]
 
 
 class QuotaExceeded(RuntimeError):
@@ -98,6 +108,98 @@ class TenantQuota:
 
     max_events: int | None = None
     max_bytes: int | None = None
+
+
+class CircuitBreaker:
+    """Per-tenant fail-fast switch for the async front end.
+
+    Closed (normal) → records consecutive failures; at
+    ``failure_threshold`` it **opens**: operations are refused immediately
+    (the server answers a structured ``degraded`` envelope instead of
+    queueing callers behind a broken or recovering backend).  After
+    ``cooldown_s`` one probe operation is let through (**half-open**);
+    success closes the breaker, failure re-opens it for another cooldown.
+
+    ``clock`` is injectable for deterministic tests.  Thread-safe: wire
+    handler threads for one tenant may race.
+    """
+
+    def __init__(self, failure_threshold: int = 3, cooldown_s: float = 5.0,
+                 clock=None):
+        if failure_threshold < 1:
+            raise ValueError(
+                f"failure_threshold must be >= 1, got {failure_threshold}")
+        self.failure_threshold = int(failure_threshold)
+        self.cooldown_s = float(cooldown_s)
+        self._clock = clock if clock is not None else time.monotonic
+        self._lock = threading.Lock()
+        self._state = "closed"
+        self._consecutive_failures = 0
+        self._opened_at = 0.0
+        self._probing = False
+        self.times_opened = 0
+
+    @property
+    def state(self) -> str:
+        """``"closed"``, ``"open"``, or ``"half-open"``."""
+        with self._lock:
+            return self._state
+
+    def allow(self) -> bool:
+        """Whether an operation may proceed right now."""
+        with self._lock:
+            if self._state == "closed":
+                return True
+            now = self._clock()
+            if self._state == "open":
+                if now - self._opened_at < self.cooldown_s:
+                    return False
+                self._state = "half-open"
+                self._probing = True
+                return True  # the single probe
+            # half-open: one probe at a time
+            if self._probing:
+                return False
+            self._probing = True
+            return True
+
+    def record_success(self) -> None:
+        with self._lock:
+            self._state = "closed"
+            self._consecutive_failures = 0
+            self._probing = False
+
+    def record_failure(self) -> None:
+        with self._lock:
+            self._consecutive_failures += 1
+            self._probing = False
+            if (self._state == "half-open"
+                    or self._consecutive_failures >= self.failure_threshold):
+                if self._state != "open":
+                    self.times_opened += 1
+                self._state = "open"
+                self._opened_at = self._clock()
+
+    def retry_after_s(self) -> float:
+        """Seconds until the next probe is allowed (0 when not open)."""
+        with self._lock:
+            if self._state != "open":
+                return 0.0
+            return max(0.0, self.cooldown_s - (self._clock() - self._opened_at))
+
+    def snapshot(self) -> dict:
+        """JSON-safe state for ``stats``/``tenants`` rows."""
+        with self._lock:
+            remaining = 0.0
+            if self._state == "open":
+                remaining = max(0.0, self.cooldown_s
+                                - (self._clock() - self._opened_at))
+            return {
+                "state": self._state,
+                "consecutive_failures": self._consecutive_failures,
+                "times_opened": self.times_opened,
+                "retry_after_s": round(remaining, 3),
+            }
 
 
 class _TenantRecord:
@@ -415,7 +517,11 @@ class TenantRegistry:
     def query(self, stream_id: str, capacity_slack: float | None = None):
         """Solve (or fetch the memoized) clustering of one tenant's stream;
         returns ``(QueryResult, cache_hit)``.  The solve runs outside the
-        tenant's ingest lock, so concurrent ingest proceeds."""
+        tenant's ingest lock, so concurrent ingest proceeds.  A bad
+        ``capacity_slack`` raises ``ValueError`` before the lease, so it
+        does not count against the tenant's circuit breaker."""
+        if capacity_slack is not None:
+            capacity_slack = check_capacity_slack(capacity_slack)
         with self._lease(stream_id) as rec:
             return rec.service.query(capacity_slack=capacity_slack)
 

@@ -82,6 +82,8 @@ class CapacitatedKClustering:
         self.capacity = float(capacity)
         self.r = float(r)
         self.restarts = int(restarts)
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {restarts}")
         self.max_iter = int(max_iter)
         self.snap_delta = snap_delta
         self.assignment_method = assignment_method
@@ -104,7 +106,6 @@ class CapacitatedKClustering:
             sol = self._fit_once(pts, w, derive_seed(self.seed, f"restart-{rep}"))
             if best is None or sol.cost < best.cost:
                 best = sol
-        assert best is not None
         return best
 
     # ------------------------------------------------------------------ inner

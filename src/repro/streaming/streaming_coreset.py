@@ -481,8 +481,7 @@ class StreamingCoreset:
     def update_batch(self, events) -> int:
         """Apply a batch of :class:`StreamEvent` / ``(point, sign)`` pairs.
 
-        The batch entry point the worker processes use: points are
-        normalized and validated up front (the whole batch is rejected
+        Points are normalized and validated up front (the whole batch is rejected
         before any state mutation if a single event is malformed —
         non-integral coordinates included), then the batch runs through the
         fully vectorized :meth:`update_arrays`.  Returns the number of

@@ -17,7 +17,6 @@ Three layers, cheapest first:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import numpy as np
@@ -64,7 +63,7 @@ def _site_states(config: ServiceConfig, site_ops) -> list[dict]:
     """Per-site ingest state dicts (the pull_state payloads, in-process)."""
     states = []
     for ops in site_ops:
-        svc = ClusteringService(dataclasses.replace(config, workers=0))
+        svc = ClusteringService(config)
         for op, rows in ops:
             (svc.insert if op == "insert" else svc.delete)(rows)
         states.append(svc.ingest.to_state_dict())

@@ -71,7 +71,7 @@ class TestHotPathRule:
 
     def test_real_hot_files_exist_and_are_clean(self):
         paths = [ROOT / "src" / rel for rel in HOT_FILES]
-        assert len(paths) == 7 and all(p.is_file() for p in paths)
+        assert len(paths) == 6 and all(p.is_file() for p in paths)
         result = run_lint(paths, select=["HOT"], root=ROOT)
         assert result.clean, "\n".join(f.render() for f in result.findings)
 

@@ -252,6 +252,28 @@ class TestQueryEngine:
         assert not hit
         assert result.capacity > svc.query()[0].capacity
 
+    def test_unsolvable_settings_rejected_up_front(self, world):
+        """Settings on which every solve fails are refused by the config,
+        and a bad per-query slack before any merge work is done."""
+        for bad in (dict(restarts=0), dict(capacity_slack=0.9),
+                    dict(capacity_slack=float("nan")),
+                    dict(capacity_slack=float("inf"))):
+            with pytest.raises(ValueError, match="restarts|capacity_slack"):
+                ServiceConfig(k=3, d=2, delta=64, **bad)
+        stream, _, _ = world
+        svc = ClusteringService(
+            ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=17))
+        svc.apply_events(stream)
+
+        def no_merge():
+            raise AssertionError("merged_state ran for a bad slack")
+
+        svc.ingest.merged_state = no_merge
+        for slack in (float("nan"), 0.5):
+            with pytest.raises(ValueError, match="capacity_slack"):
+                svc.query(capacity_slack=slack)
+        assert svc.queries == 0
+
     def test_service_checkpoint_restore(self, world, tmp_path):
         stream, _, params = world
         svc = ClusteringService(

@@ -1,14 +1,15 @@
 """Chaos acceptance test: the full service stack under a seeded fault plan.
 
 One seeded :class:`FaultPlan` drives the whole failure menagerie against a
-live async server — ≥2 worker kills (one SIGKILL, one soft error-exit),
-≥5 connection resets (replies dropped after execution, plus one request
+live async server — ≥5 connection resets (replies dropped after execution, plus one request
 dropped before execution), and ≥1 checkpoint write failure — while a
 resilient client ingests a churn workload.  The acceptance bar is the
 paper's linearity promise, end to end: the faulted service's final answers
 and its *entire serialized sketch state* must be bit-identical to a
 fault-free in-process reference fed the same logical stream, with no event
-lost or double-counted anywhere along the way.
+lost or double-counted anywhere along the way.  Process death is the
+fleet's to survive; ``test_fleet.py::test_fleet_survives_site_kill`` pins
+it with ``site.kill``.
 """
 
 from __future__ import annotations
@@ -37,9 +38,6 @@ def _canonical(d: dict) -> str:
 
 
 CHAOS_PLAN = FaultPlan([
-    # ≥2 worker deaths, both shapes: one SIGKILL, one error-and-exit.
-    FaultRule(point="worker.kill", mode="hard", after=2, times=1),
-    FaultRule(point="worker.kill", mode="soft", after=9, times=1),
     # ≥5 connection resets: three replies dropped after the insert applied
     # (the double-count trap), one after a delete, one request dropped
     # before execution (the lost-event trap).
@@ -62,12 +60,10 @@ def test_chaos_run_is_bit_identical_to_fault_free_reference(tmp_path):
     assert all(len(c) >= 10 for c in inserts)
     assert all(len(c) >= 10 for c in deletes)
 
-    config = ServiceConfig(k=3, d=2, delta=256, workers=2, seed=17)
-    # Fault-free single-tenant reference: the in-process backend is
-    # bit-identical to the worker pool (test_service_parallel), so it is
-    # the oracle for "no event lost, none double-counted".
-    reference = ClusteringService(
-        ServiceConfig(k=3, d=2, delta=256, num_shards=2, workers=0, seed=17))
+    config = ServiceConfig(k=3, d=2, delta=256, num_shards=2, seed=17)
+    # Fault-free single-tenant reference: the oracle for "no event lost,
+    # none double-counted".
+    reference = ClusteringService(config)
 
     faults.install(CHAOS_PLAN)
     registry = TenantRegistry(config)
@@ -97,7 +93,6 @@ def test_chaos_run_is_bit_identical_to_fault_free_reference(tmp_path):
 
             # The plan fired everything the acceptance bar demands.
             fires = CHAOS_PLAN.fire_counts()
-            assert fires["worker.kill"] >= 2
             assert fires["server.reset"] >= 5
             assert fires["checkpoint.write"] >= 1
 
@@ -107,8 +102,6 @@ def test_chaos_run_is_bit_identical_to_fault_free_reference(tmp_path):
             for key in ("events", "insertions", "deletions", "live_points",
                         "version", "events_per_shard", "bytes_ingested"):
                 assert stats[key] == ref_stats[key], key
-            assert stats["restarts"] >= 2
-            assert len(stats["recovery_events"]) >= 2
             assert stats["fault_plan"]["fire_counts"] == fires
 
             # Bit-identical sketches: the faulted service's checkpoint

@@ -1,25 +1,19 @@
-"""Fault injection, supervised recovery, and client resilience.
+"""Fault injection and client resilience.
 
 The robustness story rests on the same linearity the paper's theory does: a
 shard's state is a deterministic function of ``(params, seed)`` plus the
 events routed to it, so any component that dies can be rebuilt from its
-last checkpoint and replayed *bit-identically* — which these tests assert
-at the serialized-state level (the same oracle style as
-``test_vectorized_identity.py``), not just "it didn't crash".
+last checkpoint and replayed *bit-identically*.  Process death and replay
+are pinned by the fleet's ``site.kill`` tests (``test_fleet.py``).
 
 Covered here: the seeded :class:`FaultPlan` engine itself, crash-safe
-checkpoint writes, worker SIGKILL / soft-crash recovery in
-:class:`SupervisedWorkerPool`, ``close()`` escalation on wedged workers,
-the resilient client (typed :class:`ServiceUnavailable`, reconnects,
+checkpoint writes, the resilient client (typed :class:`ServiceUnavailable`, reconnects,
 sequence-numbered idempotent retries), abrupt-disconnect handling, and
 the per-tenant circuit breaker with its ``degraded`` wire envelope.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import signal
 import socket
 import time
 from contextlib import contextmanager
@@ -27,27 +21,22 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from repro.core import CoresetParams
 from repro.data.synthetic import gaussian_mixture
 from repro.data.workloads import churn_stream
 from repro.service import (
+    CircuitBreaker,
     ClusteringService,
     ServiceClient,
     ServiceConfig,
     ServiceDegraded,
     ServiceError,
     ServiceUnavailable,
-    ShardedIngest,
-    SupervisedWorkerPool,
     TenantRegistry,
-    WorkerDied,
-    WorkerPoolIngest,
     faults,
     start_async_server,
 )
 from repro.service.faults import FaultPlan, FaultRule, InjectedFault, fault_point
 from repro.service.protocol import IdempotencyCache, ProtocolError, parse_idempotency
-from repro.service.supervisor import CircuitBreaker
 
 
 @pytest.fixture(autouse=True)
@@ -61,23 +50,13 @@ def _no_leaked_plan():
 @pytest.fixture(scope="module")
 def world():
     pts = np.unique(gaussian_mixture(700, 2, 64, k=3, seed=11), axis=0)
-    stream = list(churn_stream(pts, delete_fraction=0.3, seed=5))
-    params = CoresetParams.practical(k=3, d=2, delta=64)
-    return stream, params
-
-
-def _canonical(state_dict: dict) -> str:
-    return json.dumps(state_dict, sort_keys=True)
-
-
-def _chunks(seq, size):
-    return [seq[i: i + size] for i in range(0, len(seq), size)]
+    return list(churn_stream(pts, delete_fraction=0.3, seed=5))
 
 
 # =========================================================== the plan engine
 class TestFaultPlan:
     def test_no_plan_is_a_noop(self):
-        assert fault_point("worker.kill", shard=0) is None
+        assert fault_point("site.kill", site=0) is None
 
     def test_rules_fire_deterministically(self):
         spec = {"seed": 42, "rules": [
@@ -94,14 +73,14 @@ class TestFaultPlan:
         assert schedules[0][0] is False  # 'after' skips the first hit
 
     def test_match_filters_and_counts(self):
-        plan = FaultPlan([FaultRule(point="worker.kill", mode="hard",
-                                    match={"shard": 1})], seed=0)
-        assert plan.decide("worker.kill", {"shard": 0}) is None
-        act = plan.decide("worker.kill", {"shard": 1})
-        assert act is not None and act.mode == "hard"
-        assert plan.decide("worker.kill", {"shard": 1}) is None  # times=1
-        assert plan.fire_counts() == {"worker.kill": 1}
-        assert plan.fired[0]["ctx"] == {"shard": 1}
+        plan = FaultPlan([FaultRule(point="server.reset", mode="pre",
+                                    match={"op": "query"})], seed=0)
+        assert plan.decide("server.reset", {"op": "insert"}) is None
+        act = plan.decide("server.reset", {"op": "query"})
+        assert act is not None and act.mode == "pre"
+        assert plan.decide("server.reset", {"op": "query"}) is None  # times=1
+        assert plan.fire_counts() == {"server.reset": 1}
+        assert plan.fired[0]["ctx"] == {"op": "query"}
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="unknown keys"):
@@ -130,16 +109,16 @@ class TestFaultPlan:
         assert fault_point("checkpoint.write", path="x") is not None
 
     def test_injected_fault_carries_point(self):
-        exc = InjectedFault("worker.kill", "soft")
-        assert exc.point == "worker.kill"
-        assert "worker.kill" in str(exc)
+        exc = InjectedFault("checkpoint.write", "disk full")
+        assert exc.point == "checkpoint.write"
+        assert "checkpoint.write" in str(exc)
 
 
 # ===================================================== crash-safe checkpoints
 class TestCheckpointFaults:
     def test_injected_write_failure_preserves_previous_checkpoint(
             self, world, tmp_path):
-        stream, _ = world
+        stream = world
         path = tmp_path / "svc.ckpt.json"
         with ClusteringService(ServiceConfig(k=3, d=2, delta=64,
                                              num_shards=2, seed=7)) as svc:
@@ -160,118 +139,6 @@ class TestCheckpointFaults:
         twin = ClusteringService.restore(path)
         assert twin.ingest.version == info["version"]
         twin.close()
-
-
-# ====================================================== supervised recovery
-class TestSupervisedRecovery:
-    def test_sigkilled_worker_recovers_bit_identically(self, world):
-        """SIGKILL a shard worker mid-stream; the respawned shard replays
-        its journal and the final serialized state equals an unfaulted
-        in-process reference, byte for byte."""
-        stream, params = world
-        batches = _chunks(stream, 60)
-        reference = ShardedIngest(params, num_shards=2, seed=9)
-        with SupervisedWorkerPool(params, num_workers=2, seed=9,
-                                  checkpoint_every_batches=3) as pool:
-            for i, batch in enumerate(batches):
-                pool.apply_batch(batch)
-                reference.apply_batch(batch)
-                if i == len(batches) // 2:
-                    victim = pool._procs[0]
-                    os.kill(victim.pid, signal.SIGKILL)
-                    victim.join(10.0)
-            got = pool.to_state_dict()
-            assert sum(pool.restart_counts) >= 1
-            assert pool.recovery_events
-            event = pool.recovery_events[0]
-            assert event["shard"] == 0
-            assert event["exitcode"] == -signal.SIGKILL
-        assert _canonical(got) == _canonical(reference.to_state_dict())
-
-    def test_soft_crash_via_fault_plan_recovers(self, world):
-        """A worker that errors out and exits (the poisoned-shard shape)
-        recovers exactly like a SIGKILL'd one."""
-        stream, params = world
-        faults.install(FaultPlan([FaultRule(point="worker.kill", mode="soft",
-                                            after=4)]))
-        reference = ShardedIngest(params, num_shards=2, seed=9)
-        with SupervisedWorkerPool(params, num_workers=2, seed=9) as pool:
-            for batch in _chunks(stream, 50):
-                pool.apply_batch(batch)
-                reference.apply_batch(batch)
-            got = pool.to_state_dict()
-            assert sum(pool.restart_counts) == 1
-        assert faults.active_plan().fire_counts() == {"worker.kill": 1}
-        assert _canonical(got) == _canonical(reference.to_state_dict())
-
-    def test_unsupervised_pool_raises_worker_died(self, world):
-        _, params = world
-        pool = WorkerPoolIngest(params, num_workers=2, seed=9)
-        try:
-            os.kill(pool._procs[1].pid, signal.SIGKILL)
-            pool._procs[1].join(10.0)
-            with pytest.raises(WorkerDied) as info:
-                for batch in _chunks(np.array([[1, 1], [2, 3], [5, 8],
-                                               [13, 21]]), 1):
-                    pool.insert_points(batch)
-                    pool.to_state_dict()  # force a round trip
-            assert info.value.shard == 1
-        finally:
-            pool.close()
-
-    def test_restart_budget_gives_up(self, world):
-        """A shard that keeps dying must surface WorkerDied, not loop."""
-        _, params = world
-        faults.install(FaultPlan([FaultRule(point="worker.kill", mode="hard",
-                                            times=None)]))
-        with SupervisedWorkerPool(params, num_workers=1, seed=9,
-                                  max_restarts=2) as pool:
-            with pytest.raises(WorkerDied, match="exceeded 2 restarts"):
-                for _ in range(8):
-                    pool.insert_points(np.array([[1, 2]]))
-                    pool.to_state_dict()
-
-    def test_supervised_config_roundtrips_through_engine(self, world, tmp_path):
-        """``workers > 0`` builds the supervised pool, which survives
-        checkpoint/restore and surfaces in stats."""
-        stream, _ = world
-        path = tmp_path / "sup.ckpt.json"
-        with ClusteringService(ServiceConfig(k=3, d=2, delta=64, workers=2,
-                                             seed=17)) as svc:
-            assert isinstance(svc.ingest, SupervisedWorkerPool)
-            svc.apply_events(stream[:80])
-            stats = svc.stats()
-            assert stats["supervised"] is True
-            assert stats["restarts"] == 0
-            assert "recovery_events" in stats
-            svc.checkpoint(path)
-        twin = ClusteringService.restore(path)
-        try:
-            assert isinstance(twin.ingest, SupervisedWorkerPool)
-        finally:
-            twin.close()
-
-
-# ========================================================= close escalation
-class TestCloseEscalation:
-    def test_wedged_worker_is_force_killed(self, world):
-        """SIGSTOP a worker (SIGTERM won't be delivered); close() must
-        escalate to SIGKILL and report it rather than leak the child."""
-        _, params = world
-        pool = WorkerPoolIngest(params, num_workers=1, seed=3)
-        proc = pool._procs[0]
-        os.kill(proc.pid, signal.SIGSTOP)
-        report = pool.close(timeout=1.0)
-        assert report["killed"] == 1
-        assert pool.forced_kills == 1
-        assert not proc.is_alive()
-        assert pool.last_close_report == report
-
-    def test_clean_close_reports_stopped(self, world):
-        _, params = world
-        pool = WorkerPoolIngest(params, num_workers=2, seed=3)
-        report = pool.close()
-        assert report == {"stopped": 2, "terminated": 0, "killed": 0}
 
 
 # ============================================================ wire plumbing
@@ -481,6 +348,35 @@ class TestCircuitBreaker:
                 # Only the two successful inserts landed on "shaky": the
                 # degraded one was rejected before touching the sketch.
                 assert cli.stats()["events"] == 2
+        finally:
+            server.shutdown()
+            registry.close()
+
+    def test_bad_capacity_slack_does_not_trip_breaker(self):
+        """A non-finite or below-1 slack makes every solve fail, but it is
+        a malformed request, not a tenant failure: the registry rejects it
+        before the lease and the wire as a protocol error, so the breaker
+        stays closed and the next good query is answered."""
+        registry = TenantRegistry(
+            ServiceConfig(k=2, d=2, delta=32, num_shards=2, seed=13),
+            breaker_threshold=3)
+        server, _ = start_async_server(registry)
+        host, port = server.address
+        try:
+            registry.insert("t", np.array([[1, 1], [5, 9], [20, 3], [30, 30]]))
+            for slack in (float("nan"), float("inf"), 0.5):
+                with pytest.raises(ValueError, match="capacity_slack"):
+                    registry.query("t", slack)
+            with ServiceClient(host, port, stream_id="t", timeout=10.0) as cli:
+                for slack in (float("nan"), 0.99, -1.0):
+                    with pytest.raises(ServiceError, match="capacity_slack"):
+                        cli.query(capacity_slack=slack)
+                with pytest.raises(ServiceError, match="float"):
+                    cli.request("query", capacity_slack="wide")
+                assert cli.stats()["breaker"]["state"] == "closed"
+                assert cli.query(capacity_slack=1.5)["coreset_size"] > 0
+            result, _ = registry.query("t")
+            assert result.coreset_size > 0
         finally:
             server.shutdown()
             registry.close()

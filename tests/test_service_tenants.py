@@ -6,7 +6,8 @@ Covers the load-bearing claims of the tentpole:
    single-tenant service built from ``tenant_config(stream_id)`` and fed
    the same events, including through LRU evict → restore cycles;
 2. *eviction is invisible* — checkpoint → evict → restore-on-touch is
-   bit-identical, for in-process shards and for ``workers > 0``;
+   bit-identical, and eviction files of the removed worker pool
+   (``workers > 0``) still restore;
 3. the asyncio wire front end — ``stream_id`` routing, pre-tenant
    back-compat (no ``stream_id`` → the ``"default"`` tenant), quota
    errors as clean envelopes, the ``tenants`` op, and frame caps;
@@ -21,6 +22,7 @@ import json
 import socket
 import threading
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from repro.service import (
     QuotaExceeded,
     ServiceClient,
     ServiceConfig,
+    ShardedIngest,
     TenantQuota,
     TenantRegistry,
     start_async_server,
@@ -40,6 +43,8 @@ from repro.service.state import (
     tenant_checkpoint_filename,
     tenant_id_from_filename,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 # Small-but-real problem shape: 4 guess instances instead of 22, so a
 # tenant costs ~50 ms to create and ~10 ms to query — cheap enough to host
@@ -158,16 +163,31 @@ class TestEvictionAndRestore:
             assert got.to_dict() == want.to_dict()
             ref.close()
 
-    @pytest.mark.slow
     def test_evict_restore_with_worker_processes(self, tmp_path):
-        cfg = cheap_config(workers=1)
+        """The eviction file of a ``workers=1`` tenant (written by the
+        removed worker pool, ``tests/data/make_legacy_pool.py``) restores
+        on touch into one in-process shard, re-serializes its ingest block
+        byte for byte, and answers as the pool-backed tenant did."""
+        legacy = DATA / "legacy_pool_tenant_w1.ckpt.json"
+        path = tmp_path / tenant_checkpoint_filename("alpha")
+        path.write_bytes(legacy.read_bytes())
+        cfg = ServiceConfig(k=2, d=2, delta=32, seed=17)
         with TenantRegistry(cfg, tenants_dir=tmp_path) as reg:
-            reg.insert("w", stream_points("w"))
-            before, _ = reg.query("w")
-            assert reg.evict("w") is True
-            after, _ = reg.query("w")
-            assert after.to_dict() == before.to_dict()
-            assert reg.stats("w")["restores"] == 1
+            got, _ = reg.query("alpha")
+            svc = reg._records["alpha"].service
+            assert isinstance(svc.ingest, ShardedIngest)
+            assert svc.config.workers == 0 and svc.config.num_shards == 1
+            assert reg.stats("alpha")["restores"] == 1
+            want = json.loads(
+                (DATA / "legacy_pool_tenant_w1.answer.json").read_text())
+            assert got.to_dict() == want
+            block = json.dumps(svc.ingest.to_state_dict(),
+                               separators=(",", ":")).encode()
+            assert b'"ingest":' + block in legacy.read_bytes()
+            assert reg.evict("alpha") is True
+        again = json.loads(path.read_text())
+        assert again["config"]["workers"] == 0
+        assert again["tenant"] == {"stream_id": "alpha", "evictions": 2}
 
     def test_pinned_tenant_is_not_evictable(self, tmp_path):
         with TenantRegistry(cheap_config(), tenants_dir=tmp_path) as reg:

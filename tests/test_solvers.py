@@ -131,6 +131,10 @@ class TestCapacitatedSolver:
         with pytest.raises(ValueError):
             CapacitatedKClustering(k=2, capacity=3).fit(pts)
 
+    def test_zero_restarts_rejected(self):
+        with pytest.raises(ValueError, match="restarts"):
+            CapacitatedKClustering(k=2, capacity=3, restarts=0)
+
     def test_matches_exact_on_tiny_instance(self):
         rng = np.random.default_rng(6)
         pts = rng.integers(0, 30, size=(9, 2)).astype(float)

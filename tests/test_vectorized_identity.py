@@ -259,32 +259,6 @@ class TestDriverBitIdentity:
         assert outcome(scalar) == outcome(batched)
 
 
-class TestWorkerPoolBitIdentity:
-    """The ndarray ``abatch`` worker frames must reproduce the in-process
-    shard state byte for byte, on both storing backends.  (The exact
-    backend is also covered end-to-end in test_service_parallel.py.)"""
-
-    @pytest.mark.parametrize("backend", ["exact", "sketch"])
-    def test_two_workers_match_inprocess(self, backend):
-        from repro.service.workers import WorkerPoolIngest
-
-        params = CoresetParams.practical(k=2, d=2, delta=64,
-                                         eps=0.45, eta=0.45)
-        events = _churn_events(80, 11, 64)
-        kw = dict(seed=5, backend=backend, o_range=(8.0, 64.0))
-        serial = ShardedIngest(params, num_shards=2, **kw)
-        pool = WorkerPoolIngest(params, num_workers=2, **kw)
-        try:
-            for lo in range(0, len(events), 32):
-                serial.apply_batch(events[lo: lo + 32])
-                pool.apply_batch(events[lo: lo + 32])
-            pool.worker_stats()  # drain barrier
-            assert (json.dumps(pool.to_state_dict(), sort_keys=True)
-                    == json.dumps(serial.to_state_dict(), sort_keys=True))
-        finally:
-            pool.close()
-
-
 # --------------------------------------------------------------------------
 # Early kill as an exact prefix cut: batched == per-event oracle, kills and
 # near-misses included.
@@ -505,19 +479,6 @@ class TestNonIntegralRejection:
         assert (ing.version,
                 json.dumps(ing.to_state_dict(), sort_keys=True)) == before
 
-    def test_worker_pool_apply_arrays_rejects_fraction(self, params):
-        from repro.service.workers import WorkerPoolIngest
-
-        with WorkerPoolIngest(params, num_workers=2, seed=0,
-                              o_range=(8.0, 64.0)) as pool:
-            pool.apply_batch([((1, 1), 1)])
-            before = (pool.version,
-                      json.dumps(pool.to_state_dict(), sort_keys=True))
-            with pytest.raises(ValueError, match="integral"):
-                pool.apply_arrays([[1, 2], [2.5, 3]], np.ones(2, dtype=np.int64))
-            assert (pool.version,
-                    json.dumps(pool.to_state_dict(), sort_keys=True)) == before
-
     def test_nan_and_overflow_rejected(self, params):
         sc = StreamingCoreset(params, seed=0, o_range=(8.0, 64.0))
         with pytest.raises(ValueError, match="finite"):
@@ -530,7 +491,7 @@ class TestNonIntegralRejection:
 # Lint guard: no per-event Python in the hot files (delegates to the HOT
 # rule of ``repro lint``, the AST-accurate successor of the old regex scan —
 # it also sees `.tolist()` calls and multi-line loop headers, and covers all
-# seven vectorized files instead of three).
+# six vectorized files instead of three).
 # --------------------------------------------------------------------------
 class TestNoScalarLoopsInHotPath:
     def test_hot_rule_clean_on_hot_files(self):
