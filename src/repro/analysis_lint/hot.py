@@ -14,17 +14,22 @@ generator expressions are exempt: the guard targets statement loops, where
 per-event mutation lives.  Being AST-based, the rule sees multi-line loop
 headers and is immune to strings or comments that merely look like loops.
 
+HOT203 covers the whole package: ``json.dump`` streams through the
+pure-Python encoder, ~10x slower than the C one-shot encoder ``json.dumps``
+uses, and checkpoint writes spent almost all their time there.
+
 Codes
 -----
 HOT201  un-annotated ``for``/``while`` statement in a hot file
 HOT202  un-annotated ``.tolist()`` materialization in a hot file
+HOT203  ``json.dump`` call anywhere under ``repro/``
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.analysis_lint.core import Finding, Rule
+from repro.analysis_lint.core import Finding, Rule, attr_chain
 
 __all__ = ["HOT_FILES", "HotPathRule", "MARKER"]
 
@@ -46,15 +51,20 @@ HOT_FILES = (
 class HotPathRule(Rule):
     family = "HOT"
     description = ("per-event Python loops and .tolist() in the vectorized "
-                   "hot files need an explicit '# scalar-ok: <reason>'")
+                   "hot files need an explicit '# scalar-ok: <reason>'; "
+                   "the package encodes JSON with json.dumps, never json.dump")
     codes = {
         "HOT201": "un-annotated statement loop in a vectorized hot file",
         "HOT202": "un-annotated .tolist() in a vectorized hot file",
+        "HOT203": "json.dump (pure-Python streaming encoder) in the package",
     }
-    path_patterns = HOT_FILES
+    # HOT201/202 apply to the hot files, HOT203 to every module.
+    path_patterns = HOT_FILES + ("repro/",)
 
     def check_file(self, sf):
-        findings = []
+        findings = _json_dump_calls(sf)
+        if not sf.in_scope(self.family.lower(), HOT_FILES):
+            return findings
         for node in ast.walk(sf.tree):
             if isinstance(node, (ast.For, ast.While)):
                 # The header spans the `for`/`while` line through the line
@@ -82,3 +92,30 @@ class HotPathRule(Rule):
                                 f"or mark the line with '# {MARKER}: "
                                 "<reason>'"))
         return findings
+
+
+def _json_dump_calls(sf) -> list:
+    """HOT203: ``json.dump(...)`` through the module (or an alias of it)
+    or through a name imported with ``from json import dump``."""
+    modules, names = {"json"}, set()
+    for node in ast.walk(sf.tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname for a in node.names
+                           if a.name == "json" and a.asname)
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            names.update(a.asname or a.name for a in node.names
+                         if a.name == "dump")
+    findings = []
+    for node in ast.walk(sf.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        chain = attr_chain(node.func)
+        if (len(chain) == 2 and chain[0] in modules and chain[1] == "dump") \
+                or (len(chain) == 1 and chain[0] in names):
+            findings.append(Finding(
+                path=sf.rel, line=node.lineno, col=node.col_offset,
+                code="HOT203",
+                message="json.dump streams through the pure-Python encoder "
+                        "(~10x slower than the C one); encode with "
+                        "json.dumps, then write the string in one call"))
+    return findings

@@ -37,7 +37,7 @@ import time
 import numpy as np
 
 from repro.core import CoresetParams, build_coreset_auto
-from repro.core.io import load_coreset, save_coreset
+from repro.core.io import atomic_write_json, load_coreset, save_coreset
 from repro.utils.tables import render_table
 
 __all__ = ["main", "build_parser"]
@@ -494,8 +494,7 @@ def _cmd_client(args) -> int:
         if args.op == "pull_state":
             state = cli.pull_state()
             if args.path:
-                with open(args.path, "w", encoding="utf-8") as fh:
-                    json.dump(state, fh)
+                atomic_write_json(args.path, state)
                 print(f"pulled state ({state['ingest']['num_shards']} shards, "
                       f"version {state['ingest']['version']}) -> {args.path}")
             else:

@@ -104,12 +104,19 @@ def atomic_write_json(path, obj) -> None:
     reader (or a crash mid-write) sees either the previous checkpoint or the
     new one in full.  The temp file lives next to the target to stay on the
     same filesystem.
+
+    The whole document is encoded with ``json.dumps`` before the temp file
+    opens, then written in one call.  ``json.dump`` would stream through
+    the pure-Python encoder, ~10x slower on a checkpoint-sized envelope;
+    only ``dumps`` takes the C encoder, and the bytes are the same.  An
+    unserialisable ``obj`` therefore fails before anything touches disk.
     """
     path = Path(path)
+    text = json.dumps(obj, separators=(",", ":"))
     tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, separators=(",", ":"))
+            fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

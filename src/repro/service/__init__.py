@@ -37,7 +37,7 @@ from repro.service.client import (
 )
 from repro.service.engine import ClusteringService, QueryResult, ServiceConfig
 from repro.service.eviction import EvictionPolicy, LRUEvictionPolicy
-from repro.service.faults import FaultPlan, FaultRule, InjectedFault
+from repro.service.faults import FaultPlan, FaultRule
 from repro.service.shards import ShardedIngest
 from repro.service.state import (
     sharded_state_from_dict,
@@ -61,7 +61,6 @@ __all__ = [
     "EvictionPolicy",
     "FaultPlan",
     "FaultRule",
-    "InjectedFault",
     "LRUEvictionPolicy",
     "QueryResult",
     "QuotaExceeded",

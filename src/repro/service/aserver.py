@@ -131,7 +131,9 @@ class AsyncClusteringServer:
                 act = fault_point("server.slow", op=op)
                 if act is not None:
                     await asyncio.sleep(act.delay_s)
-                frame = encode_message(response)
+                # pull_state arrives already encoded (see _execute).
+                frame = (response if isinstance(response, bytes)
+                         else encode_message(response))
                 act = fault_point("server.short", op=op)
                 if act is not None:
                     # Truncated reply: the client reads garbage JSON and
@@ -155,8 +157,12 @@ class AsyncClusteringServer:
                 pass
 
     # -------------------------------------------------------------- dispatch
-    async def _dispatch(self, line: bytes) -> tuple[dict | None, bool, str | None]:
+    async def _dispatch(self, line: bytes
+                        ) -> tuple[dict | bytes | None, bool, str | None]:
         """Route one request line; returns (response, stop_server, op).
+
+        The response is a dict to encode, or the encoded frame itself when
+        the op encodes off the event loop (``pull_state``).
 
         A ``None`` response asks the connection handler to drop the link
         without replying (the injected ``server.reset`` fault): ``"pre"``
@@ -187,7 +193,7 @@ class AsyncClusteringServer:
         except Exception as exc:  # surface, don't kill the connection
             return error_response(f"{type(exc).__name__}: {exc}"), False, op
 
-    async def _execute(self, req: dict) -> tuple[dict, bool]:
+    async def _execute(self, req: dict) -> tuple[dict | bytes, bool]:
         registry = self.registry
         op = req["op"]
         if op == "ping":
@@ -258,9 +264,15 @@ class AsyncClusteringServer:
             return ok_response(stream_id=stream_id, **info), False
         if op == "pull_state":
             # Coordinator-fleet read: the tenant's full checkpoint envelope,
-            # serialized in the reply instead of written to disk.
-            state = await asyncio.to_thread(registry.pull_state, stream_id)
-            return ok_response(stream_id=stream_id, state=state), False
+            # serialized in the reply instead of written to disk.  The
+            # reply is ~1 MiB of JSON, so it is encoded in the same worker
+            # thread: on the loop it would stall every other connection.
+            def _pull_frame() -> bytes:
+                state = registry.pull_state(stream_id)
+                return encode_message(ok_response(stream_id=stream_id,
+                                                  state=state))
+
+            return await asyncio.to_thread(_pull_frame), False
         if op == "site_stats":
             site = await asyncio.to_thread(registry.site_stats, stream_id)
             return ok_response(stream_id=stream_id, site=site), False

@@ -56,7 +56,6 @@ __all__ = [
     "FaultAction",
     "FaultPlan",
     "FaultRule",
-    "InjectedFault",
     "active_plan",
     "fault_point",
     "install",
@@ -70,15 +69,6 @@ ENV_FAULT_PLAN = "REPRO_FAULT_PLAN"
 
 #: Hard bound on injected delays — a typo'd plan must not wedge a server.
 MAX_DELAY_S = 30.0
-
-
-class InjectedFault(RuntimeError):
-    """An injected failure (raised at fault sites that fail by exception)."""
-
-    def __init__(self, point: str, detail: str = ""):
-        super().__init__(f"injected fault at {point!r}"
-                         + (f": {detail}" if detail else ""))
-        self.point = point
 
 
 @dataclass(frozen=True)

@@ -553,24 +553,32 @@ class StreamingCoreset:
     snapshot = finalize
 
     def finalize_with_instance(self):
-        """Like :meth:`finalize` but also returns the winning instance."""
+        """Like :meth:`finalize` but also returns the winning instance.
+
+        A guess whose coreset comes out empty loses to any later guess
+        with a non-empty one: a very large guess can pass on a small live
+        set with no heavy cell at all, and an empty coreset cannot be
+        solved.  The first empty coreset is the fallback, so an empty live
+        set still finalizes.
+        """
         last = "no instances"
         order = self.instances if self.prefer == "smallest" else self.instances[::-1]
         cap = self._pilot_upper_bound()
-        deferred = []
+        # Guesses above the OPT estimate are tried last (stable order).
+        order = sorted(order, key=lambda inst: cap is not None and inst.o > cap)
+        empty = None
         for inst in order:  # scalar-ok: finalize: per guess
-            if cap is not None and inst.o > cap:
-                deferred.append(inst)  # above the OPT estimate: try last
+            try:
+                coreset = inst.finalize()
+            except FailedConstruction as exc:
+                last = exc.reason
                 continue
-            try:
-                return inst.finalize(), inst
-            except FailedConstruction as exc:
-                last = exc.reason
-        for inst in deferred:  # scalar-ok: finalize: per guess
-            try:
-                return inst.finalize(), inst
-            except FailedConstruction as exc:
-                last = exc.reason
+            if len(coreset):
+                return coreset, inst
+            if empty is None:
+                empty = (coreset, inst)
+        if empty is not None:
+            return empty
         raise FailedConstruction(f"all streaming guesses failed; last: {last}")
 
     def _pilot_upper_bound(self) -> float | None:

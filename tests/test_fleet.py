@@ -18,6 +18,7 @@ Three layers, cheapest first:
 from __future__ import annotations
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from repro.service import (
     TenantRegistry,
     start_async_server,
 )
-from repro.service import faults
+from repro.service import aserver, faults
 from repro.service.faults import FaultPlan, FaultRule
 from repro.service.state import (
     sharded_state_from_dict,
@@ -175,6 +176,33 @@ class TestWireOps:
             SITE_STATS_FIELDS + ("stream_id",)))
         assert site["events"] == len(pts)
         reference.close()
+
+    def test_pull_state_reply_is_encoded_off_the_event_loop(self, monkeypatch):
+        """The ~1 MiB pull_state frame is encoded in the worker thread that
+        reads the state; small replies are still encoded on the loop."""
+        encoded_on: dict[str, str] = {}
+        real = aserver.encode_message
+
+        def spy(obj):
+            kind = "pull_state" if "state" in obj else "other"
+            encoded_on[kind] = threading.current_thread().name
+            return real(obj)
+
+        monkeypatch.setattr(aserver, "encode_message", spy)
+        reg = TenantRegistry(ServiceConfig(**CHEAP))
+        server, thread = start_async_server(reg)
+        try:
+            with ServiceClient(*server.address) as cli:
+                cli.insert(self._workload(), batch_size=16)
+                state = cli.pull_state()
+                assert cli.ping()
+        finally:
+            server.shutdown()
+            thread.join(10)
+            reg.close(persist=False)
+        assert state["ingest"]["num_shards"] == CHEAP["num_shards"]
+        assert encoded_on["other"] == thread.name
+        assert encoded_on["pull_state"] != thread.name
 
     def test_pull_state_bits_policy_is_structural(self):
         """The charge depends on sketch structure, not JSON encoding."""

@@ -112,3 +112,41 @@ class TestCLI:
         path = tmp_path / "noparams.npz"
         save_coreset(path, cs)
         assert main(["solve", str(path)]) == 2
+
+
+class TestClientPullState:
+    def test_pulled_file_restores_and_answers_like_the_pulled_service(
+            self, tmp_path, capsys):
+        from repro.service import (
+            ClusteringService,
+            ServiceClient,
+            ServiceConfig,
+            TenantRegistry,
+            start_async_server,
+        )
+
+        pts = np.unique(gaussian_mixture(300, 2, 64, k=3, seed=8), axis=0)
+        reg = TenantRegistry(ServiceConfig(k=3, d=2, delta=64, num_shards=2,
+                                           seed=5))
+        server, thread = start_async_server(reg)
+        host, port = server.address
+        path = tmp_path / "pulled.json"
+        try:
+            with ServiceClient(host, port) as cli:
+                cli.insert(pts, batch_size=64)
+                want = cli.query()
+                state = cli.pull_state()
+            assert main(["client", "pull_state", "--host", host,
+                         "--port", str(port), "--path", str(path)]) == 0
+        finally:
+            server.shutdown()
+            thread.join(10)
+            reg.close(persist=False)
+        assert "pulled state" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pulled.json"]
+        restored = ClusteringService.restore(path)
+        assert restored.state_payload() == \
+            ClusteringService.from_payload(state).state_payload()
+        got, _ = restored.query()
+        assert got.cost == want["cost"] and got.o == want["o"]
+        assert got.centers.tolist() == want["centers"]

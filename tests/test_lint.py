@@ -69,6 +69,27 @@ class TestHotPathRule:
     def test_good_fixture_is_clean(self):
         assert lint("hot_good.py").clean
 
+    def test_json_dump_fires_under_every_name(self):
+        hits = [f for f in lint("hot_json_bad.py").findings]
+        assert [f.code for f in hits] == ["HOT203"] * 4
+        assert [f.line for f in hits] == [11, 12, 13, 14]
+        assert "json.dumps" in hits[0].message
+
+    def test_json_dumps_and_lookalikes_are_clean(self):
+        assert lint("hot_json_good.py").clean
+
+    def test_json_dump_covers_the_whole_package_only(self, tmp_path):
+        """HOT203 applies to every module under ``repro/`` (no scope
+        marker needed), and not to benchmarks or tests."""
+        body = "import json\n\n\ndef save(o, fh):\n    json.dump(o, fh)\n"
+        for rel in ("src/repro/cli_extra.py", "benchmarks/bench_x.py"):
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text(body)
+        result = run_lint([tmp_path / "src", tmp_path / "benchmarks"],
+                          select=["HOT203"], root=tmp_path)
+        assert [(f.path, f.code) for f in result.findings] == \
+            [("src/repro/cli_extra.py", "HOT203")]
+
     def test_real_hot_files_exist_and_are_clean(self):
         paths = [ROOT / "src" / rel for rel in HOT_FILES]
         assert len(paths) == 6 and all(p.is_file() for p in paths)

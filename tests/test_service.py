@@ -51,6 +51,19 @@ from repro.streaming import StreamingCoreset, materialize
 from repro.streaming.merge import merge_streaming_states
 
 
+#: A shape and seed (tenant "alpha"'s derived seed under base seed 17) on
+#: which the largest guess finalizes to an empty coreset.
+EMPTY_GUESS_SHAPE = dict(k=2, d=2, delta=32, seed=4191614534410916974)
+
+
+def empty_guess_points() -> np.ndarray:
+    return np.unique(gaussian_mixture(60, 2, 32, k=2, seed=5), axis=0)
+
+
+def empty_guess_stream():
+    return churn_stream(empty_guess_points(), delete_fraction=0.3, seed=6)
+
+
 @pytest.fixture(scope="module")
 def world():
     """Small dynamic-stream instance: (stream, survivors, params)."""
@@ -273,6 +286,36 @@ class TestQueryEngine:
             with pytest.raises(ValueError, match="capacity_slack"):
                 svc.query(capacity_slack=slack)
         assert svc.queries == 0
+
+    @pytest.mark.parametrize("num_shards", [1, 4])
+    def test_empty_guess_loses_to_a_nonempty_one(self, num_shards):
+        """7 live points give the pilot too few keys for a cap, and the
+        largest guess passes with an empty coreset (no cell is heavy, so
+        nothing fails).  Finalize must skip it for a guess that keeps the
+        live points; the solver cannot fit an empty coreset."""
+        svc = ClusteringService(
+            ServiceConfig(**EMPTY_GUESS_SHAPE, num_shards=num_shards))
+        stream = empty_guess_stream()
+        assert len(materialize(stream, d=2)) == 7
+        svc.apply_events(stream)
+        result, _ = svc.query()
+        assert result.coreset_size > 0
+        assert result.o < max(inst.o for inst in
+                              svc.ingest.merged_state().instances)
+        assert np.isfinite(result.cost) and len(result.centers) == 2
+
+    def test_all_deleted_stream_keeps_the_empty_fallback(self):
+        """With nothing live every guess is empty: finalize still returns
+        the first empty coreset, as it did before empty guesses were
+        skipped."""
+        svc = ClusteringService(ServiceConfig(**EMPTY_GUESS_SHAPE))
+        pts = empty_guess_points()
+        svc.insert(pts)
+        svc.delete(pts)
+        merged = svc.ingest.merged_state()
+        coreset, instance = merged.finalize_with_instance()
+        assert len(coreset) == 0
+        assert instance is merged.instances[-1]  # prefer="largest" order
 
     def test_service_checkpoint_restore(self, world, tmp_path):
         stream, _, params = world

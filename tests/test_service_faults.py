@@ -35,7 +35,7 @@ from repro.service import (
     faults,
     start_async_server,
 )
-from repro.service.faults import FaultPlan, FaultRule, InjectedFault, fault_point
+from repro.service.faults import FaultPlan, FaultRule, fault_point
 from repro.service.protocol import IdempotencyCache, ProtocolError, parse_idempotency
 
 
@@ -107,11 +107,6 @@ class TestFaultPlan:
         plan = faults.install_from_env()
         assert plan is faults.active_plan()
         assert fault_point("checkpoint.write", path="x") is not None
-
-    def test_injected_fault_carries_point(self):
-        exc = InjectedFault("checkpoint.write", "disk full")
-        assert exc.point == "checkpoint.write"
-        assert "checkpoint.write" in str(exc)
 
 
 # ===================================================== crash-safe checkpoints
@@ -289,6 +284,30 @@ class TestResilientClient:
                 assert cli.ping()
                 assert time.monotonic() - t0 >= 0.05
 
+
+    def test_pull_state_faults_keep_their_semantics(self):
+        """pull_state encodes its reply in a worker thread; a truncated or
+        dropped pull reply still reaches the client as a transport fault,
+        and the retried pull returns the state an unfaulted pull does."""
+        pts = np.array([[1, 1], [2, 5], [9, 3], [30, 30]])
+        with _serving(self.CONFIG) as (server, _):
+            with ServiceClient(*server.address, timeout=10.0) as cli:
+                cli.insert(pts)
+                want = cli.pull_state()
+        faults.install(FaultPlan([
+            FaultRule(point="server.short", times=1,
+                      match={"op": "pull_state"}),
+            FaultRule(point="server.reset", times=1,
+                      match={"op": "pull_state"}),
+        ]))
+        with _serving(self.CONFIG) as (server, _):
+            with ServiceClient(*server.address, retries=3, backoff_s=0.01,
+                               timeout=10.0) as cli:
+                cli.insert(pts)
+                assert cli.pull_state() == want
+                assert cli.reconnects >= 2
+                fires = cli.stats()["fault_plan"]["fire_counts"]
+                assert fires == {"server.short": 1, "server.reset": 1}
 
 # ========================================================== circuit breaker
 class TestCircuitBreaker:

@@ -27,6 +27,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.data.synthetic import gaussian_mixture
+from repro.data.workloads import churn_stream
 from repro.service import (
     ClusteringService,
     QuotaExceeded,
@@ -43,6 +45,7 @@ from repro.service.state import (
     tenant_checkpoint_filename,
     tenant_id_from_filename,
 )
+from repro.streaming import materialize
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -102,6 +105,27 @@ class TestTenantRegistry:
                 got, _ = reg.query(sid)
                 assert got.to_dict() == want.to_dict()
                 ref.close()
+
+    def test_empty_guess_query_answers_without_a_breaker_failure(self):
+        """Tenant "alpha" under base seed 17 gets a seed whose largest
+        guess finalizes empty on this 7-point live set.  The query must
+        answer from a non-empty guess, so the breaker records no failure."""
+        with TenantRegistry(ServiceConfig(k=2, d=2, delta=32, seed=17)) as reg:
+            assert reg.tenant_config("alpha").seed == 4191614534410916974
+            pts = np.unique(gaussian_mixture(60, 2, 32, k=2, seed=5), axis=0)
+            live = materialize(churn_stream(pts, delete_fraction=0.3, seed=6),
+                               d=2)
+            kept = {tuple(row) for row in live.tolist()}
+            gone = np.array([row for row in pts.tolist()
+                             if tuple(row) not in kept])
+            reg.insert("alpha", pts)
+            reg.delete("alpha", gone)
+            assert reg.stats("alpha")["events"] == len(pts) + len(gone)
+            result, _ = reg.query("alpha")
+            assert result.coreset_size > 0
+            breaker = reg.stats("alpha")["breaker"]
+            assert breaker["state"] == "closed"
+            assert breaker["consecutive_failures"] == 0
 
     def test_event_quota_rejected_atomically(self):
         with TenantRegistry(cheap_config(),

@@ -10,13 +10,16 @@ produce identical structures on restore, on both backends, for wide
 
 from __future__ import annotations
 
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.io import atomic_write_json
 from repro.core.params import CoresetParams
 from repro.service.state import (
     STATE_FORMAT_VERSION,
@@ -226,3 +229,59 @@ class TestPilotLevelCount:
         data["pilot"] = data["pilot"] + [[]]
         with pytest.raises(ValueError, match="pilot level count"):
             streaming_state_from_dict(data)
+
+
+# ------------------------------------------------------------ atomic writes
+DATA = Path(__file__).resolve().parent / "data"
+
+#: JSON leaves of a checkpoint: ints past int64 either way, floats that
+#: look integral, None, and non-ASCII text (tenant stream ids).
+_LEAVES = (st.integers(min_value=-(2 ** 70), max_value=2 ** 70)
+           | st.sampled_from([2 ** 63, 2 ** 64 + 1, -(2 ** 63) - 1, 8.0,
+                              -0.0, 1e300, 2.5e-8])
+           | st.floats(allow_nan=False) | st.none() | st.booleans()
+           | st.text(st.characters(codec="utf-8"), max_size=6))
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(st.characters(codec="utf-8"), max_size=6),
+                      inner, max_size=4),
+    max_leaves=24)
+
+
+def _streamed(obj) -> bytes:
+    """What state writes produced with the streaming ``json.dump``."""
+    buf = io.StringIO()
+    json.dump(obj, buf, separators=(",", ":"))
+    return buf.getvalue().encode("utf-8")
+
+
+class TestAtomicWriteJson:
+    @pytest.mark.parametrize("fixture", sorted(p.name for p in
+                                               DATA.glob("*.ckpt.json")))
+    def test_fixture_bytes_match_the_streaming_encoder(self, fixture, tmp_path):
+        raw = (DATA / fixture).read_bytes()
+        obj = json.loads(raw)
+        atomic_write_json(tmp_path / fixture, obj)
+        out = (tmp_path / fixture).read_bytes()
+        assert out == _streamed(obj)
+        assert out == raw
+
+    @settings(max_examples=200, deadline=None)
+    @given(obj=_PAYLOADS)
+    def test_payload_bytes_match_the_streaming_encoder(self, obj, tmp_path_factory):
+        path = tmp_path_factory.mktemp("w") / "state.json"
+        atomic_write_json(path, {"tenant": {"stream_id": "zoë/東京"},
+                                 "payload": obj})
+        assert path.read_bytes() == _streamed(
+            {"tenant": {"stream_id": "zoë/東京"}, "payload": obj})
+
+    def test_unserialisable_payload_leaves_previous_file(self, tmp_path):
+        path = tmp_path / "svc.ckpt.json"
+        atomic_write_json(path, {"version": 1, "cells": [[1, 2]]})
+        before = path.read_bytes()
+        with pytest.raises(TypeError, match="int64"):
+            atomic_write_json(path, {"version": 2,
+                                     "cells": [[np.int64(3), 4]]})
+        assert path.read_bytes() == before
+        assert list(tmp_path.glob("*.tmp.*")) == []
