@@ -18,9 +18,11 @@ test-verbose:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# Quick ingest check plus latency percentiles: times the per-event oracle
-# against batched ingest, appends to BENCH_service.json, and fails unless
-# the two sketch states are bit-identical.
+# Quick ingest and fold check plus latency percentiles: times the per-event
+# oracle against batched ingest and the 4-shard query-time fold, appends to
+# BENCH_service.json, and fails unless the batched and per-event states are
+# bit-identical, the fold equals the unsharded driver and the merged pilot
+# samples like the scalar peel.
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_service_throughput.py --smoke
 

@@ -9,9 +9,11 @@ Also runnable as a script::
 
     PYTHONPATH=src python benchmarks/bench_service_throughput.py --smoke
 
-which runs an ingest/query latency percentile pass (p50/p95/p99) and the
+which runs an ingest/query latency percentile pass (p50/p95/p99), the
 scalar-vs-batched ingest check (fails unless the two states are
-bit-identical), and **appends** both records to ``BENCH_service.json`` at
+bit-identical) and the shard-fold check (fails unless a 4-shard fold
+equals the unsharded driver and the merged pilot samples like the scalar
+peel), and **appends** the records to ``BENCH_service.json`` at
 the repo root (``make bench-smoke``) — runs accumulate as a history rather
 than overwriting each other.
 """
@@ -95,6 +97,62 @@ def run_scalar_vs_batched(n: int = 4000, delta: int = 1024,
         "batched_eps": int(len(events) / max(batched_s, 1e-9)),
         "scalar_vs_batched": round(scalar_s / max(batched_s, 1e-9), 2),
         "bit_identical": identical,
+    }
+
+
+def run_fold_identity(n: int = 1500, delta: int = 256, batch: int = 512,
+                      num_shards: int = 4, seed: int = 3, repeats: int = 5) -> dict:
+    """The query-time shard fold and the ℓ₀ pilot peel, checked and timed.
+
+    ``merged_state()`` of a ``num_shards``-way :class:`ShardedIngest` must
+    equal the unsharded driver fed the same stream: the Storing state byte
+    for byte, the pilot sketches bucket for bucket (their rows are in
+    first-touch order, which depends on which shard touched a bucket
+    first, so they are compared sorted).  The merged pilot's ``sample()``
+    must equal the key-at-a-time peel of ``tests/scalar_oracle.py``.
+    """
+    from repro.service.state import streaming_state_to_dict
+    from repro.streaming.streaming_coreset import StreamingCoreset
+
+    repo_root = str(Path(__file__).resolve().parents[1])
+    if repo_root not in sys.path:
+        sys.path.insert(0, repo_root)
+    from tests.scalar_oracle import scalar_sample
+
+    params = CoresetParams.practical(k=3, d=2, delta=delta)
+    stream, _, _ = _workload(n=n, delta=delta, seed=seed)
+    events = list(stream)
+    ingest = ShardedIngest(params, num_shards=num_shards, seed=9)
+    single = StreamingCoreset(params, seed=9)
+    for lo in range(0, len(events), batch):
+        ingest.apply_batch(events[lo: lo + batch])
+        single.update_batch(events[lo: lo + batch])
+    fold_s = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        merged = ingest.merged_state()
+        fold_s.append(time.perf_counter() - t0)
+
+    def split(driver):
+        state = streaming_state_to_dict(driver)
+        pilot = [sorted(rows) for rows in state.pop("pilot")]
+        return _canonical(state), pilot
+
+    sampler = merged._pilot_sampler
+    t0 = time.perf_counter()
+    sample = sampler.sample()
+    sample_s = time.perf_counter() - t0
+    return {
+        "bench": "shard fold and pilot peel identity",
+        "n_points": n,
+        "delta": delta,
+        "batch": batch,
+        "events": len(events),
+        "shards": num_shards,
+        "fold_ms": round(float(np.median(fold_s)) * 1e3, 3),
+        "sample_ms": round(sample_s * 1e3, 3),
+        "fold_identical": split(merged) == split(single),
+        "peel_identical": sample == scalar_sample(sampler),
     }
 
 
@@ -262,8 +320,11 @@ def _smoke(argv=None) -> dict:
     latency["timestamp"] = stamp
     vector = run_scalar_vs_batched(n=n, delta=delta, batch=batch)
     vector["timestamp"] = stamp
+    fold = run_fold_identity(n=n, delta=delta, batch=batch)
+    fold["timestamp"] = stamp
     out = append_bench_record(latency, out=args.out)
     append_bench_record(vector, out=args.out)
+    append_bench_record(fold, out=args.out)
     print_table(
         f"service: latency percentiles (ms; batch={latency['batch']}) -> {out}",
         ["path", "p50", "p95", "p99"],
@@ -275,8 +336,18 @@ def _smoke(argv=None) -> dict:
         [[vector["events"], vector["scalar_eps"], vector["batched_eps"],
           vector["scalar_vs_batched"], vector["bit_identical"]]],
     )
+    print_table(
+        f"service: {fold['shards']}-shard fold vs unsharded driver",
+        ["events", "fold ms", "sample ms", "fold identical", "peel identical"],
+        [[fold["events"], fold["fold_ms"], fold["sample_ms"],
+          fold["fold_identical"], fold["peel_identical"]]],
+    )
     if not vector["bit_identical"]:
         raise SystemExit("FAIL: batched ingest state diverged from scalar")
+    if not fold["fold_identical"]:
+        raise SystemExit("FAIL: shard fold diverged from the unsharded driver")
+    if not fold["peel_identical"]:
+        raise SystemExit("FAIL: pilot sample diverged from the scalar peel")
     if vector["scalar_vs_batched"] < 1.0:
         raise SystemExit(
             f"FAIL: batched ingest slower than scalar "

@@ -206,9 +206,13 @@ def forestify_support(X: np.ndarray, D: np.ndarray | None = None,
     so the result's support is a forest and at most k−1 points remain
     fractionally split.  ``D`` is the (n, k) cost matrix used to pick the
     direction; if omitted the construction-order direction is used, which is
-    still feasibility-preserving.
+    still feasibility-preserving.  A support that is already a forest (every
+    basic optimum, e.g. HiGHS's) is recognised by a union-find over its split
+    points and returned as a copy without the cycle search.
     """
     X = X.copy()
+    if _support_is_forest(X, tol):
+        return X
     while True:
         cycle = _find_support_cycle(X, tol)
         if cycle is None:
@@ -227,6 +231,38 @@ def forestify_support(X: np.ndarray, D: np.ndarray | None = None,
             X[i, j] -= a
             if X[i, j] < tol:
                 X[i, j] = 0.0
+
+
+def _support_is_forest(X: np.ndarray, tol: float) -> bool:
+    """Whether the bipartite support graph is acyclic.
+
+    Points with one support edge are leaves and never close a cycle.  The
+    others each join their centers; a forest has edges = nodes −
+    components, so with s such points (≥ 2 edges each) it needs s ≤ k − 1,
+    and a union-find over the k centers finds the first point that joins
+    two already connected centers.
+    """
+    support = X > tol
+    split = np.flatnonzero(np.count_nonzero(support, axis=1) > 1)
+    k = X.shape[1]
+    if len(split) >= k:
+        return False
+    root = list(range(k))
+
+    def find(c: int) -> int:
+        while root[c] != c:
+            c = root[c]
+        return c
+
+    for i in split.tolist():
+        first, *rest = np.flatnonzero(support[i]).tolist()
+        first = find(first)
+        for c in rest:
+            r = find(c)
+            if r == first:
+                return False
+            root[r] = first
+    return True
 
 
 def _find_support_cycle(X: np.ndarray, tol: float):
@@ -318,25 +354,28 @@ def _ancestors(node: int, is_pt: bool, parent_of_pt: dict, parent_of_ctr: dict):
 def _greedy_assignment(D: np.ndarray, w: np.ndarray, caps: np.ndarray):
     """Regret-ordered greedy: points with the largest best-vs-second-best gap
     pick first; each point takes its cheapest center with remaining capacity
-    (falling back to the globally least-loaded center if none fits)."""
+    (falling back to the globally least-loaded center if none fits).
+
+    The loop runs over Python floats: same IEEE results as numpy float64,
+    and ``max`` over ``range(k)`` keeps the first maximum like ``np.argmax``.
+    """
     n, k = D.shape
     order = np.argsort(-(np.partition(D, 1, axis=1)[:, 1] - D.min(axis=1))) if k > 1 else np.arange(n)
-    remaining = caps.astype(np.float64).copy()
-    labels = np.empty(n, dtype=np.int64)
-    pref = np.argsort(D, axis=1)
-    for i in order:
-        placed = False
+    remaining = caps.astype(np.float64).tolist()
+    weight = np.asarray(w, dtype=np.float64).tolist()
+    pref = np.argsort(D, axis=1).tolist()
+    labels = [0] * n
+    for i in order.tolist():
+        wi = weight[i]
+        need = wi - 1e-12
         for j in pref[i]:
-            if remaining[j] >= w[i] - 1e-12:
-                labels[i] = j
-                remaining[j] -= w[i]
-                placed = True
+            if remaining[j] >= need:
                 break
-        if not placed:
-            j = int(np.argmax(remaining))
-            labels[i] = j
-            remaining[j] -= w[i]
-    return labels
+        else:
+            j = max(range(k), key=remaining.__getitem__)
+        labels[i] = j
+        remaining[j] -= wi
+    return np.asarray(labels, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

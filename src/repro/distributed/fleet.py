@@ -138,14 +138,15 @@ def merge_sharded(ingests: list):
     ingests = list(ingests)
     if not ingests:
         raise ValueError("need at least one site state to merge")
-    acc = ingests[0]
-    for other in ingests[1:]:  # scalar-ok: per-site fan-in, not data plane
+    acc, others = ingests[0], ingests[1:]
+    for other in others:  # scalar-ok: per-site fan-in, not data plane
         if other.num_shards != acc.num_shards:
             raise ValueError(
                 f"cannot merge fleet states with {acc.num_shards} vs "
                 f"{other.num_shards} shards")
-        for sa, sb in zip(acc.shards, other.shards):
-            merge_streaming_states(sa, sb)
+    for j, shard in enumerate(acc.shards):
+        merge_streaming_states(shard, *(other.shards[j] for other in others))
+    for other in others:
         acc.version += other.version
         acc.events_per_shard = [a + b for a, b in
                                 zip(acc.events_per_shard, other.events_per_shard)]

@@ -226,15 +226,21 @@ class ClusteringService:
         # proceed concurrently.
         coreset, instance = merged.finalize_with_instance()
         capacity = max(coreset.total_weight / self.params.k * slack, 1e-12)
-        solver = CapacitatedKClustering(
-            k=self.params.k, capacity=capacity, r=self.params.r,
-            restarts=self.config.restarts,
-            seed=derive_seed(self.config.seed, "service-solve"),
-        )
-        sol = solver.fit(coreset.points.astype(float), weights=coreset.weights)
+        if len(coreset):
+            solver = CapacitatedKClustering(
+                k=self.params.k, capacity=capacity, r=self.params.r,
+                restarts=self.config.restarts,
+                seed=derive_seed(self.config.seed, "service-solve"),
+            )
+            sol = solver.fit(coreset.points.astype(float), weights=coreset.weights)
+            centers, cost = np.asarray(sol.centers, dtype=float), float(sol.cost)
+        else:
+            # An empty live set (or only guesses with empty coresets): no
+            # centers to place, nothing to pay.
+            centers, cost = np.empty((0, self.params.d)), 0.0
         result = QueryResult(
-            centers=np.asarray(sol.centers, dtype=float),
-            cost=float(sol.cost),
+            centers=centers,
+            cost=cost,
             capacity=float(capacity),
             coreset_size=len(coreset),
             o=float(coreset.o),

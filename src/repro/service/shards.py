@@ -192,15 +192,13 @@ class ShardedIngest:
 
         Copies shard 0 (:meth:`StreamingCoreset.copy` — exact stores share
         their compacted columns copy-on-write, sketch stores copy their
-        buckets) and folds the other shards into the copy; they are only
-        read.  Exact merges are deferred, so only the stores a query
-        actually decodes ever pay the group-by.  Ingest that continues
-        afterwards never changes the returned driver.
+        buckets) and folds all other shards into the copy in one
+        :func:`merge_streaming_states` call; they are only read.  Exact
+        merges are deferred, so only the stores a query actually decodes
+        ever pay the group-by.  Ingest that continues afterwards never
+        changes the returned driver.
         """
-        merged = self.shards[0].copy()
-        for shard in self.shards[1:]:  # scalar-ok: per-shard merge fan-in
-            merge_streaming_states(merged, shard)
-        return merged
+        return merge_streaming_states(self.shards[0].copy(), *self.shards[1:])
 
     def space_bits(self) -> int:
         """Total charged sketch bits across all shards."""

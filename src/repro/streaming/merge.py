@@ -10,9 +10,17 @@ workers and merge, or combine checkpointed states.
 Requirements (checked): identical parameters, identical seeds (same grids,
 hash polynomials, and sketch layouts), same backend, same guess preference,
 and a pilot sampler on both sides or on neither.
+
+:func:`merge_streaming_states` folds any number of drivers in one walk over
+store positions: each exact store takes every other side's columns in a
+single deferred :meth:`~repro.streaming.storing.ExactStoring.merge_from`,
+so a k-way fold costs O(stores) cheap steps and one group-by per store,
+paid by the first reader.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.streaming.storing import ExactStoring, SketchStoring
 from repro.streaming.streaming_coreset import StreamingCoreset
@@ -20,22 +28,25 @@ from repro.streaming.streaming_coreset import StreamingCoreset
 __all__ = ["merge_many", "merge_streaming_states", "merge_storing"]
 
 
-def merge_storing(a, b):
-    """Merge two Storing structures of the same shape *in place* into ``a``."""
-    if type(a) is not type(b):
-        raise ValueError("cannot merge different Storing backends")
-    if (a.alpha, a.beta, a.recover_points) != (b.alpha, b.beta, b.recover_points):
-        raise ValueError("cannot merge Storing structures with different budgets")
+def merge_storing(a, *others):
+    """Merge Storing structures of the same shape *in place* into ``a``."""
+    shape = (type(a), a.alpha, a.beta, a.recover_points)
+    for b in others:
+        if (type(b), b.alpha, b.beta, b.recover_points) != shape:
+            if type(a) is not type(b):
+                raise ValueError("cannot merge different Storing backends")
+            raise ValueError("cannot merge Storing structures with different budgets")
     if isinstance(a, ExactStoring):
-        a.merge_from(b)
+        a.merge_from(*others)
         return a
     if isinstance(a, SketchStoring):
-        _add_iblt(a._cells, b._cells)
-        # repro-lint: disable=DET104 merging in b's first-touch order creates
-        # any nested sketch new to `a` exactly where sequential ingest of the
-        # concatenated stream (a's events then b's) would have created it.
-        for pos, sk in b._nested.items():
-            _add_iblt(a._nested_at(*pos), sk)
+        for b in others:
+            _add_iblt(a._cells, b._cells)
+            # repro-lint: disable=DET104 merging in b's first-touch order creates
+            # any nested sketch new to `a` exactly where sequential ingest of the
+            # concatenated stream (a's events then b's) would have created it.
+            for pos, sk in b._nested.items():
+                _add_iblt(a._nested_at(*pos), sk)
         return a
     raise TypeError(f"unknown Storing type {type(a)!r}")
 
@@ -46,14 +57,7 @@ def _add_iblt(dst, src) -> None:
     dst.merge_from(src)
 
 
-def merge_streaming_states(a: StreamingCoreset, b: StreamingCoreset) -> StreamingCoreset:
-    """Merge ``b``'s state into ``a`` (in place; returns ``a``).
-
-    Both drivers must have been constructed with identical ``params``,
-    ``seed``, ``backend``, ``prefer``, ``auto_pilot`` and guess windows —
-    i.e. they are shards of one logical computation, differing only in
-    which updates they saw.
-    """
+def _check_mergeable(a: StreamingCoreset, b: StreamingCoreset) -> None:
     if a.params != b.params:
         raise ValueError("cannot merge: different parameters")
     oa = [inst.o for inst in a.instances]
@@ -67,22 +71,37 @@ def merge_streaming_states(a: StreamingCoreset, b: StreamingCoreset) -> Streamin
     if (a._pilot_sampler is None) != (b._pilot_sampler is None):
         raise ValueError("cannot merge: one driver has a pilot sampler and "
                          "the other does not (auto_pilot differs)")
-    # Same seed ⇒ same grid shift; cheap proxy check on the shift vector.
-    import numpy as np
-
+    if a.seed != b.seed:
+        raise ValueError(f"cannot merge: different seeds ({a.seed} vs {b.seed})")
+    # Same seed ⇒ same grid shift, unless a driver was handed other grids.
     if not np.allclose(a.grids.shift, b.grids.shift):
         raise ValueError("cannot merge: different grid randomness (seeds differ)")
 
-    for ia, ib in zip(a.instances, b.instances):
-        ia.dead_reason = ia.dead_reason or ib.dead_reason
-        for ga, gb in ((ia.store_h, ib.store_h), (ia.store_hp, ib.store_hp),
-                       (ia.store_hhat, ib.store_hhat)):
-            for sa, sb in zip(ga, gb):
-                merge_storing(sa, sb)
+
+def merge_streaming_states(a: StreamingCoreset, *others: StreamingCoreset) -> StreamingCoreset:
+    """Merge every driver of ``others`` into ``a`` (in place; returns ``a``).
+
+    All drivers must have been constructed with identical ``params``,
+    ``seed``, ``backend``, ``prefer``, ``auto_pilot`` and guess windows —
+    i.e. they are shards of one logical computation, differing only in
+    which updates they saw.  The driver-level checks run for every side
+    before ``a`` changes; the ``others`` are only read.
+    """
+    for b in others:
+        _check_mergeable(a, b)
+    if not others:
+        return a
+    for ia, *ibs in zip(a.instances, *(b.instances for b in others)):
+        for ib in ibs:
+            ia.dead_reason = ia.dead_reason or ib.dead_reason
+        for group in ("store_h", "store_hp", "store_hhat"):
+            for sa, *sbs in zip(getattr(ia, group), *(getattr(ib, group) for ib in ibs)):
+                merge_storing(sa, *sbs)
     if a._pilot_sampler is not None:
-        for sa, sb in zip(a._pilot_sampler._sketches, b._pilot_sampler._sketches):
-            _add_iblt(sa, sb)
-    a.num_updates += b.num_updates
+        for b in others:
+            for sa, sb in zip(a._pilot_sampler._sketches, b._pilot_sampler._sketches):
+                _add_iblt(sa, sb)
+    a.num_updates += sum(b.num_updates for b in others)
     return a
 
 
@@ -97,7 +116,4 @@ def merge_many(states) -> StreamingCoreset:
     states = list(states)
     if not states:
         raise ValueError("need at least one state to merge")
-    acc = states[0]
-    for other in states[1:]:  # scalar-ok: per-site fan-in, not data plane
-        acc = merge_streaming_states(acc, other)
-    return acc
+    return merge_streaming_states(states[0], *states[1:])

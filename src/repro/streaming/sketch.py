@@ -27,6 +27,18 @@ Implementation notes (performance — see the HPC guide):
   :attr:`buckets` view, and therefore checkpoint bytes, are identical
   whether a stream was ingested one event at a time or in batches of any
   size.
+- :meth:`IBLTSketch.merge_from` appends the other sketch's new slots in its
+  first-touch order (where sequential ingest of the concatenated stream
+  would create them) and adds the three sums column-wise.
+- :meth:`IBLTSketch.decode` peels in rounds over the columns: every
+  verified 1-sparse bucket is found at once, the distinct keys are
+  subtracted at all their positions with ``np.subtract.at``, and the next
+  round checks only the buckets that changed.  Key sums run in int64 while
+  a pure bucket's ``count·key`` provably fits, else in object dtype; the
+  fingerprint check is exact either way.  Sketches sharing one hash family
+  (the nested point sketches) peel jointly in :func:`peel_many`, hashing
+  all their keys in one sweep per round.  The key-at-a-time peel is the
+  oracle in ``tests/scalar_oracle.py``.
 - a zeroed slot is equivalent to an absent one; decoding only walks touched
   slots.  ``space_bits`` still charges the full pre-allocated layout a
   space-bounded implementation would use; ``resident_bits`` reports what is
@@ -42,13 +54,14 @@ Implementation notes (performance — see the HPC guide):
 from __future__ import annotations
 
 import copy
+from itertools import chain
 
 import numpy as np
 
 from repro.hashing.kwise import KWiseHash, UniformBucketHash
 from repro.utils.rng import derive_seed
 
-__all__ = ["IBLTSketch", "SketchHashFamily", "DecodeFailure"]
+__all__ = ["IBLTSketch", "SketchHashFamily", "DecodeFailure", "peel_many"]
 
 
 class DecodeFailure(Exception):
@@ -149,15 +162,6 @@ class IBLTSketch:
         keysum[:n] = self._keysum[:n]
         fpsum[:n] = self._fpsum[:n]
         self._count, self._keysum, self._fpsum = count, keysum, fpsum
-
-    def _slot_of(self, flat: int) -> int:
-        """Slot of a flat position, materializing it at zero if absent."""
-        idx = self._slot.get(flat)
-        if idx is None:
-            idx = len(self._slot)
-            self._ensure_capacity(idx + 1)
-            self._slot[flat] = idx
-        return idx
 
     @property
     def buckets(self) -> dict[tuple[int, int], list]:
@@ -293,12 +297,28 @@ class IBLTSketch:
         np.add.at(self._fpsum, idx, np.repeat(dfp, rows))
 
     def merge_from(self, other: "IBLTSketch") -> None:
-        """Add another sketch's bucket state into this one (linearity)."""
-        for flat, j in other._slot.items():  # scalar-ok: merge fan-in
-            i = self._slot_of(flat)
-            self._count[i] += other._count[j]
-            self._keysum[i] += other._keysum[j]
-            self._fpsum[i] += other._fpsum[j]
+        """Add another sketch's bucket state into this one (linearity).
+
+        Slots new to this sketch are appended in ``other``'s first-touch
+        order, where a slot-by-slot merge would create them, so
+        :meth:`bucket_rows` (and checkpoint bytes) match sequential ingest
+        of the concatenated stream; the sums then add in one fancy-indexed
+        pass per column.
+        """
+        n = len(other._slot)
+        if not n:
+            return
+        slot = self._slot
+        fresh = [flat for flat in other._slot if flat not in slot]
+        if fresh:
+            base = len(slot)
+            self._ensure_capacity(base + len(fresh))
+            slot.update(zip(fresh, range(base, base + len(fresh))))
+        dst = np.fromiter(map(slot.__getitem__, other._slot), dtype=np.int64, count=n)
+        src = np.fromiter(other._slot.values(), dtype=np.int64, count=n)
+        self._count[dst] += other._count[src]
+        self._keysum[dst] += other._keysum[src]
+        self._fpsum[dst] += other._fpsum[src]
 
     def total_count(self) -> int:
         """Signed total of all updates (row 0 holds every key once)."""
@@ -310,53 +330,17 @@ class IBLTSketch:
         return total
 
     # -- decoding -------------------------------------------------------------
-    def _try_extract(self, b: list):
-        """Return (key, count) if the bucket is verified 1-sparse, else None."""
-        cnt, ks, fs = b
-        if cnt == 0:
-            return None
-        if ks % cnt != 0:
-            return None
-        key = ks // cnt
-        if key < 0 or key >= (1 << self.universe_bits):
-            return None
-        if fs != cnt * self.family.fingerprint(key):
-            return None
-        return key, cnt
-
     def decode(self) -> dict[int, int]:
-        """Peel a copy of the sketch; returns {key: count} for live keys.
+        """Peel a copy of the sketch; returns {key: count} for live keys in
+        ascending key order.
 
         Raises :class:`DecodeFailure` when peeling stalls with residual mass
-        (more distinct keys than capacity, w.h.p.).
+        (more distinct keys than capacity, w.h.p.).  See :func:`peel_many`.
         """
-        work = {pos: b for pos, b in self.buckets.items() if any(b)}
-        out: dict[int, int] = {}
-        queue = list(work.keys())
-        while queue:  # scalar-ok: peeling decode, ≤ capacity keys
-            pos = queue.pop()
-            b = work.get(pos)
-            if b is None or not any(b):
-                continue
-            got = self._try_extract(b)
-            if got is None:
-                continue
-            key, cnt = got
-            out[key] = out.get(key, 0) + cnt
-            fp = self.family.fingerprint(key)
-            for r, p in enumerate(self.family.positions(key)):  # scalar-ok: ROWS=3
-                wb = work.get((r, p))
-                if wb is None:
-                    wb = [0, 0, 0]
-                    work[(r, p)] = wb
-                wb[0] -= cnt
-                wb[1] -= cnt * key
-                wb[2] -= cnt * fp
-                queue.append((r, p))
-        for b in work.values():  # scalar-ok: stall check after decode
-            if any(b):
-                raise DecodeFailure(f"IBLT peeling stalled (capacity {self.capacity})")
-        return {k: v for k, v in out.items() if v != 0}
+        (out,) = peel_many([self])
+        if out is None:
+            raise DecodeFailure(f"IBLT peeling stalled (capacity {self.capacity})")
+        return out
 
     # -- accounting ----------------------------------------------------------
     PER_BUCKET_OVERHEAD = 61  # fingerprint-sum modulus bits
@@ -376,3 +360,132 @@ class IBLTSketch:
         """Bits of the buckets actually materialized (data-dependent)."""
         return (len(self._slot) * self._per_bucket_bits(max_count_bits)
                 + self.family.randomness_bits)
+
+
+def peel_many(sketches: list[IBLTSketch]) -> list[dict[int, int] | None]:
+    """Peel sketches that share one hash family, in joint rounds over their
+    bucket columns; returns each sketch's ``{key: count}`` in ascending key
+    order, or ``None`` where its peel stalls with residual mass.
+
+    Each round extracts the key of every verified 1-sparse bucket at once
+    (count ≠ 0, key sum divisible by it, key in range, exact fingerprint
+    match), keeps one extraction per (sketch, key), subtracts those keys
+    at all their positions, and looks next only at the buckets that
+    changed.  The sketches' buckets are disjoint, so each one peels exactly
+    as it would alone, while every round hashes all their keys in one
+    sweep.
+    """
+    if not sketches:
+        return []
+    fam = sketches[0].family
+    if any(sk.family is not fam for sk in sketches):
+        raise ValueError("peel_many needs sketches sharing one hash family")
+    slots = [sk._slot for sk in sketches]
+    sizes = np.fromiter(map(len, slots), dtype=np.int64, count=len(slots))
+    group = np.repeat(np.arange(len(sketches)), sizes)
+    flat = np.fromiter(chain.from_iterable(slots), dtype=np.int64, count=len(group))
+    flat += group * (IBLTSketch.ROWS * fam.m)
+    idx = [np.fromiter(slot.values(), dtype=np.int64, count=len(slot)) for slot in slots]
+    columns = [np.concatenate([getattr(sk, name)[i] for sk, i in zip(sketches, idx)])
+               for name in ("_count", "_keysum", "_fpsum")]
+    found = None
+    if fam.universe_bits <= 62:
+        found = _peel(fam, flat, group, *columns, narrow=True)
+    if found is None:
+        found = _peel(fam, flat, group, *columns, narrow=False)
+    owner, keys, counts, stalled = found
+    failed = np.zeros(len(sketches), dtype=bool)
+    failed[stalled] = True
+    order = _pair_order(owner, keys)
+    owner, keys, counts = owner[order], keys[order], counts[order]
+    start = np.ones(len(keys), dtype=bool)
+    start[1:] = (owner[1:] != owner[:-1]) | np.asarray(keys[1:] != keys[:-1], dtype=bool)
+    firsts = np.flatnonzero(start)
+    sums = np.add.reduceat(counts, firsts) if len(firsts) else counts
+    keep = sums != 0
+    owner, keys, sums = owner[firsts][keep], keys[firsts][keep], sums[keep]
+    bounds = np.searchsorted(owner, np.arange(len(sketches) + 1)).tolist()  # scalar-ok: one bound per sketch
+    keys, sums = keys.tolist(), sums.tolist()  # scalar-ok: decode output, ≤ capacity keys per sketch
+    return [None if bad else dict(zip(keys[lo:hi], sums[lo:hi]))
+            for bad, lo, hi in zip(failed.tolist(), bounds, bounds[1:])]  # scalar-ok: one flag per sketch
+
+
+def _pair_order(owner: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Stable order by (owner, key); keys may be object dtype."""
+    by_key = np.argsort(keys, kind="stable")
+    return by_key[np.argsort(owner[by_key], kind="stable")]
+
+
+def _peel(fam: SketchHashFamily, flat, group, count, keysum, fpsum, narrow: bool):
+    """The rounds of :func:`peel_many` over concatenated bucket columns.
+
+    ``flat`` holds each bucket's position offset by its sketch (``group``).
+    Returns ``(owner, keys, counts, stalled)`` — every extraction and the
+    sketch of every bucket left with residual mass — or ``None`` when
+    ``narrow`` (int64 key sums, exact mod 2^64) cannot be proven exact: a
+    pure bucket's ``count·key`` fits in int64 while |count| <
+    2^(63 − universe_bits), and the fingerprint check is exact in object
+    dtype either way.
+    """
+    count, fpsum = count.copy(), fpsum.copy()
+    if narrow:
+        try:
+            keysum = keysum.astype(np.int64)
+        except OverflowError:
+            return None
+        limit = 1 << (63 - fam.universe_bits)
+    else:
+        keysum = keysum.copy()
+    rows = IBLTSketch.ROWS
+    span = rows * fam.m
+    order = np.argsort(flat)
+    sorted_flat = flat[order]
+    row_base = (np.arange(rows, dtype=np.int64) * fam.m)[:, None]
+    top = 1 << fam.universe_bits
+    owners, extracted, amounts = [], [], []
+    cand = np.flatnonzero(count)
+    while cand.size:  # scalar-ok: peel rounds, vectorised over buckets
+        c = count[cand]
+        live = c != 0
+        cand, c = cand[live], c[live]
+        if narrow and (np.abs(c) >= limit).any():
+            return None
+        divisor = c if narrow else c.astype(object)
+        ks = keysum[cand]
+        key = ks // divisor
+        ok = np.asarray(ks % divisor == 0, dtype=bool)
+        ok &= np.asarray((key >= 0) & (key < top), dtype=bool)
+        cand, c, key = cand[ok], c[ok], key[ok]
+        fps = fam.fingerprints_np(key).astype(object)
+        pure = np.asarray(fpsum[cand] == c.astype(object) * fps, dtype=bool)
+        cand, c, key, fps = cand[pure], c[pure], key[pure], fps[pure]
+        if not cand.size:
+            break
+        g = group[cand]
+        o = _pair_order(g, key)
+        first = np.ones(len(o), dtype=bool)
+        first[1:] = (g[o][1:] != g[o][:-1]) | np.asarray(key[o][1:] != key[o][:-1], dtype=bool)
+        o = o[first]
+        c, key, fps, g = c[o], key[o], fps[o], g[o]
+        at = fam.positions_np(key) + row_base + g * span
+        loc = np.minimum(np.searchsorted(sorted_flat, at), len(flat) - 1)
+        # A key with an untouched bucket cannot be in its sketch (a
+        # fingerprint collision): it stays, and its sketch stalls.
+        held = (sorted_flat[loc] == at).all(axis=0)
+        c, key, fps, g, loc = c[held], key[held], fps[held], g[held], loc[:, held]
+        owners.append(g)
+        extracted.append(key)
+        amounts.append(c)
+        at = order[loc.ravel()]
+        cc = np.tile(c, rows)
+        np.subtract.at(count, at, cc)
+        np.subtract.at(keysum, at, cc * np.tile(key, rows))
+        np.subtract.at(fpsum, at, cc.astype(object) * np.tile(fps, rows))
+        cand = np.unique(at)
+    stalled = group[(count != 0) | np.asarray(keysum != 0, dtype=bool)
+                    | np.asarray(fpsum != 0, dtype=bool)]
+    if not owners:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty, stalled
+    return (np.concatenate(owners), np.concatenate(extracted),
+            np.concatenate(amounts), stalled)

@@ -37,7 +37,7 @@ from itertools import chain
 
 import numpy as np
 
-from repro.streaming.sketch import DecodeFailure, IBLTSketch, SketchHashFamily
+from repro.streaming.sketch import DecodeFailure, IBLTSketch, SketchHashFamily, peel_many
 from repro.utils.rng import derive_seed
 from repro.utils.validation import FailedConstruction
 
@@ -143,9 +143,10 @@ class ExactStoring:
     Flushes happen whenever the log outgrows the compacted state (on
     ingest) and on every read of the compacted state: :meth:`result`,
     :meth:`live_cells`, :meth:`space_bits` and the checkpoint views.
-    :meth:`merge_from` and :meth:`copy` never flush; a merge only appends
-    the other side's columns to the log, so a k-way fold costs one
-    group-by, paid by the first reader.
+    :meth:`merge_from` and :meth:`copy` never flush; one
+    ``merge_from(*others)`` extends the log with every other side's log
+    and compacted columns by reference, so a k-way fold costs one call per
+    store and one group-by, paid by the first reader.
 
     Immutability contract: the compacted columns (``_ckeys``/``_ccounts``/
     ``_pcell``/``_ppoint``/``_pcount``) and the logged arrays are never
@@ -211,8 +212,11 @@ class ExactStoring:
         Shares the compacted columns and the logged arrays (see the
         immutability contract); only the log list is copied.
         """
-        new = copy.copy(self)
-        new._log = list(self._log)
+        cls = type(self)
+        new = cls.__new__(cls)
+        state = self.__dict__.copy()
+        state["_log"] = self._log.copy()
+        new.__dict__ = state
         return new
 
     # -- live-count queries (early-kill support) ------------------------------
@@ -341,23 +345,29 @@ class ExactStoring:
             self._points = {int(c): {int(p): int(n) for p, n in run}
                             for c, run in points}
 
-    def merge_from(self, other: "ExactStoring") -> None:
-        """Add another structure's counts into this one (linearity).
+    def merge_from(self, *others: "ExactStoring") -> None:
+        """Add other structures' counts into this one (linearity).
 
-        Deferred: ``other``'s compacted columns and pending log are appended
-        to this log by reference, and neither side is flushed.  With
-        ``recover_points`` the (cell, point) pairs carry everything, since a
-        cell's count is the sum of its pair counts; otherwise the cells do.
+        Deferred: each other side's pending log is appended to this log
+        with one list extend, followed by its compacted columns when they
+        are non-empty, all by reference; no side is flushed.  With
+        ``recover_points`` the (cell, point) pairs carry everything, since
+        a cell's count is the sum of its pair counts; otherwise the cells
+        do.  ``update_many`` never logs an empty entry, so neither does a
+        merge.
         """
-        log = list(other._log)
-        if self.recover_points:
-            log += (other._pcell, other._ppoint, other._pcount)
-        else:
-            log += (other._ckeys, None, other._ccounts)
-        for i in range(0, len(log), 3):  # scalar-ok: per log entry
-            if len(log[i + 2]):
-                self._log += log[i:i + 3]
-                self._log_events += len(log[i + 2])
+        log = self._log
+        events = self._log_events
+        for other in others:  # scalar-ok: per merged structure, O(1) each
+            log += other._log
+            events += other._log_events
+            columns = ((other._pcell, other._ppoint, other._pcount)
+                       if self.recover_points else
+                       (other._ckeys, None, other._ccounts))
+            if len(columns[2]):
+                log += columns
+                events += len(columns[2])
+        self._log_events = events
 
     def result(self) -> StoringResult:
         """Decode the structure (Lemma 4.2's output); FAIL if > α cells."""
@@ -503,39 +513,40 @@ class SketchStoring:
                 f"Storing sketch: decoded {len(cells)} cells exceed alpha={self.alpha}"
             )
         small: dict[int, dict[int, int]] = {}
-        if self.recover_points:
+        if self.recover_points and cells:
             # Which cells share each (row, bucket)?  We know all live cells,
-            # so bucket occupancy is computable exactly.
-            occupancy: dict[tuple[int, int], int] = {}
-            positions: dict[int, tuple[int, ...]] = {}
-            fam = self._cells.family
-            for cell in cells:  # scalar-ok: decode, ≤ alpha cells
-                pos_list = fam.positions(cell)
-                positions[cell] = pos_list
-                for r, pos in enumerate(pos_list):  # scalar-ok: ROWS=3
-                    occupancy[(r, pos)] = occupancy.get((r, pos), 0) + 1
-            for cell, cnt in cells.items():  # scalar-ok: decode, ≤ alpha cells
-                if cnt > self.beta:
-                    continue
-                decoded = None
-                for r, pos in enumerate(positions[cell]):  # scalar-ok: ROWS=3
-                    if occupancy[(r, pos)] != 1:
-                        continue  # bucket shared: nested sketch is polluted
-                    nested = self._nested.get((r, pos))
-                    if nested is None:
-                        decoded = {}
+            # so bucket occupancy is computable exactly, in one hash sweep.
+            sk = self._cells
+            pos = sk.family.positions_np(_as_key_array(list(cells)))
+            flat = (pos + (np.arange(sk.ROWS, dtype=np.int64) * sk.m)[:, None]).ravel()
+            _, inverse, occupancy = np.unique(flat, return_inverse=True,
+                                              return_counts=True)
+            alone = (occupancy[inverse] == 1).reshape(pos.shape)
+            # A small cell's points come from the nested sketch of its first
+            # isolated (row, bucket) that decodes (a shared bucket's sketch
+            # is polluted); all candidates share one family and peel jointly.
+            tries = {
+                cell: [(r, p) for r, (p, isolated) in enumerate(zip(cell_pos, cell_alone))
+                       if isolated]
+                for (cell, cnt), cell_pos, cell_alone in zip(
+                    cells.items(), pos.T.tolist(), alone.T.tolist())  # scalar-ok: decode, ≤ alpha cells
+                if cnt <= self.beta
+            }
+            nested = {key: self._nested[key] for keys in tries.values()
+                      for key in keys if key in self._nested}
+            decoded = dict(zip(nested, peel_many(list(nested.values()))))
+            for cell, keys in tries.items():  # scalar-ok: decode, ≤ alpha cells
+                points = None
+                for key in keys:  # scalar-ok: ROWS=3
+                    points = decoded.get(key, {})  # never touched: no points
+                    if points is not None:
                         break
-                    try:
-                        decoded = nested.decode()
-                    except DecodeFailure:
-                        continue
-                    break
-                if decoded is None:
+                if points is None:
                     raise FailedConstruction(
                         f"Storing sketch: small cell {cell} never isolated "
                         f"in any row; cannot recover its points"
                     )
-                small[cell] = decoded
+                small[cell] = points
         return StoringResult(cells=cells, small_points=small)
 
     # -- accounting ------------------------------------------------------------

@@ -7,13 +7,21 @@ that batched ingest reproduce it byte for byte:
 
 - :class:`CounterStoring` — the exact ``Storing`` as plain Counters, with a
   running live-cell count for the early kill;
-- :func:`iblt_update` — one IBLT bucket update through the sketch's own
-  scalar plumbing (``_slot_of``, ``positions``, ``fingerprint``);
+- :func:`iblt_update` — one IBLT bucket update through the scalar hashes
+  (``positions``, ``fingerprint``), materializing slots one at a time;
+- :func:`scalar_iblt_merge` — the slot-at-a-time IBLT merge;
+- :func:`scalar_decode` / :func:`scalar_sample` — the key-at-a-time IBLT
+  peel and the ℓ₀ sampler's level walk over it, the reference the
+  round-based peel in :mod:`repro.streaming.sketch` must match;
 - :func:`sketch_storing_update` — a cell-sketch update followed by the
   nested point sketches, row by row;
 - :func:`l0_update` — the ℓ₀ sampler's level loop;
 - :func:`scalar_ingest` — Algorithm 4 per event for every guess instance,
   including the mid-event early kill, plus the pilot sampler;
+- :func:`greedy_assignment_numpy` / :func:`forestify_support_dfs` — the
+  capacitated solver's greedy loop over numpy scalars and the cycle
+  cancelling that always runs the DFS, which the float-list greedy and the
+  forest check in :mod:`repro.assignment.capacitated` must match;
 - :func:`counter_state_to_dict` / :func:`counter_state_from_dict` — the v1
   checkpoint codec written entry by entry through the Counter and bucket
   dict views, the reference the columnar codec in
@@ -27,8 +35,12 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
+
+from repro.assignment.capacitated import _find_support_cycle
 from repro.core.io import params_from_dict
 from repro.service.state import streaming_state_to_dict
+from repro.streaming.sketch import DecodeFailure
 from repro.streaming.storing import ExactStoring, SketchStoring
 from repro.streaming.stream import events_to_arrays
 from repro.streaming.streaming_coreset import StreamingCoreset
@@ -38,9 +50,14 @@ __all__ = [
     "CounterStoring",
     "counter_state_from_dict",
     "counter_state_to_dict",
+    "forestify_support_dfs",
+    "greedy_assignment_numpy",
     "iblt_update",
     "l0_update",
+    "scalar_decode",
+    "scalar_iblt_merge",
     "scalar_ingest",
+    "scalar_sample",
     "sketch_storing_update",
 ]
 
@@ -69,16 +86,104 @@ class CounterStoring:
         self.store._points = self.points
 
 
+def _slot_of(sk, flat: int) -> int:
+    """Slot of a flat position of ``sk``, materializing it at zero if absent."""
+    idx = sk._slot.get(flat)
+    if idx is None:
+        idx = len(sk._slot)
+        sk._ensure_capacity(idx + 1)
+        sk._slot[flat] = idx
+    return idx
+
+
 def iblt_update(sk, key: int, delta: int) -> None:
     """Add ``delta`` copies of ``key`` to an :class:`IBLTSketch`."""
     key = int(key)
     fp = sk.family.fingerprint(key)
     m = sk.m
     for r, pos in enumerate(sk.family.positions(key)):
-        i = sk._slot_of(r * m + pos)
+        i = _slot_of(sk, r * m + pos)
         sk._count[i] += delta
         sk._keysum[i] += delta * key
         sk._fpsum[i] += delta * fp
+
+
+def scalar_iblt_merge(dst, src) -> None:
+    """Add ``src``'s buckets into ``dst`` one slot at a time, in ``src``'s
+    first-touch order."""
+    for flat, j in src._slot.items():
+        i = _slot_of(dst, flat)
+        dst._count[i] += src._count[j]
+        dst._keysum[i] += src._keysum[j]
+        dst._fpsum[i] += src._fpsum[j]
+
+
+def _try_extract(sk, b: list):
+    """Return (key, count) if the bucket is verified 1-sparse, else None."""
+    cnt, ks, fs = b
+    if cnt == 0:
+        return None
+    if ks % cnt != 0:
+        return None
+    key = ks // cnt
+    if key < 0 or key >= (1 << sk.universe_bits):
+        return None
+    if fs != cnt * sk.family.fingerprint(key):
+        return None
+    return key, cnt
+
+
+def scalar_decode(sk) -> dict[int, int]:
+    """Peel a copy of an :class:`IBLTSketch` one key at a time (LIFO queue
+    of bucket positions); returns {key: count} in extraction order.
+
+    Raises :class:`DecodeFailure` when peeling stalls with residual mass.
+    """
+    work = {pos: b for pos, b in sk.buckets.items() if any(b)}
+    out: dict[int, int] = {}
+    queue = list(work.keys())
+    while queue:
+        pos = queue.pop()
+        b = work.get(pos)
+        if b is None or not any(b):
+            continue
+        got = _try_extract(sk, b)
+        if got is None:
+            continue
+        key, cnt = got
+        out[key] = out.get(key, 0) + cnt
+        fp = sk.family.fingerprint(key)
+        for r, p in enumerate(sk.family.positions(key)):
+            wb = work.get((r, p))
+            if wb is None:
+                wb = [0, 0, 0]
+                work[(r, p)] = wb
+            wb[0] -= cnt
+            wb[1] -= cnt * key
+            wb[2] -= cnt * fp
+            queue.append((r, p))
+    for b in work.values():
+        if any(b):
+            raise DecodeFailure(f"IBLT peeling stalled (capacity {sk.capacity})")
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def scalar_sample(sampler):
+    """:meth:`DistinctSampler.sample` over :func:`scalar_decode`: the
+    first level that decodes (non-empty unless it is level 0) gives the
+    sorted keys and the live-count estimate."""
+    last_error = None
+    for j in range(sampler.num_levels):
+        try:
+            decoded = scalar_decode(sampler._sketches[j])
+        except DecodeFailure as exc:
+            last_error = exc
+            continue
+        if j == 0 or decoded:
+            return sorted(decoded), float(len(decoded)) * (2.0**j)
+    if last_error is not None:
+        raise last_error
+    return [], 0.0
 
 
 def sketch_storing_update(store, cell: int, point: int, sign: int) -> None:
@@ -244,3 +349,46 @@ def counter_state_from_dict(data: dict):
             _load_bucket_rows(sk, rows)
     sc.num_updates = int(data["num_updates"])
     return sc
+
+
+def greedy_assignment_numpy(D, w, caps):
+    """The regret-ordered greedy with its loop over numpy scalars."""
+    n, k = D.shape
+    order = np.argsort(-(np.partition(D, 1, axis=1)[:, 1] - D.min(axis=1))) if k > 1 else np.arange(n)
+    remaining = caps.astype(np.float64).copy()
+    labels = np.empty(n, dtype=np.int64)
+    pref = np.argsort(D, axis=1)
+    for i in order:
+        placed = False
+        for j in pref[i]:
+            if remaining[j] >= w[i] - 1e-12:
+                labels[i] = j
+                remaining[j] -= w[i]
+                placed = True
+                break
+        if not placed:
+            j = int(np.argmax(remaining))
+            labels[i] = j
+            remaining[j] -= w[i]
+    return labels
+
+
+def forestify_support_dfs(X, D=None, tol: float = 1e-9):
+    """Cycle cancelling that searches for a cycle first, forest or not."""
+    X = X.copy()
+    while True:
+        cycle = _find_support_cycle(X, tol)
+        if cycle is None:
+            return X
+        plus, minus = cycle[0::2], cycle[1::2]
+        if D is not None:
+            delta_cost = sum(D[i, j] for (i, j) in plus) - sum(D[i, j] for (i, j) in minus)
+            if delta_cost > 0:
+                plus, minus = minus, plus
+        a = min(X[i, j] for (i, j) in minus)
+        for (i, j) in plus:
+            X[i, j] += a
+        for (i, j) in minus:
+            X[i, j] -= a
+            if X[i, j] < tol:
+                X[i, j] = 0.0

@@ -11,10 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.assignment.capacitated import (
+    _find_support_cycle,
+    _greedy_assignment,
+    _solve_transportation_lp,
+    _support_is_forest,
     capacitated_assignment,
     cluster_sizes,
     forestify_support,
 )
+from repro.metrics.distances import pairwise_power_distances
+from tests.scalar_oracle import forestify_support_dfs, greedy_assignment_numpy
 
 
 def brute_force_cost(points, centers, t, r=2.0):
@@ -163,3 +169,54 @@ class TestForestify:
         # Acyclic support: edges <= touched nodes - components  =>  <= n+k-1.
         assert (out > 1e-9).sum() <= n + k - 1
         assert (out * D).sum() <= (X * D).sum() + 1e-6
+
+
+def _instance(seed: int):
+    """Random weighted points, centers and a capacity that binds."""
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(1, 120)), int(rng.integers(1, 7))
+    D = pairwise_power_distances(rng.normal(size=(n, 2)),
+                                 rng.normal(size=(k, 2)), 2.0)
+    w = rng.uniform(0.5, 3.0, size=n)
+    caps = np.full(k, w.sum() / k * float(rng.choice([0.9, 1.0, 1.05, 1.5])))
+    return D, w, caps
+
+
+class TestSolverLoopsMatchOracles:
+    """The float-list greedy and the forest check against today's numpy-
+    scalar greedy and always-DFS cycle cancelling (``tests/scalar_oracle``)."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_greedy_labels_identical(self, seed):
+        D, w, caps = _instance(seed)
+        np.testing.assert_array_equal(_greedy_assignment(D, w, caps),
+                                      greedy_assignment_numpy(D, w, caps))
+
+    def test_greedy_ties_pick_the_first_center(self):
+        D = np.zeros((4, 3))
+        w = np.ones(4)
+        labels = _greedy_assignment(D, w, np.zeros(3))  # nothing fits
+        np.testing.assert_array_equal(labels,
+                                      greedy_assignment_numpy(D, w, np.zeros(3)))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_highs_optima_are_forests(self, seed):
+        D, w, caps = _instance(seed)
+        X = _solve_transportation_lp(D, w, np.maximum(caps, w.sum() / len(caps)))
+        assert X is not None
+        assert _support_is_forest(X, 1e-9)
+        np.testing.assert_array_equal(forestify_support(X, D),
+                                      forestify_support_dfs(X, D))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_forest_check_agrees_with_cycle_search(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+        X = (rng.random((n, k)) < rng.uniform(0.1, 0.8)) * rng.uniform(0.1, 1, (n, k))
+        assert _support_is_forest(X, 1e-9) == (_find_support_cycle(X, 1e-9) is None)
+        D = rng.uniform(0, 10, size=(n, k))
+        np.testing.assert_array_equal(forestify_support(X, D),
+                                      forestify_support_dfs(X, D))

@@ -358,3 +358,70 @@ class TestMergeCompatibility:
         a = self._fed(auto_pilot=True)
         b = self._fed(auto_pilot=True)
         assert merge_streaming_states(a, b) is a
+
+    def test_seed_mismatch_rejected(self):
+        """Drivers built with other seeds hash with other polynomials and
+        pilot sketches; sharing one grid object must not hide that."""
+        params = CoresetParams.practical(k=3, d=2, delta=64)
+        a = StreamingCoreset(params, seed=1, o_range=(1.0, 1e9))
+        b = StreamingCoreset(params, seed=2, o_range=(1.0, 1e9), grids=a.grids)
+        with pytest.raises(ValueError, match=r"different seeds \(1 vs 2\)"):
+            merge_streaming_states(a, b)
+        with pytest.raises(ValueError, match="seeds"):
+            merge_streaming_states(a.copy(), a, b)
+
+
+# ------------------------------------------------------------ one-pass fold
+def _pairwise_fold(acc: StreamingCoreset, others) -> StreamingCoreset:
+    for other in others:
+        merge_streaming_states(acc, other)
+    return acc
+
+
+class TestOnePassFold:
+    @pytest.mark.parametrize("backend,num_shards", [
+        ("exact", 1), ("exact", 2), ("exact", 3), ("exact", 5), ("sketch", 3)])
+    def test_fold_equals_pairwise_and_legacy(self, small_world, backend,
+                                             num_shards):
+        events, params = small_world
+        ing = ShardedIngest(params, num_shards=num_shards, seed=9,
+                            backend=backend)
+        _feed_with_cross_shard_deletions(ing, events)
+        before = [state_json(s) for s in ing.shards]
+        want = state_json(legacy_merged_state(ing))
+        pairwise = _pairwise_fold(ing.shards[0].copy(), ing.shards[1:])
+        assert state_json(pairwise) == want
+        assert state_json(ing.merged_state()) == want
+        assert [state_json(s) for s in ing.shards] == before
+
+    @given(st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_fold_in_any_order(self, dense_world, data):
+        """Any order of the ``others`` and any number of shards: the same
+        bytes as the pairwise and the legacy fold in that order (the
+        pilot's first-touch row order and the first dead shard's kill
+        reason follow the merge order), early-killed instances included."""
+        events, params = dense_world
+        num_shards = data.draw(st.integers(1, 5))
+        ing, before = _dense_ingest(params, num_shards, events)
+        order = data.draw(st.permutations(range(1, num_shards)))
+        others = [ing.shards[j] for j in order]
+        got = merge_streaming_states(ing.shards[0].copy(), *others)
+        assert state_json(got) == state_json(
+            _pairwise_fold(ing.shards[0].copy(), others))
+        assert state_json(got) == state_json(legacy_merged_state(
+            ShardedIngest.from_shards([ing.shards[0], *others])))
+        assert [state_json(s) for s in ing.shards] == before
+
+
+_DENSE_INGESTS: dict = {}
+
+
+def _dense_ingest(params, num_shards: int, events):
+    """One fed ingest per shard count, with its shards' state JSON (the
+    tests above only read the shards)."""
+    if num_shards not in _DENSE_INGESTS:
+        ing = ShardedIngest(params, num_shards=num_shards, seed=9)
+        _feed_with_cross_shard_deletions(ing, events)
+        _DENSE_INGESTS[num_shards] = ing, [state_json(s) for s in ing.shards]
+    return _DENSE_INGESTS[num_shards]

@@ -317,6 +317,32 @@ class TestQueryEngine:
         assert len(coreset) == 0
         assert instance is merged.instances[-1]  # prefer="largest" order
 
+    @pytest.mark.parametrize("num_shards", [1, 4])
+    def test_empty_live_set_answers_empty(self, num_shards):
+        """A fresh service, and one whose points were all deleted, answer
+        with no centers and zero cost from the fallback guess instead of
+        handing the solver an empty coreset; the answer is cached."""
+        fresh = ClusteringService(
+            ServiceConfig(k=2, d=2, delta=32, num_shards=num_shards))
+        drained = ClusteringService(
+            ServiceConfig(**EMPTY_GUESS_SHAPE, num_shards=num_shards))
+        pts = empty_guess_points()
+        assert len(pts) == 14
+        drained.insert(pts)
+        drained.delete(pts)
+        for svc in (fresh, drained):
+            result, hit = svc.query()
+            assert not hit
+            assert result.centers.shape == (0, 2)
+            assert result.cost == 0.0 and result.coreset_size == 0
+            fallback, _ = svc.ingest.merged_state().finalize_with_instance()
+            assert result.o == fallback.o
+            assert result.version == svc.ingest.version
+            again, hit = svc.query()
+            assert hit and again is result
+        with pytest.raises(ValueError, match="empty input"):
+            CapacitatedKClustering(k=2, capacity=1.0).fit(np.empty((0, 2)))
+
     def test_service_checkpoint_restore(self, world, tmp_path):
         stream, _, params = world
         svc = ClusteringService(

@@ -284,6 +284,31 @@ class TestAsyncWire:
         finally:
             reg.close()
 
+    def test_empty_live_set_query_over_the_wire(self):
+        """Querying a tenant whose points were all deleted answers empty
+        over the wire and records no circuit-breaker failure."""
+        reg = TenantRegistry(cheap_config())
+        server, thread = start_async_server(reg)
+        host, port = server.address
+        try:
+            with ServiceClient(host, port, stream_id="drained") as cli:
+                pts = stream_points("drained")
+                cli.insert(pts)
+                cli.delete(pts)
+                for _ in range(2):
+                    answer = cli.query()
+                    assert answer["centers"] == []
+                    assert answer["cost"] == 0.0
+                    assert answer["coreset_size"] == 0
+                assert answer["cache_hit"]
+                cli.shutdown()
+            thread.join(10)
+            breaker = reg.stats("drained")["breaker"]
+            assert breaker["state"] == "closed"
+            assert breaker["consecutive_failures"] == 0
+        finally:
+            reg.close()
+
     def test_concurrent_clients_stay_isolated(self):
         reg = TenantRegistry(cheap_config())
         server, thread = start_async_server(reg)
