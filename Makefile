@@ -18,11 +18,13 @@ test-verbose:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# Quick ingest and fold check plus latency percentiles: times the per-event
-# oracle against batched ingest and the 4-shard query-time fold, appends to
+# Quick ingest, fold and solve check plus latency percentiles: times the
+# per-event oracle against batched ingest, the 4-shard query-time fold and
+# the exact transportation solve against HiGHS, appends to
 # BENCH_service.json, and fails unless the batched and per-event states are
-# bit-identical, the fold equals the unsharded driver and the merged pilot
-# samples like the scalar peel.
+# bit-identical, the fold equals the unsharded driver, the merged pilot
+# samples like the scalar peel and the exact solve's flow is feasible at
+# HiGHS's cost (within 1e-9 relative).
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_service_throughput.py --smoke
 

@@ -11,9 +11,11 @@ Also runnable as a script::
 
 which runs an ingest/query latency percentile pass (p50/p95/p99), the
 scalar-vs-batched ingest check (fails unless the two states are
-bit-identical) and the shard-fold check (fails unless a 4-shard fold
+bit-identical), the shard-fold check (fails unless a 4-shard fold
 equals the unsharded driver and the merged pilot samples like the scalar
-peel), and **appends** the records to ``BENCH_service.json`` at
+peel) and the solve check (fails unless the exact transportation solve
+matches HiGHS's cost within 1e-9 relative with a feasible flow), and
+**appends** the records to ``BENCH_service.json`` at
 the repo root (``make bench-smoke``) — runs accumulate as a history rather
 than overwriting each other.
 """
@@ -154,6 +156,63 @@ def run_fold_identity(n: int = 1500, delta: int = 256, batch: int = 512,
         "fold_identical": split(merged) == split(single),
         "peel_identical": sample == scalar_sample(sampler),
     }
+
+
+def run_solve_identity(n: int = 1500, delta: int = 256, batch: int = 512,
+                       num_shards: int = 4, seed: int = 3, slack: float = 1.2,
+                       repeats: int = 5) -> dict:
+    """The exact transportation solve (``auto``) checked against HiGHS
+    (``lp``) and timed.
+
+    On the merged coreset of the smoke stream, at k-means++ centers (many
+    pushes) and at the centers a :class:`CapacitatedKClustering` fit
+    converges to (few), the ``auto`` flow must fit the capacities and
+    reach HiGHS's fractional cost within 1e-9 relative.
+    """
+    from repro.assignment.capacitated import (
+        _solve_transportation_ssp, capacitated_assignment)
+    from repro.metrics.distances import pairwise_power_distances
+    from repro.solvers.capacitated_lloyd import CapacitatedKClustering
+    from repro.solvers.kmeanspp import kmeans_plusplus
+
+    k = 3
+    params = CoresetParams.practical(k=k, d=2, delta=delta)
+    stream, _, _ = _workload(n=n, delta=delta, seed=seed)
+    events = list(stream)
+    ingest = ShardedIngest(params, num_shards=num_shards, seed=9)
+    for lo in range(0, len(events), batch):
+        ingest.apply_batch(events[lo: lo + batch])
+    coreset = ingest.merged_state().finalize()
+    pts, w = coreset.points.astype(float), coreset.weights
+    cap = coreset.total_weight / k * slack
+    centers = {
+        "kmeans++": kmeans_plusplus(pts, k, weights=w, seed=seed),
+        "converged": CapacitatedKClustering(k, cap, seed=seed).fit(pts, w).centers,
+    }
+
+    def median_ms(method, ctr):
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            res = capacitated_assignment(pts, ctr, cap, weights=w, method=method,
+                                         integral=False)
+            times.append(time.perf_counter() - t0)
+        return round(float(np.median(times)) * 1e3, 3), res.fractional_cost
+
+    record = {"bench": "exact solve vs HiGHS", "n_points": n, "delta": delta,
+              "coreset": len(pts), "k": k, "slack": slack, "auto_ms": {},
+              "lp_ms": {}, "pushes": {}, "cost_gap": {}, "feasible": True}
+    for name, ctr in centers.items():
+        X, pushes = _solve_transportation_ssp(pairwise_power_distances(pts, ctr, 2.0),
+                                              w, np.full(k, cap))
+        record["feasible"] &= bool(
+            (X >= 0).all() and np.allclose(X.sum(axis=1), w, rtol=1e-9)
+            and (X.sum(axis=0) <= cap * (1 + 1e-9)).all())
+        record["auto_ms"][name], auto_cost = median_ms("auto", ctr)
+        record["lp_ms"][name], lp_cost = median_ms("lp", ctr)
+        record["pushes"][name] = pushes
+        record["cost_gap"][name] = abs(auto_cost - lp_cost) / lp_cost
+    return record
 
 
 def _percentiles(samples_s: list[float]) -> dict:
@@ -322,9 +381,12 @@ def _smoke(argv=None) -> dict:
     vector["timestamp"] = stamp
     fold = run_fold_identity(n=n, delta=delta, batch=batch)
     fold["timestamp"] = stamp
+    solve = run_solve_identity(n=n, delta=delta, batch=batch)
+    solve["timestamp"] = stamp
     out = append_bench_record(latency, out=args.out)
     append_bench_record(vector, out=args.out)
     append_bench_record(fold, out=args.out)
+    append_bench_record(solve, out=args.out)
     print_table(
         f"service: latency percentiles (ms; batch={latency['batch']}) -> {out}",
         ["path", "p50", "p95", "p99"],
@@ -342,12 +404,24 @@ def _smoke(argv=None) -> dict:
         [[fold["events"], fold["fold_ms"], fold["sample_ms"],
           fold["fold_identical"], fold["peel_identical"]]],
     )
+    print_table(
+        f"service: exact solve vs HiGHS ({solve['coreset']}-point merged coreset)",
+        ["centers", "auto ms", "lp ms", "pushes", "cost gap"],
+        [[name, solve["auto_ms"][name], solve["lp_ms"][name],
+          solve["pushes"][name], f"{solve['cost_gap'][name]:.1e}"]
+         for name in solve["auto_ms"]],
+    )
     if not vector["bit_identical"]:
         raise SystemExit("FAIL: batched ingest state diverged from scalar")
     if not fold["fold_identical"]:
         raise SystemExit("FAIL: shard fold diverged from the unsharded driver")
     if not fold["peel_identical"]:
         raise SystemExit("FAIL: pilot sample diverged from the scalar peel")
+    if not solve["feasible"]:
+        raise SystemExit("FAIL: the exact solve's flow is infeasible")
+    if max(solve["cost_gap"].values()) > 1e-9:
+        raise SystemExit(f"FAIL: exact solve cost differs from HiGHS "
+                         f"({solve['cost_gap']})")
     if vector["scalar_vs_batched"] < 1.0:
         raise SystemExit(
             f"FAIL: batched ingest slower than scalar "

@@ -6,8 +6,10 @@ is a transportation problem.  This package provides:
 - :mod:`repro.assignment.mincostflow` — a from-scratch successive-shortest-
   path min-cost-flow solver (reference implementation, exact on integers);
 - :mod:`repro.assignment.capacitated` — fractional/integral capacitated
-  assignment of (weighted) point sets to centers, including the paper's
-  cycle-canceling argument that at most k−1 weighted points end up split;
+  assignment of (weighted) point sets to centers (an exact successive-
+  shortest-path solve over the k centers by default, HiGHS and the
+  from-scratch flow on request), including the paper's cycle-canceling
+  argument that at most k−1 weighted points end up split;
 - :mod:`repro.assignment.transfer` — Section 3.3's construction of an
   assignment for the *original* point set from an assignment of the coreset,
   via half-space representations and transferred assignments.

@@ -7,10 +7,14 @@ so at most k−1 points have their weight split among several centers; those
 are rounded to a single center, violating capacities by at most
 (k−1)·max-weight ≤ η·|Q|/k for coreset weights.
 
-This module implements that pipeline with three solution methods:
+This module implements that pipeline with four solution methods:
 
-``lp``      scipy's HiGHS simplex on the transportation LP (fast, returns a
-            basic — hence forest-support — optimum);
+``auto``    successive shortest paths over the k centers (numpy only,
+            exact): every point starts at its nearest center and excess is
+            pushed along shortest paths of the k-node residual graph, which
+            is all Lemma 3.8's k additive offsets need;
+``lp``      scipy's HiGHS simplex on the transportation LP (returns a basic —
+            hence forest-support — optimum; the test oracle);
 ``flow``    the from-scratch min-cost-flow of :mod:`repro.assignment.
             mincostflow` on integer-scaled weights (reference);
 ``greedy``  regret-ordered greedy with capacity repair (no optimality
@@ -189,6 +193,118 @@ def _solve_transportation_flow(D: np.ndarray, w: np.ndarray, caps: np.ndarray,
         for j in range(k):
             X[i, j] = net.edge_flow(int(point_edges[i, j])) / scale
     return X
+
+
+# ---------------------------------------------------------------------------
+# Exact transportation solve over the k centers (successive shortest paths)
+# ---------------------------------------------------------------------------
+
+# Relative round-off allowance: a Bellman–Ford relaxation must beat the
+# current distance by more than this times the magnitudes it adds, and
+# excess or room below this times the total weight counts as none.
+_SSP_RTOL = 1e-12
+
+
+def _solve_transportation_ssp(D: np.ndarray, w: np.ndarray, caps: np.ndarray):
+    """Solve min <D, X> s.t. X·1 = w, Xᵀ·1 ≤ caps, X ≥ 0 by successive
+    shortest paths over the k centers.
+
+    Every point starts at its nearest center, which is min-cost for the
+    loads it makes but may overfill some centers.  Each push then moves
+    excess from an overloaded center to one with room along a shortest path
+    of the residual graph, collapsed to the k centers (Lemma 3.8: an
+    optimum is k additive offsets): edge j → j′ costs
+    min D[i, j′] − D[i, j] over the points i with flow on j, and carries up
+    to that point's flow on j.  Shortest-path pushes keep the flow min-cost
+    for its loads (Ahuja–Magnanti–Orlin, *Network Flows*, ch. 9), so it
+    ends optimal.  A push moves only the points on its path, so the edge
+    minima are kept incrementally: a point arriving on a center lowers that
+    center's row in O(k), and a center's row is recomputed only when a point
+    that was one of its minima leaves it.  Bellman–Ford relaxes an edge only
+    when it gains more than the round-off of the sum, which keeps float ties
+    from closing cycles; when round-off still closes a (tiny) negative
+    cycle, the walk back from the sink finds it and that push cancels it.
+
+    Returns ``(X, pushes)`` (cycle cancellations count as pushes).  Every
+    point's weight is placed, and an overloaded center always has an edge
+    to each center with room, so the flow fits ``caps`` whenever
+    ``w.sum() <= caps.sum()``.
+    """
+    n, k = D.shape
+    nearest = D.argmin(axis=1)
+    X = np.zeros((n, k))
+    X[np.arange(n), nearest] = w
+    excess = np.bincount(nearest, weights=w, minlength=k) - caps
+    tol = _SSP_RTOL * float(w.sum())
+    if excess.max() <= tol:
+        return X, 0
+    room = np.maximum(-excess, 0.0)
+    excess = np.maximum(excess, 0.0)
+    cols = np.arange(k)
+    gap = np.empty((k, k))
+    via = np.empty((k, k), dtype=np.intp)
+
+    def refresh(j: int) -> None:
+        on_j = np.flatnonzero(X[:, j] > 0)
+        if len(on_j) == 0:
+            gap[j] = np.inf
+            return
+        moves = D[on_j] - D[on_j, j, None]
+        best = moves.argmin(axis=0)
+        gap[j] = moves[best, cols]
+        via[j] = on_j[best]
+        gap[j, j] = np.inf
+
+    for j in range(k):
+        refresh(j)
+    pushes = 0
+    while True:
+        sources, sinks = excess > tol, room > tol
+        if not (sources.any() and sinks.any()):
+            return X, pushes
+        dist = np.where(sources, 0.0, np.inf)
+        pred = np.full(k, -1)
+        for _ in range(k):
+            cand = dist[:, None] + gap
+            u = cand.argmin(axis=0)
+            best = cand[u, cols]
+            better = best + _SSP_RTOL * (np.abs(dist[u]) + np.abs(gap[u, cols])) < dist
+            if not better.any():
+                break
+            dist[better] = best[better]
+            pred[better] = u[better]
+        t = int(np.where(sinks, dist, np.inf).argmin())
+        path, seen = [], [t]
+        while pred[seen[-1]] >= 0:
+            v = seen[-1]
+            u = int(pred[v])
+            path.append((u, v, int(via[u, v])))
+            if u in seen:
+                # Cancelling keeps every load and lowers the cost.
+                path = path[seen.index(u):]
+                delta = min(X[i, u] for u, _, i in path)
+                break
+            seen.append(u)
+        else:
+            s = seen[-1]
+            delta = min(excess[s], room[t], *(X[i, u] for u, _, i in path))
+            excess[s] -= delta
+            room[t] -= delta
+        for u, v, i in path:
+            X[i, u] -= delta
+            X[i, v] += delta
+        stale = set()
+        for u, v, i in path:
+            moves = D[i] - D[i, v]
+            moves[v] = np.inf
+            lower = moves < gap[v]
+            gap[v, lower] = moves[lower]
+            via[v, lower] = i
+            if X[i, u] == 0 and (via[u] == i).any():
+                stale.add(u)
+        for j in stale:
+            refresh(j)
+        pushes += 1
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +520,9 @@ def capacitated_assignment(
     weights:
         Optional positive point weights (coresets); default all-ones.
     method:
-        ``"lp"`` | ``"flow"`` | ``"greedy"`` | ``"auto"`` (lp when available,
-        flow as fallback).
+        ``"auto"`` (the exact successive-shortest-path solve over the k
+        centers) | ``"lp"`` (HiGHS) | ``"flow"`` (from-scratch min-cost
+        flow) | ``"greedy"`` (fast, not optimal).
     integral:
         If True, round the fractional optimum to an integral assignment via
         forestification + nearest-center rounding of the ≤ k−1 split points
@@ -436,15 +553,14 @@ def capacitated_assignment(
             sizes=cluster_sizes(labels, k, w), capacity=caps,
         )
 
-    if method in ("auto", "lp"):
+    if method == "auto":
+        X, _ = _solve_transportation_ssp(D, w, caps)
+    elif method == "lp":
         X = _solve_transportation_lp(D, w, caps)
-        if X is None and method == "lp":
-            return AssignmentResult(labels=None, cost=math.inf, fractional_cost=math.inf,
-                                    sizes=None, capacity=caps)
-    else:
-        X = None
-    if X is None:
+    elif method == "flow":
         X = _solve_transportation_flow(D, w, caps)
+    else:
+        raise ValueError(f"unknown assignment method {method!r}")
     if X is None:
         return AssignmentResult(labels=None, cost=math.inf, fractional_cost=math.inf,
                                 sizes=None, capacity=caps)

@@ -5,7 +5,8 @@ alternates:
 
 1. **assignment step** — optimal capacitated assignment of (weighted) points
    to the current centers (transportation problem; ``greedy`` method inside
-   the loop for speed, exact LP/flow at the final step);
+   the loop for speed, the exact successive-shortest-path solve over the k
+   centers at the final step);
 2. **center step** — each cluster's center moves to its cost-minimizing
    point (mean / geometric median), optionally snapped to [Δ]^d.
 
@@ -64,7 +65,8 @@ class CapacitatedKClustering:
         output model).
     assignment_method:
         Inner-loop assignment ("greedy" default); the returned solution is
-        always re-assigned with the exact method.
+        always re-assigned with the exact ``"auto"`` method (successive
+        shortest paths over the k centers, no scipy).
     """
 
     def __init__(
@@ -128,7 +130,8 @@ class CapacitatedKClustering:
             else:
                 break
             centers = self._update_centers(pts, w, res, centers)
-        # Final exact assignment against the best centers found.
+        # Final exact assignment (successive shortest paths) against the
+        # best centers found.
         final = capacitated_assignment(
             pts, best_centers, self.capacity, r=self.r, weights=w, method="auto",
         )

@@ -92,8 +92,9 @@ def merge_streaming_states(a: StreamingCoreset, *others: StreamingCoreset) -> St
     if not others:
         return a
     for ia, *ibs in zip(a.instances, *(b.instances for b in others)):
-        for ib in ibs:
-            ia.dead_reason = ia.dead_reason or ib.dead_reason
+        # The smallest kill reason, so the text does not follow fold order.
+        reasons = [x.dead_reason for x in (ia, *ibs) if x.dead_reason is not None]
+        ia.dead_reason = min(reasons, default=None)
         for group in ("store_h", "store_hp", "store_hhat"):
             for sa, *sbs in zip(getattr(ia, group), *(getattr(ib, group) for ib in ibs)):
                 merge_storing(sa, *sbs)

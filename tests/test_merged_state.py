@@ -50,11 +50,13 @@ def eager_merge_exact(a: ExactStoring, b: ExactStoring) -> None:
 
 
 def legacy_merged_state(ingest: ShardedIngest) -> StreamingCoreset:
-    """The previous ``merged_state``: deep copy plus a pairwise flushed fold."""
+    """The previous ``merged_state``: deep copy plus a pairwise flushed fold
+    (keeping the smallest kill reason, as the one-pass fold does)."""
     merged = copy.deepcopy(ingest.shards[0])
     for shard in ingest.shards[1:]:
         for ia, ib in zip(merged.instances, shard.instances):
-            ia.dead_reason = ia.dead_reason or ib.dead_reason
+            reasons = [r for r in (ia.dead_reason, ib.dead_reason) if r is not None]
+            ia.dead_reason = min(reasons, default=None)
             for ga, gb in ((ia.store_h, ib.store_h), (ia.store_hp, ib.store_hp),
                            (ia.store_hhat, ib.store_hhat)):
                 for sa, sb in zip(ga, gb):
@@ -399,8 +401,8 @@ class TestOnePassFold:
     def test_fold_in_any_order(self, dense_world, data):
         """Any order of the ``others`` and any number of shards: the same
         bytes as the pairwise and the legacy fold in that order (the
-        pilot's first-touch row order and the first dead shard's kill
-        reason follow the merge order), early-killed instances included."""
+        pilot's first-touch row order follows the merge order),
+        early-killed instances included."""
         events, params = dense_world
         num_shards = data.draw(st.integers(1, 5))
         ing, before = _dense_ingest(params, num_shards, events)
@@ -412,6 +414,24 @@ class TestOnePassFold:
         assert state_json(got) == state_json(legacy_merged_state(
             ShardedIngest.from_shards([ing.shards[0], *others])))
         assert [state_json(s) for s in ing.shards] == before
+
+    @pytest.mark.parametrize("num_shards", [2, 3, 4, 5])
+    @given(data=st.data())
+    @settings(max_examples=4, deadline=None)
+    def test_kill_reason_is_order_free(self, dense_world, num_shards, data):
+        """Whichever shard leads the fold and whatever order the rest
+        come in, every instance keeps the same kill reason (the smallest),
+        although on three shards the shards disagree about some."""
+        events, params = dense_world
+        ing, _ = _dense_ingest(params, num_shards, events)
+        reasons = [[inst.dead_reason for inst in s.instances] for s in ing.shards]
+        if num_shards == 3:
+            assert any(len(set(filter(None, per))) > 1 for per in zip(*reasons))
+        order = data.draw(st.permutations(range(num_shards)))
+        got = merge_streaming_states(ing.shards[order[0]].copy(),
+                                     *(ing.shards[j] for j in order[1:]))
+        want = [min(filter(None, per), default=None) for per in zip(*reasons)]
+        assert [inst.dead_reason for inst in got.instances] == want
 
 
 _DENSE_INGESTS: dict = {}
