@@ -76,8 +76,10 @@ perfbench-smoke:
 			|| { echo "perfbench-smoke: $$w run is not correct"; exit 1; }; \
 	done
 
+# Run the six examples (capacitated k-clustering, k-center, the coreset →
+# full-input transfer, the fleet); fails on the first one that raises.
 examples:
-	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f || exit 1; done
+	for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src $(PYTHON) $$f || exit 1; done
 
 # Generic style (ruff) + project invariants (repro lint: DET/HOT/ASYNC/WIRE;
 # see docs/LINTING.md).  `repro.analysis_lint` is the same command as

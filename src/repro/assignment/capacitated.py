@@ -7,18 +7,17 @@ so at most k−1 points have their weight split among several centers; those
 are rounded to a single center, violating capacities by at most
 (k−1)·max-weight ≤ η·|Q|/k for coreset weights.
 
-This module implements that pipeline with four solution methods:
+This module implements that pipeline with two solution methods:
 
 ``auto``    successive shortest paths over the k centers (numpy only,
             exact): every point starts at its nearest center and excess is
             pushed along shortest paths of the k-node residual graph, which
             is all Lemma 3.8's k additive offsets need;
-``lp``      scipy's HiGHS simplex on the transportation LP (returns a basic —
-            hence forest-support — optimum; the test oracle);
-``flow``    the from-scratch min-cost-flow of :mod:`repro.assignment.
-            mincostflow` on integer-scaled weights (reference);
 ``greedy``  regret-ordered greedy with capacity repair (no optimality
             guarantee; used inside iterative solvers where speed matters).
+
+HiGHS on the transportation LP (``_solve_transportation_lp``) is the private
+oracle that the tests and ``make bench-smoke`` check ``auto`` against.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.assignment.mincostflow import MinCostFlow
 from repro.metrics.distances import pairwise_power_distances
 
 __all__ = [
@@ -90,8 +88,8 @@ def _as_capacities(t, k: int) -> np.ndarray:
         caps = np.full(k, float(caps))
     if caps.shape != (k,):
         raise ValueError(f"capacity must be scalar or shape ({k},)")
-    if caps.min() < 0:
-        raise ValueError("capacities must be non-negative")
+    if np.isnan(caps).any() or caps.min() < 0:
+        raise ValueError("capacities must be non-negative numbers")
     return caps
 
 
@@ -121,13 +119,15 @@ def assignment_cost(
 
 
 # ---------------------------------------------------------------------------
-# LP (HiGHS) transportation solve
+# LP (HiGHS) transportation solve: the oracle for ``auto``
 # ---------------------------------------------------------------------------
 
 def _solve_transportation_lp(D: np.ndarray, w: np.ndarray, caps: np.ndarray):
     """Solve min <D, X> s.t. X·1 = w, Xᵀ·1 ≤ caps, X ≥ 0 via HiGHS.
 
-    Returns the flow matrix (n, k) or ``None`` if infeasible.
+    The reference the exact solve is tested against (a basic, hence
+    forest-support, optimum); no production path calls it.  Returns the flow
+    matrix (n, k) or ``None`` if infeasible.
     """
     from scipy import sparse
     from scipy.optimize import linprog
@@ -153,46 +153,6 @@ def _solve_transportation_lp(D: np.ndarray, w: np.ndarray, caps: np.ndarray):
     if not res.success:
         return None
     return res.x.reshape(n, k)
-
-
-# ---------------------------------------------------------------------------
-# Flow (from scratch) transportation solve
-# ---------------------------------------------------------------------------
-
-def _solve_transportation_flow(D: np.ndarray, w: np.ndarray, caps: np.ndarray,
-                               weight_scale: int = 1_000_000):
-    """Transportation via the from-scratch min-cost flow on scaled integers.
-
-    Weights and capacities are scaled by ``weight_scale`` and rounded, so the
-    result is exact for integer weights (scale 1 is used then) and accurate
-    to 1e-6 relative weight otherwise.  Returns the flow matrix or ``None``.
-    """
-    n, k = D.shape
-    if np.allclose(w, np.round(w)) and np.allclose(caps, np.round(caps)):
-        scale = 1
-    else:
-        scale = weight_scale
-    iw = np.round(w * scale).astype(np.int64)
-    icaps = np.floor(caps * scale + 1e-9).astype(np.int64)
-    if iw.sum() > icaps.sum():
-        return None
-    net = MinCostFlow(n + k + 2)
-    s, t = n + k, n + k + 1
-    point_edges = np.empty((n, k), dtype=np.int64)
-    for i in range(n):
-        net.add_edge(s, i, int(iw[i]), 0.0)
-        for j in range(k):
-            point_edges[i, j] = net.add_edge(i, n + j, int(iw[i]), float(D[i, j]))
-    for j in range(k):
-        net.add_edge(n + j, t, int(icaps[j]), 0.0)
-    result = net.min_cost_flow(s, t)
-    if result.flow < iw.sum():
-        return None
-    X = np.empty((n, k), dtype=np.float64)
-    for i in range(n):
-        for j in range(k):
-            X[i, j] = net.edge_flow(int(point_edges[i, j])) / scale
-    return X
 
 
 # ---------------------------------------------------------------------------
@@ -518,11 +478,11 @@ def capacitated_assignment(
     r:
         The ℓr exponent (r=1 k-median, r=2 k-means).
     weights:
-        Optional positive point weights (coresets); default all-ones.
+        Optional finite non-negative point weights (coresets); default
+        all-ones.
     method:
         ``"auto"`` (the exact successive-shortest-path solve over the k
-        centers) | ``"lp"`` (HiGHS) | ``"flow"`` (from-scratch min-cost
-        flow) | ``"greedy"`` (fast, not optimal).
+        centers) | ``"greedy"`` (fast, not optimal).
     integral:
         If True, round the fractional optimum to an integral assignment via
         forestification + nearest-center rounding of the ≤ k−1 split points
@@ -538,6 +498,8 @@ def capacitated_assignment(
             sizes=np.zeros(k), capacity=_as_capacities(t, k),
         )
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+    if not (np.isfinite(w).all() and w.min() >= 0):
+        raise ValueError("weights must be finite and non-negative")
     caps = _as_capacities(t, k)
     D = pairwise_power_distances(pts, ctr, r)
 
@@ -553,18 +515,9 @@ def capacitated_assignment(
             sizes=cluster_sizes(labels, k, w), capacity=caps,
         )
 
-    if method == "auto":
-        X, _ = _solve_transportation_ssp(D, w, caps)
-    elif method == "lp":
-        X = _solve_transportation_lp(D, w, caps)
-    elif method == "flow":
-        X = _solve_transportation_flow(D, w, caps)
-    else:
+    if method != "auto":
         raise ValueError(f"unknown assignment method {method!r}")
-    if X is None:
-        return AssignmentResult(labels=None, cost=math.inf, fractional_cost=math.inf,
-                                sizes=None, capacity=caps)
-
+    X, _ = _solve_transportation_ssp(D, w, caps)
     frac_cost = float((D * X).sum())
     if not integral:
         labels = np.asarray(X.argmax(axis=1), dtype=np.int64)

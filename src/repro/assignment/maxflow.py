@@ -3,8 +3,8 @@
 Used for feasibility checks where costs don't matter — notably the
 bottleneck (k-center) assignment, where each binary-search step asks "can
 all points be routed to centers within radius ρ under the capacities?".
-Dinic runs in O(E·√V) on unit-ish bipartite networks, orders of magnitude
-faster than driving the min-cost-flow solver with zero costs.
+Dinic runs in O(E·√V) on unit-ish bipartite networks, much faster than
+posing each check as a transportation solve with 0/1 costs.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ In capacitated clustering, knowing good centers is not enough: one still has
 to route every input point to a center within capacity.  The paper shows the
 coreset carries enough structure to do this without re-reading Q's geometry:
 
-1. solve the capacitated assignment on the weighted coreset (min-cost flow;
-   at most k−1 split points after forestification);
+1. solve the capacitated assignment on the weighted coreset (the exact
+   successive-shortest-path min-cost flow over the k centers; at most k−1
+   split points after forestification);
 2. per weight class (= grid level, since all of Q'_i shares weight 1/φ_i),
    canonicalize the assignment by the switching procedure so it is induced
    by a set of assignment half-spaces H_i (Lemma 3.8 / step 1c);
@@ -42,12 +43,10 @@ def coreset_assignment(
     centers: np.ndarray,
     t: float,
     r: float = 2.0,
-    method: str = "auto",
 ):
     """Step 1: integral capacitated assignment of the weighted coreset."""
     return capacitated_assignment(
-        coreset.points, centers, t, r=r, weights=coreset.weights,
-        method=method, integral=True,
+        coreset.points, centers, t, r=r, weights=coreset.weights, integral=True,
     )
 
 

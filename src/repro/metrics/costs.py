@@ -63,7 +63,6 @@ def capacitated_cost(
     t,
     r: float = 2.0,
     weights: np.ndarray | None = None,
-    method: str = "auto",
 ) -> float:
     """cost_t^(r)(Q, Z[, w]): optimal capacitated clustering cost.
 
@@ -74,13 +73,11 @@ def capacitated_cost(
     # (assignment.capacitated needs metrics.distances at module scope).
     from repro.assignment.capacitated import capacitated_assignment
 
-    k = np.asarray(centers).shape[0]
     if t is None or (np.isscalar(t) and math.isinf(float(t))):
         return uncapacitated_cost(points, centers, r, weights)
-    res = capacitated_assignment(
-        points, centers, t, r=r, weights=weights, method=method, integral=False
-    )
-    return res.fractional_cost
+    return capacitated_assignment(
+        points, centers, t, r=r, weights=weights, integral=False
+    ).fractional_cost
 
 
 def optimal_uncapacitated_cost_upper_bound(
@@ -97,17 +94,3 @@ def optimal_uncapacitated_cost_upper_bound(
     n, d = pts.shape
     return float(n) * (math.sqrt(d) * delta) ** r
 
-
-def capacitated_cost_curve(
-    points: np.ndarray,
-    centers: np.ndarray,
-    capacities,
-    r: float = 2.0,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Vector of cost_t^(r) over several capacities t (shared distance matrix)."""
-    pts = np.asarray(points, dtype=np.float64)
-    out = np.empty(len(capacities))
-    for idx, t in enumerate(capacities):
-        out[idx] = capacitated_cost(pts, centers, t, r=r, weights=weights)
-    return out

@@ -10,9 +10,9 @@ implemented here is:
 - :func:`kmeans_plusplus` seeding (weighted) and weighted Lloyd refinement
   for the *uncapacitated* problem (also the pilot OPT estimator);
 - :class:`CapacitatedKClustering`: k-means++ seeding + alternating
-  (min-cost-flow assignment ↔ center update) descent under capacities;
-- :func:`local_search_swap`: swap-based local search over medoid candidates
-  (a classical O(1)-approximation scheme for k-median/k-means);
+  (capacitated assignment ↔ center update) descent under capacities;
+- :func:`capacitated_kcenter`: Gonzalez seeding + bottleneck assignment
+  (the r = ∞ member of the problem class);
 - :mod:`repro.solvers.exact`: brute force for tiny instances, the ground
   truth for the test suite.
 """
@@ -20,7 +20,6 @@ implemented here is:
 from repro.solvers.kmeanspp import kmeans_plusplus
 from repro.solvers.lloyd import lloyd, KMeansResult
 from repro.solvers.capacitated_lloyd import CapacitatedKClustering, CapacitatedSolution
-from repro.solvers.local_search import local_search_swap
 from repro.solvers.pilot import estimate_opt_cost
 from repro.solvers.exact import exact_capacitated_kclustering
 from repro.solvers.kcenter import (
@@ -36,7 +35,6 @@ __all__ = [
     "KMeansResult",
     "CapacitatedKClustering",
     "CapacitatedSolution",
-    "local_search_swap",
     "estimate_opt_cost",
     "exact_capacitated_kclustering",
     "capacitated_kcenter",

@@ -1,4 +1,4 @@
-"""Capacitated k-clustering by alternating flow assignment and center updates.
+"""Capacitated k-clustering by alternating assignment and center updates.
 
 The (α, β)-approximation black box the coreset theorems assume.  The descent
 alternates:
@@ -54,7 +54,7 @@ class CapacitatedKClustering:
     Parameters
     ----------
     k, capacity:
-        Number of clusters and the uniform capacity t (must satisfy
+        Number of clusters and the uniform capacity t > 0 (must satisfy
         k·t ≥ total weight).
     r:
         ℓr exponent (1 = k-median, 2 = k-means).
@@ -63,10 +63,10 @@ class CapacitatedKClustering:
     snap_delta:
         When set, centers are snapped to the integer grid [Δ]^d (the paper's
         output model).
-    assignment_method:
-        Inner-loop assignment ("greedy" default); the returned solution is
-        always re-assigned with the exact ``"auto"`` method (successive
-        shortest paths over the k centers, no scipy).
+
+    The inner loop assigns with the ``"greedy"`` method; the returned
+    solution is always re-assigned with the exact ``"auto"`` method
+    (successive shortest paths over the k centers, no scipy).
     """
 
     def __init__(
@@ -77,18 +77,18 @@ class CapacitatedKClustering:
         restarts: int = 3,
         max_iter: int = 25,
         snap_delta: int | None = None,
-        assignment_method: str = "greedy",
         seed: int = 0,
     ):
         self.k = int(k)
         self.capacity = float(capacity)
+        if not self.capacity > 0:
+            raise ValueError(f"capacity must be > 0, got {capacity}")
         self.r = float(r)
         self.restarts = int(restarts)
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {restarts}")
         self.max_iter = int(max_iter)
         self.snap_delta = snap_delta
-        self.assignment_method = assignment_method
         self.seed = int(seed)
 
     def fit(self, points: np.ndarray, weights: np.ndarray | None = None) -> CapacitatedSolution:
@@ -120,7 +120,7 @@ class CapacitatedKClustering:
         for it in range(1, self.max_iter + 1):
             res = capacitated_assignment(
                 pts, centers, self.capacity, r=self.r, weights=w,
-                method=self.assignment_method,
+                method="greedy",
             )
             if res.labels is None:
                 break

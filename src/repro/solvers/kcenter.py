@@ -62,7 +62,7 @@ def gonzalez_seeding(points: np.ndarray, k: int, seed=0) -> np.ndarray:
     return pts[chosen]
 
 
-def _feasible_at_radius(D: np.ndarray, radius: float, supplies: np.ndarray,
+def _feasible_at_radius(D: np.ndarray, radius: float,
                         caps: np.ndarray) -> np.ndarray | None:
     """Integral assignment with dist ≤ radius and loads ≤ caps, or None.
 
@@ -74,15 +74,15 @@ def _feasible_at_radius(D: np.ndarray, radius: float, supplies: np.ndarray,
     s, t = n + k, n + k + 1
     edge_ids = {}
     for i in range(n):
-        net.add_edge(s, i, int(supplies[i]))
+        net.add_edge(s, i, 1)
     for j in range(k):
         net.add_edge(n + j, t, int(caps[j]))
     for i in range(n):
         row = D[i]
         for j in range(k):
             if row[j] <= radius + 1e-12:
-                edge_ids[(i, j)] = net.add_edge(i, n + j, int(supplies[i]))
-    if net.max_flow(s, t) < supplies.sum():
+                edge_ids[(i, j)] = net.add_edge(i, n + j, 1)
+    if net.max_flow(s, t) < n:
         return None
     labels = np.full(n, -1, dtype=np.int64)
     for (i, j), eid in edge_ids.items():
@@ -95,52 +95,45 @@ def capacitated_kcenter_assignment(
     points: np.ndarray,
     centers: np.ndarray,
     t,
-    weights: np.ndarray | None = None,
 ) -> KCenterSolution:
-    """Minimize the bottleneck radius subject to loads ≤ t.
+    """Minimize the bottleneck radius subject to at most t points per center.
 
-    Integer (or unit) weights only — the bottleneck objective with divisible
-    weights reduces to the same flow after scaling.  Binary-searches the
-    sorted set of point-center distances; O(log(nk)) flow feasibility checks.
+    Points are unweighted.  Binary-searches the sorted set of point-center
+    distances; O(log(nk)) flow feasibility checks.
     """
     pts = np.asarray(points, dtype=np.float64)
     ctr = np.asarray(centers, dtype=np.float64)
     n, k = pts.shape[0], ctr.shape[0]
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
-    if not np.allclose(w, np.round(w)):
-        raise ValueError("capacitated k-center requires integer weights")
-    supplies = np.round(w).astype(np.int64)
     caps = np.asarray(t, dtype=np.float64)
     if caps.ndim == 0:
         caps = np.full(k, float(caps))
     icaps = np.floor(caps + 1e-9).astype(np.int64)
-    if supplies.sum() > icaps.sum():
+    if n > icaps.sum():
         return KCenterSolution(centers=ctr, labels=None, radius=math.inf,
                                sizes=None)
 
     D = pairwise_distances(pts, ctr)
     radii = np.unique(D)
     lo, hi = 0, len(radii) - 1
-    best_labels = _feasible_at_radius(D, radii[hi], supplies, icaps)
+    best_labels = _feasible_at_radius(D, radii[hi], icaps)
     if best_labels is None:
         return KCenterSolution(centers=ctr, labels=None, radius=math.inf,
                                sizes=None)
     best_radius = float(radii[hi])
     while lo <= hi:
         mid = (lo + hi) // 2
-        labels = _feasible_at_radius(D, radii[mid], supplies, icaps)
+        labels = _feasible_at_radius(D, radii[mid], icaps)
         if labels is not None:
             best_labels, best_radius = labels, float(radii[mid])
             hi = mid - 1
         else:
             lo = mid + 1
-    sizes = np.bincount(best_labels, weights=w, minlength=k)
+    sizes = np.bincount(best_labels, minlength=k).astype(np.float64)
     return KCenterSolution(centers=ctr, labels=best_labels,
                            radius=best_radius, sizes=sizes)
 
 
-def capacitated_kcenter(points: np.ndarray, k: int, t, seed=0,
-                        weights: np.ndarray | None = None) -> KCenterSolution:
+def capacitated_kcenter(points: np.ndarray, k: int, t, seed=0) -> KCenterSolution:
     """Gonzalez seeding + optimal capacitated bottleneck assignment."""
     centers = gonzalez_seeding(points, k, seed=seed)
-    return capacitated_kcenter_assignment(points, centers, t, weights=weights)
+    return capacitated_kcenter_assignment(points, centers, t)

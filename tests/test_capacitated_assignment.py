@@ -1,4 +1,6 @@
-"""Tests for capacitated assignment (exact solve vs LP vs flow vs brute force)."""
+"""Tests for capacitated assignment: the exact solve (``auto``) and the
+greedy against the HiGHS oracle (``_solve_transportation_lp``) and brute
+force, input validation, and the paper's forest rounding."""
 
 from __future__ import annotations
 
@@ -72,19 +74,42 @@ class TestSmallExact:
         rng = np.random.default_rng(7)
         pts = rng.integers(0, 50, size=(12, 3)).astype(float)
         ctr = rng.integers(0, 50, size=(3, 3)).astype(float)
-        auto, lp, fl = (capacitated_assignment(pts, ctr, 5, method=m, integral=False)
-                        for m in ("auto", "lp", "flow"))
-        assert auto.fractional_cost == pytest.approx(lp.fractional_cost, rel=1e-9)
-        assert lp.fractional_cost == pytest.approx(fl.fractional_cost, rel=1e-6)
+        auto = capacitated_assignment(pts, ctr, 5, integral=False)
+        D = pairwise_power_distances(pts, ctr, 2.0)
+        lp_cost = float((D * _solve_transportation_lp(D, np.ones(12), np.full(3, 5.0))).sum())
+        assert auto.fractional_cost == pytest.approx(lp_cost, rel=1e-9)
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="unknown assignment method"):
-            capacitated_assignment(np.zeros((2, 2)), np.zeros((1, 2)), 2, method="simplex")
+        for method in ("simplex", "lp", "flow"):
+            with pytest.raises(ValueError, match="unknown assignment method"):
+                capacitated_assignment(np.zeros((2, 2)), np.zeros((1, 2)), 2, method=method)
 
     def test_empty_input(self):
         res = capacitated_assignment(np.empty((0, 2)), np.zeros((2, 2)), 1)
         assert res.cost == 0.0
         assert len(res.labels) == 0
+
+
+class TestValidation:
+    @pytest.mark.parametrize("t", [float("nan"), [2.0, float("nan")]])
+    def test_nan_capacity_rejected(self, t):
+        with pytest.raises(ValueError, match="capacities"):
+            capacitated_assignment(np.zeros((3, 2)), np.ones((2, 2)), t)
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_bad_weight_rejected(self, bad):
+        w = np.array([1.0, bad, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="weights"):
+            capacitated_assignment(np.arange(10.0).reshape(5, 2), np.zeros((2, 2)), 5,
+                                   weights=w)
+
+    def test_zero_weight_and_infinite_capacity_accepted(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [9.0, 0.0]])
+        ctr = np.array([[0.0, 0.0], [9.0, 0.0]])
+        res = capacitated_assignment(pts, ctr, 1, weights=np.array([1.0, 0.0, 1.0]))
+        assert res.feasible and res.cost == pytest.approx(0.0)
+        res = capacitated_assignment(pts, ctr, math.inf)
+        assert res.labels.tolist() == [0, 0, 1] and res.cost == pytest.approx(1.0)
 
 
 class TestWeighted:
@@ -143,9 +168,10 @@ class TestGreedy:
         pts = rng.uniform(0, 100, size=(30, 2))
         ctr = rng.uniform(0, 100, size=(3, 2))
         greedy = capacitated_assignment(pts, ctr, 12, method="greedy")
-        opt = capacitated_assignment(pts, ctr, 12, method="lp", integral=False)
-        assert greedy.cost >= opt.fractional_cost - 1e-9
-        assert greedy.cost <= 5 * opt.fractional_cost + 1e-9
+        D = pairwise_power_distances(pts, ctr, 2.0)
+        opt = float((D * _solve_transportation_lp(D, np.ones(30), np.full(3, 12.0))).sum())
+        assert greedy.cost >= opt - 1e-9
+        assert greedy.cost <= 5 * opt + 1e-9
 
 
 class TestForestify:
@@ -265,17 +291,18 @@ def _assert_feasible_flow(X, w, caps):
 
 
 class TestExactSolveMatchesHighs:
-    """The successive-shortest-path solve (``auto``) against HiGHS (``lp``)."""
+    """The successive-shortest-path solve (``auto``) against HiGHS."""
 
     @given(transport_instances())
     @settings(max_examples=150, deadline=None)
     def test_optimal_feasible_and_forest_rounded(self, instance):
         pts, ctr, w, caps, r = instance
-        X, _ = _solve_transportation_ssp(pairwise_power_distances(pts, ctr, r), w, caps)
+        D = pairwise_power_distances(pts, ctr, r)
+        X, _ = _solve_transportation_ssp(D, w, caps)
         _assert_feasible_flow(X, w, caps)
         auto = capacitated_assignment(pts, ctr, caps, r=r, weights=w, method="auto")
-        lp = capacitated_assignment(pts, ctr, caps, r=r, weights=w, method="lp")
-        assert auto.fractional_cost == pytest.approx(lp.fractional_cost, rel=1e-9, abs=1e-300)
+        lp_cost = float((D * _solve_transportation_lp(D, w, caps)).sum())
+        assert auto.fractional_cost == pytest.approx(lp_cost, rel=1e-9, abs=1e-300)
         assert auto.num_split <= len(ctr) - 1
 
     def test_ulp_ties_at_large_coordinates_terminate(self):

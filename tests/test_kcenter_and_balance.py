@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metrics.balance import (
     capacity_violations,
@@ -13,6 +16,7 @@ from repro.metrics.balance import (
     imbalance_cv,
     max_load_ratio,
 )
+from repro.metrics.distances import pairwise_distances
 from repro.solvers.kcenter import (
     capacitated_kcenter,
     capacitated_kcenter_assignment,
@@ -85,11 +89,21 @@ class TestCapacitatedKCenter:
         assert (sol.sizes <= 15 + 1e-9).all()
         assert sol.radius > 0
 
-    def test_rejects_fractional_weights(self):
-        pts = np.zeros((3, 2))
-        with pytest.raises(ValueError):
-            capacitated_kcenter_assignment(pts, np.ones((1, 2)), 5,
-                                           weights=np.array([0.5, 1.0, 1.0]))
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_radius_is_bottleneck_optimum(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(1, 8)), int(rng.integers(1, 4))
+        pts = rng.integers(0, 6, size=(n, 2)).astype(float)
+        centers = rng.integers(0, 6, size=(k, 2)).astype(float)
+        t = int(rng.integers(-(-n // k), n + 1))
+        sol = capacitated_kcenter_assignment(pts, centers, t)
+        assert (sol.sizes <= t).all()
+        D = pairwise_distances(pts, centers)
+        best = min(D[np.arange(n), list(lab)].max()
+                   for lab in itertools.product(range(k), repeat=n)
+                   if (np.bincount(lab, minlength=k) <= t).all())
+        assert sol.radius == best
 
 
 class TestBalanceMetrics:

@@ -104,6 +104,10 @@ class TestCosts:
         Z = np.ones((2, 2))
         assert math.isinf(capacitated_cost(pts, Z, 4))
 
+    def test_nan_capacity_rejected(self):
+        with pytest.raises(ValueError, match="capacities"):
+            capacitated_cost(np.zeros((4, 2)), np.ones((2, 2)), float("nan"))
+
     def test_weighted_cost_scales(self):
         rng = np.random.default_rng(6)
         pts = rng.uniform(0, 50, size=(15, 2))

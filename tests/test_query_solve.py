@@ -2,8 +2,8 @@
 
 The last assignment of every fit is the successive-shortest-path solve
 (``method="auto"``).  On seeded churn streams the service must answer
-exactly what the HiGHS LP (``method="lp"``) in that place gives, and a
-query must not import scipy's optimizer.
+exactly what the HiGHS oracle (``_solve_transportation_lp``) in that place
+gives, and a query must not import scipy's optimizer.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import repro.solvers.capacitated_lloyd as capacitated_lloyd
-from repro.assignment.capacitated import capacitated_assignment
+import repro.assignment.capacitated as capacitated
 from repro.data.synthetic import gaussian_mixture
 from repro.data.workloads import churn_stream
 from repro.service import ClusteringService, ServiceConfig
@@ -47,11 +46,8 @@ def test_answers_match_highs_final_solve(seed, slack, monkeypatch):
     # At slack 1.0 every final solve pushes excess (4-19 pushes each).
     exact = _churn_answers(seed, slack)
 
-    def lp_final(*args, method="auto", **kwargs):
-        return capacitated_assignment(
-            *args, method="lp" if method == "auto" else method, **kwargs)
-
-    monkeypatch.setattr(capacitated_lloyd, "capacitated_assignment", lp_final)
+    monkeypatch.setattr(capacitated, "_solve_transportation_ssp",
+                        lambda D, w, caps: (capacitated._solve_transportation_lp(D, w, caps), 0))
     assert _churn_answers(seed, slack) == exact
 
 

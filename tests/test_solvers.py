@@ -13,7 +13,6 @@ from repro.solvers import (
     exact_capacitated_kclustering,
     kmeans_plusplus,
     lloyd,
-    local_search_swap,
 )
 from repro.solvers.lloyd import weighted_center
 
@@ -131,6 +130,11 @@ class TestCapacitatedSolver:
         with pytest.raises(ValueError):
             CapacitatedKClustering(k=2, capacity=3).fit(pts)
 
+    @pytest.mark.parametrize("capacity", [float("nan"), 0.0, -3.0])
+    def test_bad_capacity_rejected_up_front(self, capacity):
+        with pytest.raises(ValueError, match="capacity"):
+            CapacitatedKClustering(k=2, capacity=capacity)
+
     def test_zero_restarts_rejected(self):
         with pytest.raises(ValueError, match="restarts"):
             CapacitatedKClustering(k=2, capacity=3, restarts=0)
@@ -142,14 +146,6 @@ class TestCapacitatedSolver:
         exact = exact_capacitated_kclustering(pts, 2, t, r=2.0)
         sol = CapacitatedKClustering(k=2, capacity=t, restarts=5, seed=3).fit(pts)
         assert sol.cost <= 2.0 * exact.cost + 1e-9
-
-
-class TestLocalSearch:
-    def test_improves_on_kmeanspp(self):
-        pts = gaussian_mixture(400, 2, 256, k=4, seed=12).astype(float)
-        seeds = kmeans_plusplus(pts, 4, seed=13)
-        Z = local_search_swap(pts, 4, seed=13, candidate_pool=48, max_swaps=32)
-        assert uncapacitated_cost(pts, Z, 2.0) <= uncapacitated_cost(pts, seeds, 2.0) + 1e-9
 
 
 class TestPilot:
