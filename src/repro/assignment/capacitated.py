@@ -492,12 +492,16 @@ def capacitated_assignment(
     pts = np.asarray(points, dtype=np.float64)
     ctr = np.asarray(centers, dtype=np.float64)
     n, k = pts.shape[0], ctr.shape[0]
+    if k == 0:
+        raise ValueError("centers must hold at least one center")
     if n == 0:
         return AssignmentResult(
             labels=np.empty(0, dtype=np.int64), cost=0.0, fractional_cost=0.0,
             sizes=np.zeros(k), capacity=_as_capacities(t, k),
         )
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != (n,):
+        raise ValueError(f"weights must have shape ({n},), got {w.shape}")
     if not (np.isfinite(w).all() and w.min() >= 0):
         raise ValueError("weights must be finite and non-negative")
     caps = _as_capacities(t, k)

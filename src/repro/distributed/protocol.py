@@ -34,7 +34,7 @@ from repro.grid.grids import HierarchicalGrids
 from repro.metrics.costs import uncapacitated_cost
 from repro.solvers.kmeanspp import kmeans_plusplus
 from repro.streaming.storing import StoringResult
-from repro.streaming.streaming_coreset import _SharedHashes, assemble_coreset
+from repro.streaming.streaming_coreset import _SharedHashes, assemble_coreset, sample_masks
 from repro.utils.bits import cells_bits, float_bits, point_bits
 from repro.utils.rng import as_rng, derive_seed
 from repro.utils.validation import FailedConstruction
@@ -93,31 +93,16 @@ def distributed_storing(
 
 def _machine_substreams(points: np.ndarray, grids: HierarchicalGrids,
                         shared: _SharedHashes, params: CoresetParams, o: float):
-    """Local (cell, point) selections per level for the three sub-streams."""
-    L = params.L
-    out_h: list[list] = [[] for _ in range(L + 1)]
-    out_hp: list[list] = [[] for _ in range(L + 1)]
-    out_hhat: list[list] = [[] for _ in range(L + 1)]
+    """Local (cell, point) selections per level for the three sub-streams,
+    in point order, under the streaming instances' sampling rule."""
+    levels = range(params.L + 1)
     if points.shape[0] == 0:
-        return out_h, out_hp, out_hhat
-    pkeys = [int(x) for x in grids.point_keys(points)]
-    for i in range(L + 1):
-        ckeys = grids.cell_keys(points, i)
-        thr_h = int(params.psi(i, o) * shared.h[i].prime)
-        thr_hp = int(params.psi_part(i, o) * shared.hp[i].prime)
-        thr_hhat = int(params.phi(i, o) * shared.hhat[i].prime)
-        vh = shared.h[i].values(pkeys)
-        vhp = shared.hp[i].values(pkeys)
-        vhh = shared.hhat[i].values(pkeys)
-        for idx, pk in enumerate(pkeys):
-            ck = int(ckeys[idx])
-            if vh[idx] < thr_h:
-                out_h[i].append((ck, pk))
-            if vhp[idx] < thr_hp:
-                out_hp[i].append((ck, pk))
-            if vhh[idx] < thr_hhat:
-                out_hhat[i].append((ck, pk))
-    return out_h, out_hp, out_hhat
+        return tuple([[] for _ in levels] for _ in range(3))
+    pkeys = grids.point_keys(points)
+    masks = sample_masks(shared.values_np(pkeys), shared.thresholds(params, o))
+    ckeys = [grids.cell_keys(points, i) for i in levels]
+    return tuple([list(zip(ckeys[i][m[i]].tolist(), pkeys[m[i]].tolist())) for i in levels]
+                 for m in masks)
 
 
 def _distributed_pilot(network: Network, params: CoresetParams, seed: int,

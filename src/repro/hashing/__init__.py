@@ -8,17 +8,19 @@ makes λ-wise independence sufficient.
 
 We implement the textbook construction: a uniformly random polynomial of
 degree λ−1 over a prime field whose size exceeds the key universe, evaluated
-with Horner's rule.  Keys are arbitrary non-negative Python integers (grid
+with Horner's rule — one batched kernel, :func:`~repro.hashing.kwise.horner`,
+for every polynomial hash in the package.  Keys are arbitrary non-negative Python integers (grid
 cells and points are encoded in mixed radix, which can exceed 64 bits).
 """
 
 from repro.hashing.primes import is_prime, next_prime
-from repro.hashing.kwise import KWiseHash, BernoulliHash, UniformBucketHash
+from repro.hashing.kwise import KWiseHash, BernoulliHash, StackedHashes, horner
 
 __all__ = [
     "is_prime",
     "next_prime",
     "KWiseHash",
     "BernoulliHash",
-    "UniformBucketHash",
+    "StackedHashes",
+    "horner",
 ]

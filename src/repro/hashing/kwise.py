@@ -2,21 +2,25 @@
 
 A uniformly random polynomial of degree λ−1 over GF(p), evaluated at distinct
 keys, yields λ-wise independent, uniformly distributed field values.  From
-that single primitive we derive the three shapes the algorithms need:
+that single primitive we derive the shapes the algorithms need:
 
 - :class:`KWiseHash` — raw field values / uniform reals in [0, 1);
+- :class:`StackedHashes` — several functions over one prime, evaluated
+  together (the streaming sub-stream hashes, the IBLT row hashes and
+  fingerprint);
 - :class:`BernoulliHash` — the λ-wise independent indicator
-  ``Pr[h(p) = 1] = φ`` used by Algorithms 2, 3, and 4 for subsampling;
-- :class:`UniformBucketHash` — bucket assignment for the IBLT sketches.
+  ``Pr[h(p) = 1] = φ`` used by Algorithms 2, 3, and 4 for subsampling.
 
-Evaluation is Horner's rule, batched: :meth:`KWiseHash.values_np` runs the
-whole sweep in numpy int64 whenever every intermediate provably fits —
-directly for primes below 2^31, and via a multi-limb modular product (the
-key is split into ``s``-bit limbs so every partial product stays below 2^63;
-no float128, no Barrett approximation) for primes up to ~2^55.  Only truly
-huge universes fall back to chunked Python-int arithmetic on object arrays.
-The coefficient vector is the *entire* stored randomness: λ field elements,
-i.e. λ·log2(p) bits, which is what the space accounting charges.
+Every batched evaluation is one Horner kernel, :func:`horner`, over a
+coefficient matrix (one row per function).  It runs in numpy int64 whenever
+every intermediate provably fits — directly for primes below 2^31, and via
+a multi-limb modular product (the key is split into ``s``-bit limbs so every
+partial product stays below 2^63; no float128, no Barrett approximation)
+for primes up to ~2^55.  Only truly huge universes fall back to chunked
+Python-int arithmetic on object arrays.  The scalar :meth:`KWiseHash.value`
+is the reference it is tested against.  The coefficient vector is the
+*entire* stored randomness: λ field elements, i.e. λ·log2(p) bits, which is
+what the space accounting charges.
 
 For an integer seed the coefficients are a pure function of (λ, p, seed),
 so they are drawn once per process and memoised (a bounded LRU cache of
@@ -38,7 +42,7 @@ import numpy as np
 from repro.hashing.primes import next_prime
 from repro.utils.rng import as_rng
 
-__all__ = ["KWiseHash", "BernoulliHash", "UniformBucketHash", "StackedHashes",
+__all__ = ["KWiseHash", "BernoulliHash", "StackedHashes", "horner",
            "exact_field_threshold"]
 
 #: Largest prime bit-length handled by the int64 multi-limb Horner path.
@@ -98,6 +102,99 @@ def _seeded_coeffs(independence: int, prime: int, seed: int) -> tuple[int, ...]:
     return tuple(_random_field_elements(np.random.default_rng(seed), independence, prime))
 
 
+def _coeff_matrix(rows: Sequence[Sequence[int]], prime: int) -> np.ndarray:
+    """Coefficient vectors as one ``(H, λ_max)`` matrix for :func:`horner`.
+
+    Shorter polynomials are *left*-padded with zeros, a no-op under Horner
+    (``0·k + 0 = 0`` until the first real coefficient).  int64 when the
+    prime takes an int64 path, else object dtype (Python ints).
+    """
+    lam_max = max(len(row) for row in rows)
+    dtype = np.int64 if prime.bit_length() <= _MULTI_LIMB_MAX_BITS else object
+    coeffs = np.zeros((len(rows), lam_max), dtype=dtype)
+    for i, row in enumerate(rows):  # scalar-ok: construction, per polynomial
+        coeffs[i, lam_max - len(row):] = row
+    return coeffs
+
+
+def _as_keys(keys) -> np.ndarray:
+    """Keys as a 1-D int64 array, or an object array of Python ints when
+    some key does not fit int64."""
+    if isinstance(keys, np.ndarray) and keys.dtype == np.int64:
+        return keys
+    seq = keys if isinstance(keys, (list, np.ndarray)) else list(keys)
+    try:
+        return np.asarray(seq, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError):
+        return np.array([int(k) for k in seq], dtype=object)  # scalar-ok: keys beyond int64
+
+
+def horner(coeffs: np.ndarray, keys: np.ndarray, prime: int) -> np.ndarray:
+    """Every row polynomial of ``coeffs`` at every key, mod ``prime``.
+
+    ``coeffs`` is a :func:`_coeff_matrix` (highest degree first) and
+    ``keys`` a 1-D int64 or object array of non-negative keys.  Returns the
+    ``(H, n)`` field values, bit-identical to :meth:`KWiseHash.value` row
+    by row, through one of three regimes:
+
+    - ``p < 2^31``: plain int64 Horner (every product < 2^62);
+    - ``p < 2^55``: int64 Horner with a multi-limb modular product — each
+      key is split once into ``s = 62 − bits(p)`` bit limbs below 2^s and
+      ``acc·key mod p`` runs as ``r ← (r·2^s + acc·limb) mod p`` over the
+      limbs (high to low); ``r, acc < p < 2^bits`` bound every product and
+      shift by 2^62, so each sum stays below 2^63;
+    - larger primes, or keys beyond int64: chunked Python-int Horner on
+      object arrays (object dtype out) — kept only for huge universes.
+
+    The int64 regimes update the accumulator in place, so a sweep allocates
+    its buffers once however many rows and coefficients it has.
+    """
+    p = int(prime)
+    bits = p.bit_length()
+    if keys.dtype == object or bits > _MULTI_LIMB_MAX_BITS:
+        return _horner_object(coeffs.astype(object, copy=False), keys, p)
+    rows = coeffs.shape[0]
+    arr = (keys % p)[None, :]
+    # One row takes Python-int coefficients: numpy adds a scalar faster
+    # than it broadcasts a (1, 1) column.
+    cols = coeffs[0].tolist() if rows == 1 else list(coeffs.T[:, :, None])  # scalar-ok: λ coefficients
+    acc = np.empty((rows, arr.shape[1]), dtype=np.int64)
+    acc[:] = cols[0]
+    if bits <= 31:
+        for c in cols[1:]:  # scalar-ok: per-coefficient sweep
+            acc *= arr
+            acc += c
+            acc %= p
+        return acc
+    s = 62 - bits
+    mask = (1 << s) - 1
+    limbs = [(arr >> (s * j)) & mask for j in range(-(-bits // s) - 1, -1, -1)]
+    r = np.empty_like(acc)
+    part = np.empty_like(acc)
+    for c in cols[1:]:  # scalar-ok: per-coefficient sweep
+        np.multiply(acc, limbs[0], out=r)
+        r %= p
+        for limb in limbs[1:]:  # scalar-ok: ≤8 limbs, vectorized over keys
+            r <<= s
+            r += np.multiply(acc, limb, out=part)
+            r %= p
+        np.add(r, c, out=acc)
+        acc %= p
+    return acc
+
+
+def _horner_object(coeffs: np.ndarray, keys: np.ndarray, p: int) -> np.ndarray:
+    """The Python-int regime of :func:`horner`, in key chunks."""
+    out = np.empty((coeffs.shape[0], len(keys)), dtype=object)
+    for lo in range(0, len(keys), _OBJECT_CHUNK):  # scalar-ok: per-chunk
+        chunk = keys[lo: lo + _OBJECT_CHUNK].astype(object) % p
+        acc = np.repeat(coeffs[:, :1], len(chunk), axis=1)
+        for j in range(1, coeffs.shape[1]):  # scalar-ok: per-coefficient sweep
+            acc = (acc * chunk + coeffs[:, j, None]) % p
+        out[:, lo: lo + len(chunk)] = acc
+    return out
+
+
 class KWiseHash:
     """A single function drawn from a λ-wise independent family GF(p) → GF(p).
 
@@ -133,6 +230,7 @@ class KWiseHash:
                 as_rng(seed), self.independence, self.prime))
         else:
             self._coeffs = _seeded_coeffs(self.independence, self.prime, int(seed))
+        self._row = _coeff_matrix([self._coeffs], self.prime)
 
     # -- core evaluation ---------------------------------------------------
     def value(self, key: int) -> int:
@@ -144,82 +242,9 @@ class KWiseHash:
         return acc
 
     def values_np(self, keys) -> np.ndarray:
-        """Field values for a batch of keys, as a numpy array.
-
-        Three paths, all bit-identical to :meth:`value`:
-
-        - ``p < 2^31``: plain int64 Horner (every product < 2^62);
-        - ``p < 2^55``: int64 Horner with a multi-limb modular product —
-          each key is split once into ``s = 62 − bits(p)`` bit limbs and
-          ``acc·key mod p`` runs as a short Horner over the limbs, keeping
-          every intermediate below 2^63 with no float128 and no Barrett
-          approximation;
-        - larger primes (or keys beyond int64): chunked Python-int Horner
-          on object arrays — kept only for huge universes.
-
-        Returns int64 for the fast paths, object dtype for the fallback.
-        """
-        p = self.prime
-        coeffs = self._coeffs
-        if isinstance(keys, np.ndarray) and keys.dtype == np.int64:
-            arr = keys
-        else:
-            seq = keys if isinstance(keys, (list, np.ndarray)) else list(keys)
-            if len(seq) == 0:
-                return np.empty(0, dtype=np.int64)
-            try:
-                arr = np.asarray(seq, dtype=np.int64)
-            except (OverflowError, TypeError, ValueError):
-                return self._values_object(seq)
-        if arr.size == 0:
-            return np.empty(0, dtype=np.int64)
-        bits = p.bit_length()
-        if bits <= 31:
-            arr = arr % p
-            acc = np.full(arr.shape, coeffs[0], dtype=np.int64)
-            for c in coeffs[1:]:  # scalar-ok: per-coefficient, not per-key
-                acc = (acc * arr + c) % p
-            return acc
-        if bits <= _MULTI_LIMB_MAX_BITS:
-            return self._values_multi_limb(arr % p, bits)
-        return self._values_object(arr.tolist())  # scalar-ok: object-int fallback for >55-bit primes
-
-    def _values_multi_limb(self, arr: np.ndarray, bits: int) -> np.ndarray:
-        """int64 Horner for 2^31 ≤ p < 2^55 via limbed modular products.
-
-        With ``s = 62 − bits(p)`` the key splits into ``k = ⌈bits/s⌉`` limbs
-        below 2^s.  Each Horner step ``acc·key + c mod p`` runs as
-        ``r ← (r·2^s + acc·limb) mod p`` over the limbs (high to low):
-        ``r < p < 2^bits`` and ``limb < 2^s`` bound every product and shift
-        by 2^(bits+s) = 2^62, so the sum stays below 2^63 — exact int64
-        arithmetic, no float128, no Barrett approximation.
-        """
-        p = self.prime
-        s = 62 - bits
-        nlimbs = -(-bits // s)
-        mask = (1 << s) - 1
-        limbs = [(arr >> (s * j)) & mask for j in range(nlimbs - 1, -1, -1)]
-        acc = np.full(arr.shape, self._coeffs[0], dtype=np.int64)
-        for c in self._coeffs[1:]:  # scalar-ok: per-coefficient sweep
-            r = np.zeros(arr.shape, dtype=np.int64)
-            for limb in limbs:  # scalar-ok: ≤8 limbs, vectorized over keys
-                r = ((r << s) + acc * limb) % p
-            acc = (r + c) % p
-        return acc
-
-    def _values_object(self, seq) -> np.ndarray:
-        """Chunked Python-int Horner for huge universes (object dtype)."""
-        p = self.prime
-        coeffs = self._coeffs
-        out = np.empty(len(seq), dtype=object)
-        for lo in range(0, len(seq), _OBJECT_CHUNK):  # scalar-ok: per-chunk
-            chunk = np.array([int(k) % p for k in seq[lo: lo + _OBJECT_CHUNK]],
-                             dtype=object)
-            acc = np.full(chunk.shape, coeffs[0], dtype=object)
-            for c in coeffs[1:]:  # scalar-ok: per-coefficient sweep
-                acc = (acc * chunk + c) % p
-            out[lo: lo + len(chunk)] = acc
-        return out
+        """Field values for a batch of keys: one row of :func:`horner`
+        (int64 on the fast paths, object dtype for huge primes)."""
+        return horner(self._row, _as_keys(keys), self.prime)[0]
 
     def values(self, keys: Iterable[int]) -> list[int]:
         """Field values for a batch of keys, as a list of Python ints."""
@@ -248,15 +273,11 @@ class StackedHashes:
     """Batched evaluation of several :class:`KWiseHash` functions at once.
 
     All functions must share one prime (same ``universe_bits``).  Their
-    coefficient vectors are stacked into one ``(H, λ_max)`` matrix — shorter
-    polynomials are *left*-padded with zeros, which is a no-op under Horner
-    (``0·k + 0 = 0`` until the first real coefficient) — so one sweep of
-    λ_max broadcast steps evaluates every function on every key.  This
+    coefficient vectors stack into one :func:`horner` matrix, so one sweep
+    of λ_max broadcast steps evaluates every function on every key.  This
     amortizes numpy's per-op dispatch over H rows: the streaming driver
-    evaluates 11 levels × 3 sub-streams per batch, and stacking turns ~600
-    small array ops into ~50 medium ones.
-
-    Bit-identical to calling each function's :meth:`KWiseHash.values_np`.
+    evaluates 11 levels per sub-stream per batch, and an IBLT family its
+    three row hashes and its fingerprint.
     """
 
     def __init__(self, hashes: Sequence[KWiseHash]):
@@ -266,42 +287,11 @@ class StackedHashes:
         self.prime = hashes[0].prime
         if any(h.prime != self.prime for h in self.hashes):
             raise ValueError("stacked hashes must share one prime")
-        lam_max = max(h.independence for h in self.hashes)
-        bits = self.prime.bit_length()
-        self._bits = bits
-        if bits <= _MULTI_LIMB_MAX_BITS:
-            coeffs = np.zeros((len(self.hashes), lam_max), dtype=np.int64)
-            for row, h in enumerate(self.hashes):  # scalar-ok: construction
-                coeffs[row, lam_max - h.independence:] = h._coeffs
-            self._coeffs = coeffs
-        else:
-            self._coeffs = None  # huge prime: per-row object fallback
+        self._coeffs = _coeff_matrix([h._coeffs for h in self.hashes], self.prime)
 
     def values_np(self, keys) -> np.ndarray:
         """Field values, shape ``(len(hashes), len(keys))``."""
-        if not isinstance(keys, np.ndarray):
-            keys = np.asarray(keys)
-        if self._coeffs is None or keys.dtype == object:
-            return np.stack([h.values_np(keys) for h in self.hashes])
-        p = self.prime
-        bits = self._bits
-        arr = keys % p
-        C = self._coeffs
-        acc = np.zeros((C.shape[0], arr.shape[0]), dtype=np.int64)
-        if bits <= 31:
-            for step in range(C.shape[1]):  # scalar-ok: per-coefficient sweep
-                acc = (acc * arr + C[:, step, None]) % p
-            return acc
-        s = 62 - bits
-        nlimbs = -(-bits // s)
-        mask = (1 << s) - 1
-        limbs = [(arr >> (s * j)) & mask for j in range(nlimbs - 1, -1, -1)]
-        for step in range(C.shape[1]):  # scalar-ok: per-coefficient sweep
-            r = np.zeros_like(acc)
-            for limb in limbs:  # scalar-ok: ≤8 limbs, vectorized over keys
-                r = ((r << s) + acc * limb) % p
-            acc = (r + C[:, step, None]) % p
-        return acc
+        return horner(self._coeffs, _as_keys(keys), self.prime)
 
 
 class BernoulliHash:
@@ -336,35 +326,6 @@ class BernoulliHash:
     def independence(self) -> int:
         """The λ of the underlying λ-wise independent family."""
         return self._h.independence
-
-    @property
-    def randomness_bits(self) -> int:
-        """Bits of stored randomness (delegates to the field polynomial)."""
-        return self._h.randomness_bits
-
-
-class UniformBucketHash:
-    """λ-wise independent map from keys to ``num_buckets`` buckets.
-
-    Used by the IBLT-style sketches in :mod:`repro.streaming.sketch`.  The
-    field value is reduced mod the bucket count; the induced non-uniformity
-    is < num_buckets / p, negligible for universe-sized primes.
-    """
-
-    def __init__(self, num_buckets: int, independence: int, universe_bits: int, seed=0):
-        if num_buckets < 1:
-            raise ValueError(f"num_buckets must be >= 1, got {num_buckets}")
-        self.num_buckets = int(num_buckets)
-        self._h = KWiseHash(independence, universe_bits, seed=seed)
-
-    def bucket(self, key: int) -> int:
-        """Bucket index of a single key (scalar reference path)."""
-        return self._h.value(key) % self.num_buckets
-
-    def buckets(self, keys: Sequence[int]) -> np.ndarray:
-        """Bucket indices for a batch of keys (int64, one Horner sweep)."""
-        vals = self._h.values_np(keys)
-        return (vals % self.num_buckets).astype(np.int64, copy=False)
 
     @property
     def randomness_bits(self) -> int:

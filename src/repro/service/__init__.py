@@ -36,7 +36,7 @@ from repro.service.client import (
     ServiceUnavailable,
 )
 from repro.service.engine import ClusteringService, QueryResult, ServiceConfig
-from repro.service.eviction import EvictionPolicy, LRUEvictionPolicy
+from repro.service.eviction import LRUEvictionPolicy
 from repro.service.faults import FaultPlan, FaultRule
 from repro.service.shards import ShardedIngest
 from repro.service.state import (
@@ -58,7 +58,6 @@ __all__ = [
     "AsyncClusteringServer",
     "CircuitBreaker",
     "ClusteringService",
-    "EvictionPolicy",
     "FaultPlan",
     "FaultRule",
     "LRUEvictionPolicy",

@@ -1,12 +1,12 @@
-"""Cold-tenant eviction policies for the multi-tenant registry.
+"""Cold-tenant eviction for the multi-tenant registry.
 
 The registry keeps at most ``max_live_tenants`` sketches in memory; when a
-lease would push it past that, a policy picks which live tenants to
-checkpoint to disk.  The policy sees only *recency metadata* — it never
-touches sketch state — so alternative policies (LFU, size-weighted, TTL)
-can be dropped in without touching the registry's locking.
+lease would push it past that, :class:`LRUEvictionPolicy` picks which live
+tenants to checkpoint to disk.  It sees only *recency metadata* — it never
+touches sketch state — so victim choice stays apart from the registry's
+locking.
 
-A policy must never name a *pinned* tenant (one with an operation in
+The policy is never handed a *pinned* tenant (one with an operation in
 flight): the registry closes a victim's service right after checkpointing
 it, and an in-flight operation holding that service would observe a closed
 backend.  Pinned tenants are simply skipped; the registry retries eviction
@@ -18,51 +18,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["EvictionPolicy", "LRUEvictionPolicy"]
+__all__ = ["LRUEvictionPolicy"]
 
 
 @dataclass
-class EvictionPolicy:
-    """Interface: track touches, pick victims.  Subclass to change *which*
-    tenants get evicted; *when* (live count > budget) is the registry's
-    call."""
-
-    def touch(self, stream_id: str) -> None:
-        """Record that ``stream_id`` was just used."""
-        raise NotImplementedError
-
-    def forget(self, stream_id: str) -> None:
-        """Drop all bookkeeping for a tenant (it was evicted or deleted)."""
-        raise NotImplementedError
-
-    def victims(self, live: list[str], excess: int) -> list[str]:
-        """Choose up to ``excess`` victims from ``live`` (already filtered
-        to evictable tenants), coldest first."""
-        raise NotImplementedError
-
-
-@dataclass
-class LRUEvictionPolicy(EvictionPolicy):
+class LRUEvictionPolicy:
     """Least-recently-used: victims are the tenants whose last touch is
     oldest.  Ties (never observed in practice — the clock is a monotonic
     counter) break toward lexicographically smaller ids for determinism.
+    *When* to evict (live count > budget) is the registry's call.
     """
 
     _clock: int = 0
     _last_touch: dict[str, int] = field(default_factory=dict)
 
     def touch(self, stream_id: str) -> None:
+        """Record that ``stream_id`` was just used."""
         self._clock += 1
         self._last_touch[stream_id] = self._clock
 
     def forget(self, stream_id: str) -> None:
+        """Drop all bookkeeping for a tenant (it was evicted or deleted)."""
         self._last_touch.pop(stream_id, None)
 
-    def last_touch(self, stream_id: str) -> int:
-        """Logical timestamp of the tenant's most recent use (0 = never)."""
-        return self._last_touch.get(stream_id, 0)
-
     def victims(self, live: list[str], excess: int) -> list[str]:
+        """Choose up to ``excess`` victims from ``live`` (already filtered
+        to evictable tenants), coldest first."""
         if excess <= 0:
             return []
         ranked = sorted(live, key=lambda sid: (self._last_touch.get(sid, 0), sid))

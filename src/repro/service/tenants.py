@@ -53,7 +53,7 @@ from repro.service.engine import (
     ServiceConfig,
     check_capacity_slack,
 )
-from repro.service.eviction import EvictionPolicy, LRUEvictionPolicy
+from repro.service.eviction import LRUEvictionPolicy
 from repro.service.protocol import DEFAULT_STREAM_ID, ProtocolError
 from repro.service.state import tenant_checkpoint_filename, tenant_id_from_filename
 from repro.utils.rng import derive_seed
@@ -234,8 +234,6 @@ class TenantRegistry:
         unbounded.
     quota:
         Optional :class:`TenantQuota` applied to every tenant.
-    policy:
-        Victim-selection policy; defaults to :class:`LRUEvictionPolicy`.
     breaker_threshold / breaker_cooldown_s:
         Per-tenant circuit breaker: after ``breaker_threshold`` consecutive
         failed operations a tenant is *degraded* — its requests are
@@ -248,7 +246,6 @@ class TenantRegistry:
     def __init__(self, config: ServiceConfig, tenants_dir=None,
                  max_live_tenants: int | None = None,
                  quota: TenantQuota | None = None,
-                 policy: EvictionPolicy | None = None,
                  breaker_threshold: int = 3,
                  breaker_cooldown_s: float = 5.0):
         if max_live_tenants is not None:
@@ -264,7 +261,7 @@ class TenantRegistry:
             self.tenants_dir.mkdir(parents=True, exist_ok=True)
         self.max_live_tenants = max_live_tenants
         self.quota = quota
-        self._policy = policy if policy is not None else LRUEvictionPolicy()
+        self._policy = LRUEvictionPolicy()
         self._records: dict[str, _TenantRecord] = {}
         #: Live-tenant index: exactly the records whose ``service`` is
         #: resident.  Kept in lockstep with every load/evict/close

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.assignment.capacitated import _as_capacities
 from repro.assignment.maxflow import MaxFlow
 from repro.metrics.distances import pairwise_distances
 from repro.utils.rng import as_rng
@@ -99,15 +100,19 @@ def capacitated_kcenter_assignment(
     """Minimize the bottleneck radius subject to at most t points per center.
 
     Points are unweighted.  Binary-searches the sorted set of point-center
-    distances; O(log(nk)) flow feasibility checks.
+    distances; O(log(nk)) flow feasibility checks.  ``t`` follows
+    :func:`~repro.assignment.capacitated.capacitated_assignment`'s rule
+    (scalar or ``(k,)``, no NaN, non-negative; ``inf`` is uncapacitated);
+    no points give an empty solution of radius 0.
     """
     pts = np.asarray(points, dtype=np.float64)
     ctr = np.asarray(centers, dtype=np.float64)
     n, k = pts.shape[0], ctr.shape[0]
-    caps = np.asarray(t, dtype=np.float64)
-    if caps.ndim == 0:
-        caps = np.full(k, float(caps))
-    icaps = np.floor(caps + 1e-9).astype(np.int64)
+    caps = _as_capacities(t, k)
+    if n == 0:
+        return KCenterSolution(centers=ctr, labels=np.empty(0, dtype=np.int64),
+                               radius=0.0, sizes=np.zeros(k))
+    icaps = np.floor(np.minimum(caps, n) + 1e-9).astype(np.int64)
     if n > icaps.sum():
         return KCenterSolution(centers=ctr, labels=None, radius=math.inf,
                                sizes=None)

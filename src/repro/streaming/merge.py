@@ -25,7 +25,7 @@ import numpy as np
 from repro.streaming.storing import ExactStoring, SketchStoring
 from repro.streaming.streaming_coreset import StreamingCoreset
 
-__all__ = ["merge_many", "merge_streaming_states", "merge_storing"]
+__all__ = ["merge_streaming_states", "merge_storing"]
 
 
 def merge_storing(a, *others):
@@ -105,16 +105,3 @@ def merge_streaming_states(a: StreamingCoreset, *others: StreamingCoreset) -> St
     a.num_updates += sum(b.num_updates for b in others)
     return a
 
-
-def merge_many(states) -> StreamingCoreset:
-    """Fold a sequence of compatible drivers into the first one (in place).
-
-    The fleet fan-in: the coordinator merges one pulled site state per
-    site.  Addition of linear sketches is associative and commutative, so
-    any fold order — and any site arrival order — yields the same result;
-    the fleet property tests assert this bit for bit.
-    """
-    states = list(states)
-    if not states:
-        raise ValueError("need at least one state to merge")
-    return merge_streaming_states(states[0], *states[1:])

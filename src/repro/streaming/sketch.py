@@ -22,11 +22,11 @@ Implementation notes (performance — see the HPC guide):
   ``row·m + pos`` flat position to a slot index into three parallel growable
   accumulator arrays (int64 counts; object-dtype key/fingerprint sums, since
   both can exceed 64 bits).  :meth:`IBLTSketch.update_many` applies a whole
-  batch with two Horner sweeps and three ``np.add.at`` scatters.  Slots are
-  assigned in *first-touch event order* (event-major, row-minor), so the
-  :attr:`buckets` view, and therefore checkpoint bytes, are identical
-  whether a stream was ingested one event at a time or in batches of any
-  size.
+  batch with one stacked Horner sweep and three ``np.add.at`` scatters.
+  Slots are assigned in *first-touch event order* (event-major,
+  row-minor), so the :attr:`buckets` view, and therefore checkpoint bytes,
+  are identical whether a stream was ingested one event at a time or in
+  batches of any size.
 - :meth:`IBLTSketch.merge_from` appends the other sketch's new slots in its
   first-touch order (where sequential ingest of the concatenated stream
   would create them) and adds the three sums column-wise.
@@ -58,7 +58,7 @@ from itertools import chain
 
 import numpy as np
 
-from repro.hashing.kwise import KWiseHash, UniformBucketHash
+from repro.hashing.kwise import KWiseHash, StackedHashes
 from repro.utils.rng import derive_seed
 
 __all__ = ["IBLTSketch", "SketchHashFamily", "DecodeFailure", "peel_many"]
@@ -69,38 +69,45 @@ class DecodeFailure(Exception):
 
 
 class SketchHashFamily:
-    """Row hashes + fingerprint shared by every IBLT of one shape."""
+    """Row hashes + fingerprint shared by every IBLT of one shape.
+
+    The three row polynomials (λ = 6) and the fingerprint polynomial
+    (λ = 4) share one prime, so :meth:`hash_np` evaluates all four in one
+    stacked Horner sweep.
+    """
 
     ROWS = 3
     FP_MOD = (1 << 61) - 1
 
     def __init__(self, buckets_per_row: int, universe_bits: int, seed=0):
         self.m = int(buckets_per_row)
+        if self.m < 1:
+            raise ValueError(f"buckets_per_row must be >= 1, got {self.m}")
         self.universe_bits = int(universe_bits)
         self.row_hash = [
-            UniformBucketHash(self.m, independence=6, universe_bits=universe_bits,
-                              seed=derive_seed(seed, f"iblt-row-{r}"))
+            KWiseHash(independence=6, universe_bits=universe_bits,
+                      seed=derive_seed(seed, f"iblt-row-{r}"))
             for r in range(self.ROWS)
         ]
         self._fp = KWiseHash(independence=4, universe_bits=universe_bits,
                              seed=derive_seed(seed, "iblt-fp"))
+        self._stacked = StackedHashes(self.row_hash + [self._fp])
 
     def positions(self, key: int) -> tuple[int, ...]:
-        """Bucket index of ``key`` in every row."""
-        return tuple(h.bucket(key) for h in self.row_hash)
+        """Bucket index of ``key`` in every row (scalar reference path)."""
+        return tuple(h.value(key) % self.m for h in self.row_hash)
 
     def fingerprint(self, key: int) -> int:
         """Verification fingerprint of ``key`` (mod a 61-bit prime)."""
         return self._fp.value(key) % self.FP_MOD
 
-    def positions_np(self, keys) -> np.ndarray:
-        """Bucket indices for a batch: shape ``(ROWS, n)`` int64 array."""
-        return np.stack([h.buckets(keys) for h in self.row_hash])
-
-    def fingerprints_np(self, keys) -> np.ndarray:
-        """Fingerprints for a batch (int64 on the fast path, else object)."""
-        vals = self._fp.values_np(keys) % self.FP_MOD
-        return vals
+    def hash_np(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """``(positions, fingerprints)`` for a batch, from one sweep:
+        a ``(ROWS, n)`` int64 bucket array and the ``n`` fingerprints
+        (int64 on the fast path, else object)."""
+        vals = self._stacked.values_np(keys)
+        pos = (vals[:self.ROWS] % self.m).astype(np.int64, copy=False)
+        return pos, vals[self.ROWS] % self.FP_MOD
 
     @property
     def randomness_bits(self) -> int:
@@ -252,18 +259,16 @@ class IBLTSketch:
         if keys.size == 0:
             return
         deltas = np.asarray(deltas, dtype=np.int64)
-        pos_rows = self.family.positions_np(keys)
-        fps = self.family.fingerprints_np(keys)
-        self.apply_hashed(pos_rows, fps, keys, deltas)
+        self.apply_hashed(*self.family.hash_np(keys), keys, deltas)
 
     def apply_hashed(self, pos_rows: np.ndarray, fps: np.ndarray,
                      keys, deltas: np.ndarray) -> None:
         """Batched scatter with hash sweeps precomputed by the caller.
 
-        ``pos_rows`` is the ``(ROWS, n)`` output of
-        :meth:`SketchHashFamily.positions_np` and ``fps`` the matching
-        fingerprints — shared-family callers (the nested point sketches of
-        ``SketchStoring``) hash once per batch and fan the arrays out here.
+        ``pos_rows`` and ``fps`` are the output of
+        :meth:`SketchHashFamily.hash_np` — shared-family callers (the nested
+        point sketches of ``SketchStoring``) hash once per batch and fan the
+        arrays out here.
         """
         n = pos_rows.shape[1]
         m = self.m
@@ -456,9 +461,10 @@ def _peel(fam: SketchHashFamily, flat, group, count, keysum, fpsum, narrow: bool
         ok = np.asarray(ks % divisor == 0, dtype=bool)
         ok &= np.asarray((key >= 0) & (key < top), dtype=bool)
         cand, c, key = cand[ok], c[ok], key[ok]
-        fps = fam.fingerprints_np(key).astype(object)
+        pos, fps = fam.hash_np(key)
+        fps = fps.astype(object)
         pure = np.asarray(fpsum[cand] == c.astype(object) * fps, dtype=bool)
-        cand, c, key, fps = cand[pure], c[pure], key[pure], fps[pure]
+        cand, c, key, fps, pos = cand[pure], c[pure], key[pure], fps[pure], pos[:, pure]
         if not cand.size:
             break
         g = group[cand]
@@ -467,7 +473,7 @@ def _peel(fam: SketchHashFamily, flat, group, count, keysum, fpsum, narrow: bool
         first[1:] = (g[o][1:] != g[o][:-1]) | np.asarray(key[o][1:] != key[o][:-1], dtype=bool)
         o = o[first]
         c, key, fps, g = c[o], key[o], fps[o], g[o]
-        at = fam.positions_np(key) + row_base + g * span
+        at = pos[:, o] + row_base + g * span
         loc = np.minimum(np.searchsorted(sorted_flat, at), len(flat) - 1)
         # A key with an untouched bucket cannot be in its sketch (a
         # fingerprint collision): it stays, and its sketch stalls.

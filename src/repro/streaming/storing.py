@@ -468,16 +468,14 @@ class SketchStoring:
         signs = np.asarray(signs, dtype=np.int64)
         cells = self._cells
         fam = cells.family
-        pos_rows = fam.positions_np(cell_keys)
-        fps = fam.fingerprints_np(cell_keys)
+        pos_rows, fps = fam.hash_np(cell_keys)
         cells.apply_hashed(pos_rows, fps, cell_keys, signs)
         if not self.recover_points:
             return
         if not isinstance(point_keys, np.ndarray):
             point_keys = np.asarray(point_keys)
         pfam = self._pt_family
-        ppos = pfam.positions_np(point_keys)
-        pfps = pfam.fingerprints_np(point_keys)
+        ppos, pfps = pfam.hash_np(point_keys)
         rows = cells.ROWS
         m = cells.m
         # Flat (row, cell-bucket) ids in scalar visitation order (event-major,
@@ -517,7 +515,7 @@ class SketchStoring:
             # Which cells share each (row, bucket)?  We know all live cells,
             # so bucket occupancy is computable exactly, in one hash sweep.
             sk = self._cells
-            pos = sk.family.positions_np(_as_key_array(list(cells)))
+            pos, _ = sk.family.hash_np(list(cells))
             flat = (pos + (np.arange(sk.ROWS, dtype=np.int64) * sk.m)[:, None]).ravel()
             _, inverse, occupancy = np.unique(flat, return_inverse=True,
                                               return_counts=True)

@@ -186,7 +186,9 @@ class _SharedHashes:
 
     Each sub-stream's per-level polynomials additionally stack into one
     :class:`~repro.hashing.kwise.StackedHashes` (they share a prime), so a
-    batch evaluates all L+1 levels in a single broadcast Horner sweep."""
+    batch evaluates all L+1 levels in a single broadcast Horner sweep.  The
+    streaming instances and the Theorem 4.7 simulation sample through the
+    same :meth:`values_np`, :meth:`thresholds` and :func:`sample_masks`."""
 
     def __init__(self, params: CoresetParams, grids: HierarchicalGrids, seed: int):
         ub = grids.point_codec.universe_bits
@@ -196,31 +198,44 @@ class _SharedHashes:
                    for i in range(params.L + 1)]
         self.hhat = [KWiseHash(params.lam, ub, seed=derive_seed(seed, f"hhat-{i}"))
                      for i in range(params.L + 1)]
-        self.stacked_h = StackedHashes(self.h)
-        self.stacked_hp = StackedHashes(self.hp)
-        self.stacked_hhat = StackedHashes(self.hhat)
+        self.stacked = tuple(StackedHashes(f) for f in (self.h, self.hp, self.hhat))
+
+    def values_np(self, pkeys) -> tuple[np.ndarray, ...]:
+        """``(L+1, n)`` field values of the h, h′ and ĥ polynomials at
+        ``pkeys``.  Each distinct key is hashed once: churn streams (delete
+        = re-hash of an earlier insert) and duplicate-heavy batches pay per
+        distinct key."""
+        uniq, inverse = np.unique(pkeys, return_inverse=True)
+        return tuple(st.values_np(uniq)[:, inverse] for st in self.stacked)
+
+    def thresholds(self, params: CoresetParams, o: float) -> tuple[np.ndarray, ...]:
+        """Guess ``o``'s acceptance thresholds ⌊ψ_i·p⌋, ⌊ψ′_i·p⌋, ⌊φ_i·p⌋ as
+        ``(L+1, 1)`` columns.  They are exact integers: the float product
+        ``int(psi * prime)`` deviates from ⌊ψ·p⌋ once the prime outgrows
+        float64's 53-bit mantissa, skewing every realized sampling rate."""
+        return tuple(
+            np.array([exact_field_threshold(rate(i, o), st.prime) for i in range(params.L + 1)],
+                     dtype=np.int64 if st.prime < 1 << 63 else object)[:, None]
+            for rate, st in zip((params.psi, params.psi_part, params.phi), self.stacked))
 
     def randomness_bits(self) -> int:
         """Total bits of stored hash-polynomial randomness."""
         return sum(f.randomness_bits for f in self.h + self.hp + self.hhat)
 
 
-def _threshold_column(thresholds) -> np.ndarray:
-    """Thresholds as an (L+1, 1) column for broadcast against value rows."""
-    try:
-        col = np.asarray(thresholds, dtype=np.int64)
-    except OverflowError:
-        col = np.array([int(t) for t in thresholds], dtype=object)
-    return col[:, None]
-
-
-def _bool_mask(x: np.ndarray) -> np.ndarray:
-    """Ensure a comparison result is a native bool array (object inputs)."""
-    return x if x.dtype == np.bool_ else np.asarray(x, dtype=bool)
+def sample_masks(values, thresholds) -> list[np.ndarray]:
+    """The sampling rule of Algorithms 3–4: per sub-stream, the ``(L+1, n)``
+    mask ``value < threshold`` of :meth:`_SharedHashes.values_np` against
+    :meth:`_SharedHashes.thresholds`."""
+    return [np.asarray(v < t, dtype=bool) for v, t in zip(values, thresholds)]
 
 
 class StreamingCoresetInstance:
     """Algorithm 4 for one fixed guess ``o``."""
+
+    #: An exact-backend guess dies once some level's h-store holds more than
+    #: this many times its α live cells (see :meth:`update_batch_arrays`).
+    EARLY_KILL_FACTOR = 32.0
 
     def __init__(
         self,
@@ -230,7 +245,6 @@ class StreamingCoresetInstance:
         shared: _SharedHashes,
         seed: int = 0,
         backend: str = "exact",
-        early_kill_factor: float | None = 32.0,
     ):
         self.params = params
         self.o = float(o)
@@ -238,7 +252,7 @@ class StreamingCoresetInstance:
         self.shared = shared
         self.backend = backend
         self.dead_reason: str | None = None
-        self._early_kill = early_kill_factor if backend == "exact" else None
+        self._early_kill = self.EARLY_KILL_FACTOR if backend == "exact" else None
         L = params.L
 
         def make_storing(alpha: int, beta: int, recover: bool, tag: str):
@@ -256,18 +270,12 @@ class StreamingCoresetInstance:
             raise ValueError(f"unknown backend {backend!r}")
 
         # Acceptance thresholds against the shared hash values.
-        self._thr_h, self._thr_hp, self._thr_hhat = [], [], []
+        self._thresholds = shared.thresholds(params, o)
         self.store_h, self.store_hp, self.store_hhat = [], [], []
         for i in range(L + 1):  # scalar-ok: constructor: per level
             psi = params.psi(i, o)
             psip = params.psi_part(i, o)
             phi = params.phi(i, o)
-            # Exact-integer thresholds: the float product int(psi * prime)
-            # deviates from ⌊psi·p⌋ once the prime outgrows float64's 53-bit
-            # mantissa, skewing every realized sampling rate.
-            self._thr_h.append(exact_field_threshold(psi, shared.h[i].prime))
-            self._thr_hp.append(exact_field_threshold(psip, shared.hp[i].prime))
-            self._thr_hhat.append(exact_field_threshold(phi, shared.hhat[i].prime))
             self.store_h.append(make_storing(
                 params.storing_alpha(i, o, psi), 1, False, f"st-h-{i}"))
             self.store_hp.append(make_storing(
@@ -275,9 +283,6 @@ class StreamingCoresetInstance:
             self.store_hhat.append(make_storing(
                 params.storing_alpha(i, o, phi), params.storing_beta(i, o),
                 True, f"st-hhat-{i}"))
-        self._thr_h_col = _threshold_column(self._thr_h)
-        self._thr_hp_col = _threshold_column(self._thr_hp)
-        self._thr_hhat_col = _threshold_column(self._thr_hhat)
 
     # -- streaming -----------------------------------------------------------
     @staticmethod
@@ -305,7 +310,7 @@ class StreamingCoresetInstance:
         Storing scatters run per level.
 
         Early kill: the instance dies at the first event after which some
-        level's h-store holds more than ``early_kill_factor · α`` live
+        level's h-store holds more than ``EARLY_KILL_FACTOR · α`` live
         cells.  Only levels whose cheap pre-check fires (compacted count
         plus the batch's selected events could cross the line) pay an
         exact :meth:`ExactStoring.first_overflow`.  On a kill at event j of
@@ -316,9 +321,7 @@ class StreamingCoresetInstance:
         if self.dead_reason is not None:
             return
         n = len(signs)
-        mh = _bool_mask(vh < self._thr_h_col)
-        mhp = _bool_mask(vhp < self._thr_hp_col)
-        mhh = _bool_mask(vhhat < self._thr_hhat_col)
+        mh, mhp, mhh = sample_masks((vh, vhp, vhhat), self._thresholds)
         nh = mh.sum(axis=1)
         kill = None
         if self._early_kill is not None:
@@ -493,8 +496,8 @@ class StreamingCoreset:
     def update_arrays(self, rows, signs) -> int:
         """Vectorized ingest of an (n, d) coordinate array + sign vector.
 
-        One Horner sweep per (level, sub-stream) over the batch's *distinct*
-        point keys replaces per-event hashing; threshold masks and sketch
+        One stacked Horner sweep per sub-stream over the batch's *distinct*
+        point keys covers all L+1 levels; threshold masks and sketch
         scatters run per level.  The resulting state does not depend on how
         the stream is split into batches; the tests and the bench harness
         pin it to a per-event reference.
@@ -507,13 +510,7 @@ class StreamingCoreset:
         pkeys = self.grids.point_codec.encode(rows)
         levels = range(self.params.L + 1)
         cell_keys = [self.grids.cell_keys(rows, i) for i in levels]
-        # Hash each distinct key once; churn streams (delete = re-hash of an
-        # earlier insert) and duplicate-heavy batches pay per distinct key.
-        # One stacked Horner sweep per sub-stream covers all L+1 levels.
-        uniq, inverse = np.unique(pkeys, return_inverse=True)
-        vh = self.shared.stacked_h.values_np(uniq)[:, inverse]
-        vhp = self.shared.stacked_hp.values_np(uniq)[:, inverse]
-        vhh = self.shared.stacked_hhat.values_np(uniq)[:, inverse]
+        vh, vhp, vhh = self.shared.values_np(pkeys)
         for inst in self.instances:  # scalar-ok: per instance per batch
             inst.update_batch_arrays(pkeys, cell_keys, signs, vh, vhp, vhh)
         if self._pilot_sampler is not None:

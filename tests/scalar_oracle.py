@@ -224,8 +224,9 @@ def _instance_update(inst, mirrors, pkey, cells, sign, vh, vhp, vhh) -> None:
     """Algorithm 4 for one event and one guess: per level, the h, h' and ĥ
     sub-streams in order; an h-store past the kill line kills the guess
     on the spot, before the rest of this event reaches it."""
+    thr_h, thr_hp, thr_hhat = (col[:, 0] for col in inst._thresholds)
     for i in range(inst.params.L + 1):
-        if vh[i] < inst._thr_h[i]:
+        if vh[i] < thr_h[i]:
             store = inst.store_h[i]
             mirror = _store_update(mirrors, store, cells[i], pkey, sign)
             if (mirror is not None and inst._early_kill is not None
@@ -235,9 +236,9 @@ def _instance_update(inst, mirrors, pkey, cells, sign, vh, vhp, vhh) -> None:
                     f"{inst._early_kill:g}x alpha (o={inst.o:g})"
                 )
                 return
-        if vhp[i] < inst._thr_hp[i]:
+        if vhp[i] < thr_hp[i]:
             _store_update(mirrors, inst.store_hp[i], cells[i], pkey, sign)
-        if vhh[i] < inst._thr_hhat[i]:
+        if vhh[i] < thr_hhat[i]:
             _store_update(mirrors, inst.store_hhat[i], cells[i], pkey, sign)
 
 

@@ -103,6 +103,17 @@ class TestValidation:
             capacitated_assignment(np.arange(10.0).reshape(5, 2), np.zeros((2, 2)), 5,
                                    weights=w)
 
+    @pytest.mark.parametrize("w", [[1.0, 1.0], [1.0] * 4, [[1.0, 1.0, 1.0]]])
+    def test_weight_length_mismatch_rejected(self, w):
+        with pytest.raises(ValueError, match=r"weights must have shape \(3,\)"):
+            capacitated_assignment(np.zeros((3, 2)), np.ones((2, 2)), 2,
+                                   weights=np.array(w))
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_zero_centers_rejected(self, n):
+        with pytest.raises(ValueError, match="centers must hold at least one center"):
+            capacitated_assignment(np.zeros((n, 2)), np.empty((0, 2)), 2)
+
     def test_zero_weight_and_infinite_capacity_accepted(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [9.0, 0.0]])
         ctr = np.array([[0.0, 0.0], [9.0, 0.0]])

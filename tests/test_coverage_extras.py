@@ -14,7 +14,7 @@ from repro.distributed.network import Network
 from repro.distributed.protocol import _machine_substreams
 from repro.grid.grids import HierarchicalGrids
 from repro.streaming.stream import DELETE, Stream
-from repro.streaming.streaming_coreset import _SharedHashes
+from repro.streaming.streaming_coreset import StreamingCoresetInstance, _SharedHashes
 from repro.utils.rng import derive_seed
 
 
@@ -49,6 +49,35 @@ class TestMachineSubstreams:
                     item for pm in parts for item in pm[stream_idx][level]
                 )
                 assert merged == sorted(whole[stream_idx][level])
+
+    def test_thresholds_pinned_to_instances_on_83_bit_prime(self, monkeypatch):
+        """At d=8, Δ=1024 point keys need an 83-bit prime, where a float64
+        ⌊ψ·p⌋ drifts from the exact threshold.  With every field value set
+        to one below a streaming instance's threshold (even points) or to
+        the threshold itself (odd points), the simulation must sample
+        exactly the even points, in point order, at every level."""
+        params = CoresetParams.practical(k=2, d=8, delta=1024)
+        grids = HierarchicalGrids(1024, 8, seed=derive_seed(3, "grids"))
+        shared = _SharedHashes(params, grids, derive_seed(3, "hashes"))
+        prime = shared.h[0].prime
+        assert prime.bit_length() == 83
+        pts = np.random.default_rng(3).integers(1, 1025, size=(12, 8))
+        pkeys = grids.point_keys(pts).tolist()
+        odd = np.arange(len(pts)) % 2
+        rates = (params.psi, params.psi_part, params.phi)
+        drifted = 0
+        for o in (2.0 ** 7, 2.0 ** 30, 2.0 ** 61, 2.0 ** 90):
+            inst = StreamingCoresetInstance(params, o, grids, shared)
+            forced = tuple(np.array([[int(t) - 1 + int(b) for b in odd] for t in col[:, 0]],
+                                    dtype=object) for col in inst._thresholds)
+            monkeypatch.setattr(shared, "values_np", lambda keys, v=forced: v)
+            subs = _machine_substreams(pts, grids, shared, params, o)
+            for rate, col, sub in zip(rates, inst._thresholds, subs):
+                for i in range(params.L + 1):
+                    drifted += int(rate(i, o) * prime) != int(col[i, 0])
+                    cells = grids.cell_keys(pts, i).tolist()
+                    assert sub[i] == [(cells[j], pkeys[j]) for j in range(0, len(pts), 2)]
+        assert drifted  # the float rule would move samples at these guesses
 
     def test_empty_machine(self):
         params = CoresetParams.practical(k=2, d=2, delta=64)

@@ -48,7 +48,7 @@ from repro.service.state import (
     sharded_state_from_dict,
     streaming_state_to_dict,
 )
-from repro.streaming.merge import merge_many
+from repro.streaming.merge import merge_streaming_states
 from repro.utils.bits import float_bits
 
 # Cheap in-process shape: 4 guess instances, sub-100ms per service.
@@ -128,13 +128,14 @@ class TestMergeProperties:
     @given(fleet_plan())
     @settings(max_examples=8, deadline=None)
     def test_merge_many_drivers_match_reference_shard(self, plan):
-        """merge_many at the StreamingCoreset layer: summing shard 0's
-        drivers across sites equals shard 0 of the unsharded reference."""
+        """merge_streaming_states at the StreamingCoreset layer: summing
+        shard 0's drivers across sites equals shard 0 of the unsharded
+        reference."""
         ops, perm = plan
         cfg = ServiceConfig(**CHEAP)
         states = _site_states(cfg, ops)
         drivers = [sharded_state_from_dict(states[i]).shards[0] for i in perm]
-        merged = merge_many(drivers)
+        merged = merge_streaming_states(*drivers)
         reference = _reference_service(cfg, ops)
         ref_shard = reference.ingest.shards[0]
         assert json.dumps(streaming_state_to_dict(merged), sort_keys=True) == \

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hashing import BernoulliHash, KWiseHash, UniformBucketHash, is_prime, next_prime
+from repro.hashing import BernoulliHash, KWiseHash, is_prime, next_prime
+from repro.streaming.sketch import SketchHashFamily
 
 
 class TestPrimes:
@@ -179,20 +180,25 @@ class TestBernoulliHash:
 
 
 class TestUniformBucketHash:
+    """Bucket positions of the IBLT hash family: λ = 6 row polynomials
+    reduced mod the bucket count."""
+
     def test_buckets_in_range(self):
-        h = UniformBucketHash(17, independence=6, universe_bits=48, seed=3)
-        b = h.buckets(list(range(1000)))
-        assert b.min() >= 0 and b.max() < 17
+        pos, _ = SketchHashFamily(17, 48, seed=3).hash_np(list(range(1000)))
+        assert pos.min() >= 0 and pos.max() < 17
 
     def test_roughly_uniform_load(self):
         m = 16
-        h = UniformBucketHash(m, independence=6, universe_bits=48, seed=5)
-        counts = np.bincount(h.buckets(list(range(16000))), minlength=m)
-        assert counts.min() > 16000 / m * 0.8
-        assert counts.max() < 16000 / m * 1.2
+        pos, _ = SketchHashFamily(m, 48, seed=5).hash_np(list(range(16000)))
+        for row in pos:
+            counts = np.bincount(row, minlength=m)
+            assert counts.min() > 16000 / m * 0.8
+            assert counts.max() < 16000 / m * 1.2
 
     @given(st.integers(min_value=0, max_value=(1 << 48) - 1))
     @settings(max_examples=50)
     def test_bucket_deterministic(self, key):
-        h = UniformBucketHash(13, independence=4, universe_bits=48, seed=8)
-        assert h.bucket(key) == h.bucket(key)
+        a = SketchHashFamily(13, 48, seed=8)
+        b = SketchHashFamily(13, 48, seed=8)
+        assert a.positions(key) == b.positions(key)
+        assert a.hash_np([key])[0][:, 0].tolist() == list(a.positions(key))

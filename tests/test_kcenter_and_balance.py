@@ -81,6 +81,28 @@ class TestCapacitatedKCenter:
         sol = capacitated_kcenter_assignment(pts, np.ones((1, 2)), 3)
         assert sol.labels is None and math.isinf(sol.radius)
 
+    def test_empty_points_give_empty_solution(self):
+        sol = capacitated_kcenter_assignment(np.empty((0, 2)), np.zeros((2, 2)), 1)
+        assert sol.labels.tolist() == [] and sol.labels.dtype == np.int64
+        assert sol.radius == 0.0
+        assert sol.sizes.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("t", [float("nan"), [3.0, float("nan")]])
+    def test_nan_capacity_rejected(self, t):
+        with pytest.raises(ValueError, match="capacities"):
+            capacitated_kcenter_assignment(np.ones((3, 2)), np.zeros((2, 2)), t)
+
+    @pytest.mark.parametrize("t", [-1, [3, -1]])
+    def test_negative_capacity_rejected(self, t):
+        with pytest.raises(ValueError, match="capacities"):
+            capacitated_kcenter_assignment(np.ones((3, 2)), np.zeros((2, 2)), t)
+
+    def test_infinite_capacity_is_uncapacitated(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [9.0, 0.0]])
+        sol = capacitated_kcenter_assignment(pts, np.array([[0.0, 0.0], [9.0, 0.0]]),
+                                             math.inf)
+        assert sol.labels.tolist() == [0, 0, 1] and sol.radius == 1.0
+
     def test_end_to_end(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(0, 100, size=(60, 2))

@@ -25,13 +25,14 @@ from repro.hashing.kwise import (
     BernoulliHash,
     KWiseHash,
     StackedHashes,
-    UniformBucketHash,
+    _coeff_matrix,
     exact_field_threshold,
+    horner,
 )
 from repro.service.protocol import ProtocolError, parse_points
 from repro.service.shards import ShardedIngest
 from repro.service.state import streaming_state_to_dict
-from repro.streaming.sketch import DecodeFailure, IBLTSketch
+from repro.streaming.sketch import DecodeFailure, IBLTSketch, SketchHashFamily
 from repro.streaming.storing import ExactStoring
 from repro.streaming.streaming_coreset import StreamingCoreset
 from repro.utils.validation import FailedConstruction
@@ -90,6 +91,30 @@ class TestHornerIdentity:
         got = [int(v) for v in h.values_np(keys)]
         assert got == [h.value(k) for k in keys]  # scalar oracle
 
+    @pytest.mark.parametrize("ub", [16, 40, 83])
+    @pytest.mark.parametrize("lams", [[5], [2, 3, 7, 4]])
+    def test_horner_kernel_matches_scalar(self, ub, lams):
+        """The one kernel in all three regimes (int64 below 2^31, multi-limb
+        below 2^55, object beyond), for one row and for a stack with mixed
+        λ, on int64 keys and on keys beyond int64."""
+        hashes = [KWiseHash(independence=lam, universe_bits=ub, seed=200 + i)
+                  for i, lam in enumerate(lams)]
+        p = hashes[0].prime
+        coeffs = _coeff_matrix([h._coeffs for h in hashes], p)
+        rng = np.random.default_rng(ub)
+        keys = [int(x) for x in rng.integers(0, 1 << min(ub, 62), size=50)]
+        keys += [0, 1, (1 << min(ub, 63)) - 1]
+        batches = [np.asarray(keys, dtype=np.int64)]
+        if ub > 63:
+            batches.append(np.array(keys + [1 << 70, (1 << ub) - 1], dtype=object))
+        for batch in batches:
+            mat = horner(coeffs, batch, p)
+            assert mat.shape == (len(hashes), len(batch))
+            assert mat.dtype == (np.int64 if p.bit_length() <= 55
+                                 and batch.dtype == np.int64 else object)
+            for row, h in enumerate(hashes):
+                assert [int(v) for v in mat[row]] == [h.value(int(k)) for k in batch]
+
     @pytest.mark.parametrize("ub", [16, 40, 70])
     def test_stacked_matches_per_hash(self, ub):
         hashes = [KWiseHash(independence=lam, universe_bits=ub, seed=100 + i)
@@ -107,9 +132,15 @@ class TestHornerIdentity:
             StackedHashes([KWiseHash(2, 16, seed=0), KWiseHash(2, 40, seed=0)])
 
     def test_bucket_batch_matches_scalar(self):
-        h = UniformBucketHash(97, independence=6, universe_bits=40, seed=2)
-        keys = list(range(0, 2000, 37))
-        assert h.buckets(keys).tolist() == [h.bucket(k) for k in keys]
+        """One stacked sweep of the IBLT family gives the scalar positions
+        and fingerprints (int64 and object regimes)."""
+        for ub in (40, 70):
+            fam = SketchHashFamily(97, ub, seed=2)
+            keys = list(range(0, 2000, 37)) + [(1 << ub) - 1]
+            pos, fps = fam.hash_np(keys)
+            assert pos.dtype == np.int64
+            assert pos.T.tolist() == [list(fam.positions(k)) for k in keys]
+            assert [int(f) for f in fps] == [fam.fingerprint(k) for k in keys]
 
 
 # --------------------------------------------------------------------------
