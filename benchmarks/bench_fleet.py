@@ -23,7 +23,9 @@ Also runnable as a script::
 with a seeded ``site.kill`` fault plan: site 1 is SIGKILLed mid-run and
 recovered from its checkpoint + journal replay, and the final merged
 state must still be bit-identical — the acceptance criterion of the
-fleet subsystem.  Both modes append a record to ``BENCH_service.json``.
+fleet subsystem — and byte-equal to the pulled sites folded in reverse
+order.  It prints each site's ``pull_state`` bytes.  Both modes append a
+record to ``BENCH_service.json``.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ def run_sweep(site_counts, n: int, delete_fraction: float,
                    "merge_s", "uplink_bits", "downlink_bits",
                    "sim_uplink_bits", "sim_downlink_bits",
                    "bits_match_simulation", "state_identical",
-                   "answer_identical", "passed")} for r in rows],
+                   "reverse_fold_identical", "answer_identical",
+                   "pull_state_bytes", "passed")} for r in rows],
         "passed": all(r["passed"] for r in rows),
     }
 
@@ -122,13 +125,15 @@ def main(argv=None) -> int:
             f"{report['bench']}: recoveries={report['recoveries']} "
             f"restarts={report['restarts']}",
             ["sites", "events", "events/s", "up bits", "sim up", "down bits",
-             "state==", "answer==", "bits==sim", "passed"],
+             "state==", "reverse==", "answer==", "bits==sim", "passed"],
             [[report["sites"], report["events"], report["events_per_s"],
               report["uplink_bits"], report["sim_uplink_bits"],
               report["downlink_bits"], report["state_identical"],
-              report["answer_identical"], report["bits_match_simulation"],
-              report["passed"]]],
+              report["reverse_fold_identical"], report["answer_identical"],
+              report["bits_match_simulation"], report["passed"]]],
         )
+        for j, size in enumerate(report["pull_state_bytes"]):
+            print(f"site {j}: pull_state envelope {size} bytes")
     else:
         counts = [int(t) for t in args.sites.split(",") if t.strip()]
         report = run_sweep(counts, args.n or 1500, args.delete_fraction,

@@ -107,11 +107,11 @@ def run_fold_identity(n: int = 1500, delta: int = 256, batch: int = 512,
     """The query-time shard fold and the ℓ₀ pilot peel, checked and timed.
 
     ``merged_state()`` of a ``num_shards``-way :class:`ShardedIngest` must
-    equal the unsharded driver fed the same stream: the Storing state byte
-    for byte, the pilot sketches bucket for bucket (their rows are in
-    first-touch order, which depends on which shard touched a bucket
-    first, so they are compared sorted).  The merged pilot's ``sample()``
-    must equal the key-at-a-time peel of ``tests/scalar_oracle.py``.
+    equal the unsharded driver fed the same stream byte for byte, the
+    Storing state and the pilot sketches alike (IBLT rows are written in
+    bucket-position order, so it does not matter which shard touched a
+    bucket first).  The merged pilot's ``sample()`` must equal the
+    key-at-a-time peel of ``tests/scalar_oracle.py``.
     """
     from repro.service.state import streaming_state_to_dict
     from repro.streaming.streaming_coreset import StreamingCoreset
@@ -135,11 +135,6 @@ def run_fold_identity(n: int = 1500, delta: int = 256, batch: int = 512,
         merged = ingest.merged_state()
         fold_s.append(time.perf_counter() - t0)
 
-    def split(driver):
-        state = streaming_state_to_dict(driver)
-        pilot = [sorted(rows) for rows in state.pop("pilot")]
-        return _canonical(state), pilot
-
     sampler = merged._pilot_sampler
     t0 = time.perf_counter()
     sample = sampler.sample()
@@ -153,7 +148,8 @@ def run_fold_identity(n: int = 1500, delta: int = 256, batch: int = 512,
         "shards": num_shards,
         "fold_ms": round(float(np.median(fold_s)) * 1e3, 3),
         "sample_ms": round(sample_s * 1e3, 3),
-        "fold_identical": split(merged) == split(single),
+        "fold_identical": (_canonical(streaming_state_to_dict(merged))
+                           == _canonical(streaming_state_to_dict(single))),
         "peel_identical": sample == scalar_sample(sampler),
     }
 

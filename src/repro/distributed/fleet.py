@@ -66,7 +66,7 @@ from repro.distributed.network import Machine, Network
 from repro.service.client import ServiceClient, ServiceUnavailable
 from repro.service.engine import ClusteringService, ServiceConfig
 from repro.service.faults import fault_point
-from repro.service.protocol import DEFAULT_STREAM_ID
+from repro.service.protocol import DEFAULT_STREAM_ID, encode_message
 from repro.service.state import sharded_state_from_dict
 from repro.service.tenants import TenantRegistry
 from repro.streaming.merge import merge_streaming_states
@@ -180,6 +180,9 @@ class Coordinator:
         self.sites = [(str(h), int(p)) for h, p in sites]
         self.network = network if network is not None else accountant(len(self.sites))
         self.stream_id = stream_id
+        #: The raw envelopes of the latest :meth:`merged_service` pull, in
+        #: site order (for callers that verify or size the transfer).
+        self.last_envelopes: list[dict] = []
         self._clients = [ServiceClient(h, p, timeout=timeout,
                                        stream_id=stream_id, retries=retries)
                          for h, p in self.sites]
@@ -236,6 +239,7 @@ class Coordinator:
         bit-identical to the reference the fleet tests compare against.
         """
         config, ingests, envelopes = self.pull_ingests()
+        self.last_envelopes = envelopes
         merged = merge_sharded(ingests)
         service = ClusteringService(config, ingest=merged)
         service.bytes_ingested = sum(
@@ -555,10 +559,10 @@ def _reference_service(config: ServiceConfig,
     return ref
 
 
-def _merged_state_json(service: ClusteringService) -> str:
-    """Canonical JSON of a service's full ingest state (the bit-identity
-    comparison medium; JSON round-trips our arbitrary-precision keys)."""
-    return json.dumps(service.ingest.to_state_dict(), sort_keys=True,
+def _ingest_json(ingest) -> str:
+    """Canonical JSON of a full ingest state (the bit-identity comparison
+    medium; JSON round-trips our arbitrary-precision keys)."""
+    return json.dumps(ingest.to_state_dict(), sort_keys=True,
                       separators=(",", ":"))
 
 
@@ -611,11 +615,13 @@ def run_fleet(config: ServiceConfig, points: np.ndarray, num_sites: int, *,
     plan kills), then pulls and merges all site states through a
     bit-metered :class:`Coordinator`.  With ``verify=True`` the merged
     state is compared byte-for-byte against a single-process reference
-    fed the same batches, and the measured wire bits against
-    :func:`simulate_fleet`'s accounting of the identical schedule.
+    fed the same batches and against the pulled sites folded in reverse
+    order, and the measured wire bits against :func:`simulate_fleet`'s
+    accounting of the identical schedule.
 
-    Returns a JSON-safe report (sites, events, bits, timings, verify
-    verdicts) — the record `bench_fleet.py` appends to BENCH_service.json.
+    Returns a JSON-safe report (sites, events, bits, each site's
+    ``pull_state`` envelope bytes, timings, verify verdicts) — the record
+    `bench_fleet.py` appends to BENCH_service.json.
     """
     site_ops = plan_site_ops(points, num_sites, seed=partition_seed,
                              mode=mode, batch_size=batch_size,
@@ -653,6 +659,7 @@ def run_fleet(config: ServiceConfig, points: np.ndarray, num_sites: int, *,
                 report["site_stats"] = coord.poll_site_stats()
                 merged = coord.merged_service()
                 report["merge_s"] = round(time.perf_counter() - t0, 3)
+                envelopes = coord.last_envelopes
         finally:
             for f in feeders:
                 f.close()
@@ -662,6 +669,7 @@ def run_fleet(config: ServiceConfig, points: np.ndarray, num_sites: int, *,
         "uplink_bits": network.uplink_bits,
         "downlink_bits": network.downlink_bits,
         "messages": network.messages,
+        "pull_state_bytes": [len(encode_message(env)) for env in envelopes],
     })
     try:
         if query:
@@ -669,8 +677,12 @@ def run_fleet(config: ServiceConfig, points: np.ndarray, num_sites: int, *,
             report["result"] = result.to_dict()
         if verify:
             reference = _reference_service(effective, site_ops)
-            state_ok = _merged_state_json(merged) == _merged_state_json(reference)
-            report["state_identical"] = bool(state_ok)
+            merged_json = _ingest_json(merged.ingest)
+            report["state_identical"] = merged_json == _ingest_json(reference.ingest)
+            # Sketch addition commutes, and the state bytes are canonical:
+            # folding the pulled sites in reverse gives the same bytes.
+            report["reverse_fold_identical"] = merged_json == _ingest_json(merge_sharded(
+                [sharded_state_from_dict(env["ingest"]) for env in reversed(envelopes)]))
             if query:
                 ref_result, _ = reference.query()
                 report["answer_identical"] = (
@@ -684,6 +696,7 @@ def run_fleet(config: ServiceConfig, points: np.ndarray, num_sites: int, *,
             sim_merged.close()
             report["passed"] = bool(
                 report["state_identical"]
+                and report["reverse_fold_identical"]
                 and report.get("answer_identical", True)
                 and report["bits_match_simulation"])
     finally:

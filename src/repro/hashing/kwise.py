@@ -33,7 +33,6 @@ and consume the generator exactly as an uncached draw would.
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -43,7 +42,7 @@ from repro.hashing.primes import next_prime
 from repro.utils.rng import as_rng
 
 __all__ = ["KWiseHash", "BernoulliHash", "StackedHashes", "horner",
-           "exact_field_threshold"]
+           "as_keys", "exact_field_threshold"]
 
 #: Largest prime bit-length handled by the int64 multi-limb Horner path.
 #: Beyond this the limb count (⌈B/(62−B)⌉) grows past ~8 and the object
@@ -53,6 +52,8 @@ _MULTI_LIMB_MAX_BITS = 55
 #: Chunk size of the Python-int (object dtype) fallback — bounds the peak
 #: number of live bigint temporaries per Horner sweep.
 _OBJECT_CHUNK = 32768
+
+_INT64 = np.dtype(np.int64)
 
 #: Entries of the per-process cache of seeded coefficient draws.  One
 #: service configuration draws a few hundred distinct (λ, p, seed) triples
@@ -117,15 +118,31 @@ def _coeff_matrix(rows: Sequence[Sequence[int]], prime: int) -> np.ndarray:
     return coeffs
 
 
-def _as_keys(keys) -> np.ndarray:
-    """Keys as a 1-D int64 array, or an object array of Python ints when
-    some key does not fit int64."""
-    if isinstance(keys, np.ndarray) and keys.dtype == np.int64:
+def as_keys(keys) -> np.ndarray:
+    """The one key normaliser: keys as a 1-D int64 array, or an object
+    array of Python ints when some key does not fit int64.
+
+    An int64 ndarray passes through unchanged (no copy).  Any other input
+    is typed by value: a list or iterable of ints, or an ndarray of another
+    integer dtype, comes back int64 when every key fits and as an object
+    array of Python ints otherwise; an object ndarray comes back int64
+    when every key fits and unchanged (no copy) otherwise.  Hashing, the
+    Storing structures, the IBLTs and the checkpoint decoder all type
+    their keys through here.
+    """
+    if type(keys) is np.ndarray and keys.dtype is _INT64:  # the ingest fast path
         return keys
-    seq = keys if isinstance(keys, (list, np.ndarray)) else list(keys)
+    if isinstance(keys, np.ndarray):
+        if keys.dtype.kind == "u" and keys.size and int(keys.max()) >> 63:
+            return np.array(keys.tolist(), dtype=object)  # scalar-ok: keys beyond int64
+        seq = keys
+    else:
+        seq = keys if isinstance(keys, list) else list(keys)
     try:
         return np.asarray(seq, dtype=np.int64)
     except (OverflowError, TypeError, ValueError):
+        if isinstance(seq, np.ndarray) and seq.dtype == object:
+            return seq
         return np.array([int(k) for k in seq], dtype=object)  # scalar-ok: keys beyond int64
 
 
@@ -244,7 +261,7 @@ class KWiseHash:
     def values_np(self, keys) -> np.ndarray:
         """Field values for a batch of keys: one row of :func:`horner`
         (int64 on the fast paths, object dtype for huge primes)."""
-        return horner(self._row, _as_keys(keys), self.prime)[0]
+        return horner(self._row, as_keys(keys), self.prime)[0]
 
     def values(self, keys: Iterable[int]) -> list[int]:
         """Field values for a batch of keys, as a list of Python ints."""
@@ -291,7 +308,7 @@ class StackedHashes:
 
     def values_np(self, keys) -> np.ndarray:
         """Field values, shape ``(len(hashes), len(keys))``."""
-        return horner(self._coeffs, _as_keys(keys), self.prime)
+        return horner(self._coeffs, as_keys(keys), self.prime)
 
 
 class BernoulliHash:

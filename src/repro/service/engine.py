@@ -23,6 +23,7 @@ from repro.core.io import params_to_dict, read_json
 from repro.core.params import CoresetParams
 from repro.service.shards import ShardedIngest
 from repro.service.state import (
+    READABLE_FORMAT_VERSIONS,
     STATE_FORMAT_VERSION,
     sharded_state_from_dict,
     write_checkpoint,
@@ -324,7 +325,7 @@ class ClusteringService:
         other fields (the tenant registry reads its stamped ``tenant``
         block) can parse the JSON once.
         """
-        if payload.get("format_version") != STATE_FORMAT_VERSION:
+        if payload.get("format_version") not in READABLE_FORMAT_VERSIONS:
             raise ValueError(
                 f"unsupported service checkpoint format {payload.get('format_version')!r}"
             )

@@ -25,7 +25,7 @@ import copy
 
 import numpy as np
 
-from repro.hashing.kwise import KWiseHash
+from repro.hashing.kwise import KWiseHash, as_keys
 from repro.streaming.sketch import DecodeFailure, IBLTSketch
 from repro.utils.rng import derive_seed
 
@@ -77,8 +77,7 @@ class DistinctSampler:
         receives the in-order subsequence of events whose deepest level is
         ≥ j.
         """
-        if not isinstance(keys, np.ndarray):
-            keys = np.asarray(keys)
+        keys = as_keys(keys)
         if keys.size == 0:
             return
         signs = np.asarray(signs, dtype=np.int64)

@@ -24,9 +24,11 @@ Implementation notes (performance — see the HPC guide):
   both can exceed 64 bits).  :meth:`IBLTSketch.update_many` applies a whole
   batch with one stacked Horner sweep and three ``np.add.at`` scatters.
   Slots are assigned in *first-touch event order* (event-major,
-  row-minor), so the :attr:`buckets` view, and therefore checkpoint bytes,
-  are identical whether a stream was ingested one event at a time or in
-  batches of any size.
+  row-minor), so the :attr:`buckets` view is identical whether a stream
+  was ingested one event at a time or in batches of any size.  Checkpoint
+  rows (:meth:`IBLTSketch.bucket_rows`) are written in bucket-position
+  order, so their bytes depend on the bucket contents alone — not on the
+  slot order, the batching or the order sketches were merged in.
 - :meth:`IBLTSketch.merge_from` appends the other sketch's new slots in its
   first-touch order (where sequential ingest of the concatenated stream
   would create them) and adds the three sums column-wise.
@@ -58,7 +60,7 @@ from itertools import chain
 
 import numpy as np
 
-from repro.hashing.kwise import KWiseHash, StackedHashes
+from repro.hashing.kwise import KWiseHash, StackedHashes, as_keys
 from repro.utils.rng import derive_seed
 
 __all__ = ["IBLTSketch", "SketchHashFamily", "DecodeFailure", "peel_many"]
@@ -148,8 +150,8 @@ class IBLTSketch:
         self.m = self.family.m
         # Sparse-columnar bucket state: flat position (row·m + pos) → slot
         # index into the parallel accumulator arrays.  Slots are assigned in
-        # first-touch order, which keeps the `buckets` view (and checkpoint
-        # bytes) independent of batch boundaries.
+        # first-touch order, which keeps the `buckets` view independent of
+        # batch boundaries (checkpoint rows are in position order anyway).
         self._slot: dict[int, int] = {}
         self._count = np.zeros(0, dtype=np.int64)
         self._keysum = np.zeros(0, dtype=object)  # can exceed 64 bits
@@ -204,26 +206,41 @@ class IBLTSketch:
 
     def bucket_rows(self) -> list[list[int]]:
         """Materialized buckets as ``[row, pos, count, keysum, fpsum]`` rows
-        of Python ints, in first-touch order — the checkpoint form, built
-        column-wise from the accumulator arrays."""
+        of Python ints, in bucket-position order — the checkpoint form,
+        built column-wise from the accumulator arrays.  Position order
+        makes the rows a function of the bucket contents alone, whatever
+        order the slots were created or merged in."""
         n = len(self._slot)
         flat = np.fromiter(self._slot, dtype=np.int64, count=n)
         idx = np.fromiter(self._slot.values(), dtype=np.int64, count=n)
+        order = np.argsort(flat)
+        flat, idx = flat[order], idx[order]
         row, pos = np.divmod(flat, self.m)
         cols = (row, pos, self._count[idx], self._keysum[idx], self._fpsum[idx])
         return np.column_stack(cols).tolist()  # scalar-ok: checkpoint encode
 
-    def load_bucket_rows(self, rows) -> None:
-        """Inverse of :meth:`bucket_rows` (checkpoint restore).
+    def load_bucket_rows(self, rows, *, canonical: bool = True) -> None:
+        """Inverse of :meth:`bucket_rows` (checkpoint restore), keeping the
+        given row order as the slot order.
 
-        Rows naming distinct buckets load column-wise in the given order;
-        anything else (a bucket listed twice) goes through the
-        :attr:`buckets` setter, whose last-row-wins normalisation is the
-        format's reference semantics.
+        ``canonical`` input (state format v2) must name in-range buckets in
+        strictly increasing position order, else ``ValueError``.  With
+        ``canonical=False`` (v1 files, written in first-touch order) rows
+        naming distinct buckets load in any order, and a bucket listed
+        twice goes through the :attr:`buckets` setter, whose
+        last-row-wins normalisation is the v1 reference semantics.
         """
         cols = np.array(rows, dtype=object)
+        if not len(rows):
+            cols = cols.reshape(0, 5)
         if cols.ndim == 2 and cols.shape[1] == 5:
-            flat = cols[:, 0].astype(np.int64) * self.m + cols[:, 1].astype(np.int64)
+            row, pos = cols[:, 0].astype(np.int64), cols[:, 1].astype(np.int64)
+            flat = row * self.m + pos
+            if canonical:
+                if not (((row >= 0) & (row < self.ROWS) & (pos >= 0) & (pos < self.m)).all()
+                        and (flat[1:] > flat[:-1]).all()):
+                    raise ValueError("v2 state: IBLT rows must name in-range "
+                                     "buckets in increasing position order")
             slot = dict(zip(flat.tolist(), range(len(flat))))  # scalar-ok: checkpoint restore
             if len(slot) == len(flat):
                 self._slot = slot
@@ -231,6 +248,8 @@ class IBLTSketch:
                 self._keysum = cols[:, 3].copy()
                 self._fpsum = cols[:, 4].copy()
                 return
+        if canonical:
+            raise ValueError("v2 state: IBLT rows must be [row, pos, count, keysum, fpsum]")
         self.buckets = {(r, p): [c, ks, fs] for r, p, c, ks, fs in rows}
 
     def copy(self) -> "IBLTSketch":
@@ -250,12 +269,7 @@ class IBLTSketch:
         in first-touch order, so the state does not depend on how a stream
         is split into batches.
         """
-        if not isinstance(keys, np.ndarray):
-            keys = list(keys)
-            try:
-                keys = np.asarray(keys, dtype=np.int64)
-            except (OverflowError, TypeError, ValueError):
-                keys = np.array([int(k) for k in keys], dtype=object)
+        keys = as_keys(keys)
         if keys.size == 0:
             return
         deltas = np.asarray(deltas, dtype=np.int64)
@@ -305,10 +319,9 @@ class IBLTSketch:
         """Add another sketch's bucket state into this one (linearity).
 
         Slots new to this sketch are appended in ``other``'s first-touch
-        order, where a slot-by-slot merge would create them, so
-        :meth:`bucket_rows` (and checkpoint bytes) match sequential ingest
-        of the concatenated stream; the sums then add in one fancy-indexed
-        pass per column.
+        order, where a slot-by-slot merge would create them, so the
+        :attr:`buckets` view matches sequential ingest of the concatenated
+        stream; the sums then add in one fancy-indexed pass per column.
         """
         n = len(other._slot)
         if not n:

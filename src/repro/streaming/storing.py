@@ -37,6 +37,7 @@ from itertools import chain
 
 import numpy as np
 
+from repro.hashing.kwise import as_keys
 from repro.streaming.sketch import DecodeFailure, IBLTSketch, SketchHashFamily, peel_many
 from repro.utils.rng import derive_seed
 from repro.utils.validation import FailedConstruction
@@ -54,19 +55,10 @@ class StoringResult:
     small_points: dict = field(default_factory=dict)
 
 
-def _as_key_array(x) -> np.ndarray:
-    """Coerce a key sequence to int64, falling back to object for bigints."""
-    if isinstance(x, np.ndarray):
-        return x
-    try:
-        return np.asarray(x, dtype=np.int64)
-    except (OverflowError, TypeError, ValueError):
-        return np.array([int(v) for v in x], dtype=object)
-
-
 def _int_columns(rows) -> tuple[np.ndarray, np.ndarray]:
-    """``(keys, counts)`` columns of ``[key, count]`` rows: keys as
-    :func:`_as_key_array` types them (object beyond int64), counts int64."""
+    """``(keys, counts)`` columns of v1 ``[key, count]`` rows: keys as
+    :func:`~repro.hashing.kwise.as_keys` types them (object beyond int64),
+    counts int64."""
     if not len(rows):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     try:
@@ -75,7 +67,7 @@ def _int_columns(rows) -> tuple[np.ndarray, np.ndarray]:
         arr = np.array(rows, dtype=object)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("checkpoint rows must be [key, count] pairs") from None
-        return (_as_key_array(arr[:, 0].tolist()),  # scalar-ok: wide keys only
+        return (as_keys(arr[:, 0].tolist()),  # scalar-ok: wide keys only
                 np.asarray(arr[:, 1].tolist(), dtype=np.int64))  # scalar-ok: wide keys only
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("checkpoint rows must be [key, count] pairs")
@@ -126,6 +118,108 @@ def _group_sum_pairs(cells: np.ndarray, points: np.ndarray, deltas: np.ndarray):
     starts = np.flatnonzero(boundary)
     keep = sums != 0
     return c[starts][keep], p[starts][keep], sums[keep]
+
+
+_EMPTY = np.empty(0, dtype=np.int64)
+
+
+def _lengths(arrays) -> np.ndarray:
+    """``len`` of every array, as an int64 column."""
+    return np.fromiter(map(len, arrays), dtype=np.int64)
+
+
+def _concat(arrays: list) -> np.ndarray:
+    """One column out of per-store arrays (object if any of them is)."""
+    return np.concatenate(arrays) if arrays else _EMPTY
+
+
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    """First position of every non-empty segment of ``sizes``."""
+    return (np.cumsum(sizes) - sizes)[sizes > 0]
+
+
+def _restart_diff(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """First differences of ``values`` restarting at every segment of
+    ``sizes``: a segment's first slot holds its value.  Segments are
+    strictly increasing, so every other slot is > 0; in int64 a difference
+    that wraps (keys of both signs) redoes the column in Python ints."""
+    out = values.copy()
+    if len(values) > 1:
+        np.subtract(values[1:], values[:-1], out=out[1:])
+    starts = _starts(sizes)
+    out[starts] = values[starts]
+    if out.dtype != object and len(out):
+        inner = np.ones(len(out), dtype=bool)
+        inner[starts] = False
+        if (out[inner] <= 0).any():
+            return _restart_diff(values.astype(object), sizes)
+    return out
+
+
+def _restart_sum(diffs: np.ndarray, sizes: np.ndarray, what: str) -> np.ndarray:
+    """Inverse of :func:`_restart_diff` (a segmented prefix sum).
+
+    ``ValueError`` unless every non-first difference is > 0.  In int64 the
+    sums wrap modulo 2^64, which is exact as long as the true keys fit;
+    a key that does not shows up as a non-increasing step, and the column
+    is summed again in Python ints."""
+    if not len(diffs):
+        return diffs
+    first = np.zeros(len(diffs), dtype=bool)
+    first[_starts(sizes)] = True
+    if not np.asarray(diffs[~first] > 0, dtype=bool).all():
+        raise ValueError(f"v2 state: {what} must strictly increase within each segment")
+    total = np.cumsum(diffs)
+    out = total - np.repeat((total - diffs)[first], sizes[sizes > 0])
+    if out.dtype != object and (out[1:] <= out[:-1])[~first[1:]].any():
+        return _restart_sum(diffs.astype(object), sizes, what)
+    return out
+
+
+def _split(column: np.ndarray, sizes: np.ndarray) -> list:
+    """Per-segment views of ``column``; object segments whose keys all fit
+    come back int64, as the v1 reader types them."""
+    bounds = np.cumsum(sizes).tolist()  # scalar-ok: one bound per segment
+    parts = [column[lo:hi] for lo, hi in zip([0] + bounds, bounds)]
+    if column.dtype == object:
+        parts = [as_keys(p) for p in parts]  # scalar-ok: wide keys only, per store
+    return parts
+
+
+def _column(data: dict, name: str) -> list:
+    """One v2 column: a JSON list, else ``ValueError``."""
+    values = data.get(name)
+    if not isinstance(values, list):
+        raise ValueError(f"v2 state: column {name!r} must be a list")
+    return values
+
+
+def _count_column(data: dict, name: str, size: int, *, nonzero: bool = False,
+                  positive: bool = False) -> np.ndarray:
+    """A v2 int64 column of known length, each entry ≥ 0 (cells or runs per
+    store), > 0 with ``positive`` (run lengths) or ≠ 0 with ``nonzero``
+    (counts, which may be negative)."""
+    try:
+        col = np.asarray(_column(data, name), dtype=np.int64)
+    except (OverflowError, TypeError) as exc:
+        raise ValueError(f"v2 state: column {name!r} must hold int64 values") from exc
+    if col.ndim != 1 or len(col) != size:
+        raise ValueError(f"v2 state: column {name!r} has {col.size} entries, expected {size}")
+    if nonzero:
+        bad = col == 0
+    else:
+        bad = col <= 0 if positive else col < 0
+    if bad.any():
+        raise ValueError(f"v2 state: column {name!r} holds a non-canonical count")
+    return col
+
+
+def _key_column(data: dict, name: str, size: int) -> np.ndarray:
+    """A v2 key-difference column of known length (int64 or object)."""
+    col = as_keys(_column(data, name))
+    if col.ndim != 1 or len(col) != size:
+        raise ValueError(f"v2 state: column {name!r} has {col.size} entries, expected {size}")
+    return col
 
 
 class ExactStoring:
@@ -179,12 +273,12 @@ class ExactStoring:
         Arrays are logged by reference — callers must not mutate them after
         handing them over (the streaming driver's slices are fresh).
         """
-        cell_keys = _as_key_array(cell_keys)
+        cell_keys = as_keys(cell_keys)
         n = len(cell_keys)
         if n == 0:
             return
         signs = np.asarray(signs, dtype=np.int64)
-        pts = _as_key_array(point_keys) if self.recover_points else None
+        pts = as_keys(point_keys) if self.recover_points else None
         self._log += (cell_keys, pts, signs)
         self._log_events += n
         if self._log_events > max(self.FLUSH_THRESHOLD, len(self._ckeys)):
@@ -239,7 +333,7 @@ class ExactStoring:
         count by ±1.  Reads the structure without changing its contents.
         """
         base_live = self.live_cells()
-        cells = _as_key_array(cells)
+        cells = as_keys(cells)
         signs = np.asarray(signs, dtype=np.int64)
         n = len(cells)
         if n == 0:
@@ -277,7 +371,7 @@ class ExactStoring:
     @_cells.setter
     def _cells(self, mapping) -> None:
         items = sorted((int(k), int(v)) for k, v in mapping.items() if v)
-        self._ckeys = _as_key_array([k for k, _ in items])
+        self._ckeys = as_keys([k for k, _ in items])
         self._ccounts = np.asarray([v for _, v in items], dtype=np.int64)
 
     @property
@@ -295,29 +389,92 @@ class ExactStoring:
         flat = sorted((int(c), int(p), int(v))
                       for c, pts in mapping.items()
                       for p, v in pts.items() if v)
-        self._pcell = _as_key_array([c for c, _, _ in flat])
-        self._ppoint = _as_key_array([p for _, p, _ in flat])
+        self._pcell = as_keys([c for c, _, _ in flat])
+        self._ppoint = as_keys([p for _, p, _ in flat])
         self._pcount = np.asarray([v for _, _, v in flat], dtype=np.int64)
 
     # -- checkpoint codec -------------------------------------------------------
-    def to_lists(self) -> tuple[list, list]:
-        """The checkpoint form, built column-wise from the compacted state:
-        ``cells`` as ``[cell, count]`` rows sorted by cell, and ``points``
-        as ``[cell, [[point, count], ...]]`` per cell run of the pairs."""
-        self._flush()
-        cells = np.column_stack((self._ckeys, self._ccounts)).tolist()  # scalar-ok: checkpoint encode
-        pcell = self._pcell
-        if not len(pcell):
-            return cells, []
-        pairs = np.column_stack((self._ppoint, self._pcount)).tolist()  # scalar-ok: checkpoint encode
-        starts = np.flatnonzero(np.r_[True, np.asarray(pcell[1:] != pcell[:-1], dtype=bool)])
-        heads = pcell[starts].tolist()  # scalar-ok: checkpoint encode, one per cell
-        bounds = np.r_[starts, len(pcell)].tolist()  # scalar-ok: checkpoint encode, one per cell
-        return cells, [[c, pairs[lo:hi]] for c, lo, hi in zip(heads, bounds, bounds[1:])]
+    @staticmethod
+    def encode_columns(stores) -> dict:
+        """The compacted state of ``stores`` as one set of flat int columns
+        (state format v2), the stores concatenated in the given order:
+
+        - ``cells``: cells per store; ``keys``: the cell keys as first
+          differences, restarting at each store; ``counts``: their counts;
+        - ``runs``: (cell, point) runs per store; ``heads``: each run's cell
+          as first differences, restarting at each store; ``lengths``:
+          pairs per run;
+        - ``points``: the point keys as first differences within their run;
+          ``pair_counts``: the pair counts.
+
+        A restart slot holds the key itself.  A few vectorised passes and
+        one ``tolist`` per column; keys wider than int64 stay exact Python
+        ints.  The columns are a canonical function of the stores' contents.
+        """
+        for store in stores:  # scalar-ok: per store, flushes a pending log
+            store._flush()
+        ncell = _lengths(s._ckeys for s in stores)
+        npair = _lengths(s._pcount for s in stores)
+        pcell = _concat([s._pcell for s in stores])
+        first = np.zeros(len(pcell), dtype=bool)
+        first[_starts(npair)] = True
+        first[1:] |= np.asarray(pcell[1:] != pcell[:-1], dtype=bool)
+        starts = np.flatnonzero(first)
+        lengths = np.diff(np.append(starts, len(pcell)))
+        nrun = np.bincount(np.repeat(np.arange(len(npair)), npair)[starts],
+                           minlength=len(npair))
+        columns = {
+            "cells": ncell,
+            "keys": _restart_diff(_concat([s._ckeys for s in stores]), ncell),
+            "counts": _concat([s._ccounts for s in stores]),
+            "runs": nrun,
+            "heads": _restart_diff(pcell[starts], nrun),
+            "lengths": lengths,
+            "points": _restart_diff(_concat([s._ppoint for s in stores]), lengths),
+            "pair_counts": _concat([s._pcount for s in stores]),
+        }
+        return {name: col.tolist() for name, col in columns.items()}  # scalar-ok: checkpoint encode, one call per column
+
+    @staticmethod
+    def load_columns(stores, data: dict) -> None:
+        """Inverse of :meth:`encode_columns`, into freshly built ``stores``.
+
+        Decode is one array per column, segmented prefix sums and slice
+        views handed to each store (the immutability contract
+        makes shared views safe).  Each store gets the key dtype the v1
+        reader gives it: int64 when every key fits, object otherwise.
+        Raises ``ValueError`` on non-canonical input: a count column of the
+        wrong length, a difference ≤ 0 inside a store or run, a zero count,
+        an empty run, or runs in a store that keeps no points.
+        """
+        n = len(stores)
+        ncell = _count_column(data, "cells", n)
+        nrun = _count_column(data, "runs", n)
+        lengths = _count_column(data, "lengths", int(nrun.sum()), positive=True)
+        run_bounds = np.append(0, np.cumsum(lengths))[np.append(0, np.cumsum(nrun))]
+        npair = np.diff(run_bounds)
+        if any(r and not s.recover_points  # scalar-ok: one flag per store
+               for s, r in zip(stores, nrun.tolist())):  # scalar-ok: one count per store
+            raise ValueError("v2 state: point runs in a store that keeps no points")
+        ncells, npairs = int(ncell.sum()), int(npair.sum())
+        keys = _restart_sum(_key_column(data, "keys", ncells), ncell, "keys")
+        heads = _restart_sum(_key_column(data, "heads", len(lengths)), nrun, "heads")
+        points = _restart_sum(_key_column(data, "points", npairs), lengths, "points")
+        counts = _count_column(data, "counts", ncells, nonzero=True)
+        pair_counts = _count_column(data, "pair_counts", npairs, nonzero=True)
+        for store, k, c, h, r, p, v in zip(  # scalar-ok: per store, O(1) views
+                stores, _split(keys, ncell), _split(counts, ncell),
+                _split(heads, nrun), _split(lengths, nrun),
+                _split(points, npair), _split(pair_counts, npair)):
+            store._ckeys, store._ccounts = k, c
+            store._pcell = np.repeat(h, r) if len(r) else _EMPTY
+            store._ppoint, store._pcount = p, v
 
     def load_lists(self, cells, points) -> None:
-        """Inverse of :meth:`to_lists` (checkpoint restore into a fresh
-        structure).
+        """The v1 reader: restore one store from its v1 ``cells`` rows
+        (``[cell, count]``) and ``points`` runs (``[cell, [[point, count],
+        ...]]``) into a fresh structure (the retired v1 writer is kept in
+        ``tests/scalar_oracle.py``).
 
         Canonical input — cells strictly increasing with nonzero counts,
         one non-empty run per cell in ``points``, pairs strictly increasing
@@ -334,7 +491,7 @@ class ExactStoring:
         if not points:
             self._points = {}
             return
-        heads = _as_key_array([c for c, _ in points])
+        heads = as_keys([c for c, _ in points])
         lengths = np.asarray([len(run) for _, run in points], dtype=np.int64)
         ppoint, pcount = _int_columns(list(chain.from_iterable(run for _, run in points)))
         pcell = np.repeat(heads, lengths)
@@ -433,8 +590,8 @@ class SketchStoring:
         """An independent structure with the same contents.
 
         Copies the bucket arrays of the cell sketch and of every nested
-        sketch (in creation order, which the checkpoint bytes follow) and
-        shares the hash families, which are immutable after construction.
+        sketch and shares the hash families, which are immutable after
+        construction.
         """
         new = copy.copy(self)
         new._cells = self._cells.copy()
@@ -457,11 +614,10 @@ class SketchStoring:
         sweeps run once for the whole batch (every nested sketch shares one
         hash family) before fanning out per (row, cell-bucket) group.
         Nested sketches materialize in first-touch event order, so the
-        state — checkpoint bytes included — is the same however the stream
-        was batched, one event at a time included.
+        state is the same however the stream was batched, one event at a
+        time included.
         """
-        if not isinstance(cell_keys, np.ndarray):
-            cell_keys = np.asarray(cell_keys)
+        cell_keys = as_keys(cell_keys)
         n = len(cell_keys)
         if n == 0:
             return
@@ -472,8 +628,7 @@ class SketchStoring:
         cells.apply_hashed(pos_rows, fps, cell_keys, signs)
         if not self.recover_points:
             return
-        if not isinstance(point_keys, np.ndarray):
-            point_keys = np.asarray(point_keys)
+        point_keys = as_keys(point_keys)
         pfam = self._pt_family
         ppos, pfps = pfam.hash_np(point_keys)
         rows = cells.ROWS

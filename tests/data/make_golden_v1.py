@@ -5,21 +5,25 @@ Usage (from the repo root)::
     PYTHONPATH=src python tests/data/make_golden_v1.py
 
 Writes, per backend, ``golden_v1_<backend>.ckpt.json`` (the service's
-checkpoint envelope, written by ``ClusteringService.checkpoint``) and
-``golden_v1_<backend>.answer.json`` (the ``query()`` answer of the service
-that wrote it).  The committed files pin the v1 byte contract and the
-seed → hash-coefficient derivation, so only regenerate them on purpose:
-``tests/test_golden_state.py`` fails whenever the code would write
-different bytes or answer differently.
+checkpoint envelope in state format v1, written by the retired v1 writer
+kept in ``tests/scalar_oracle.py``) and ``golden_v1_<backend>.answer.json``
+(the ``query()`` answer of the service that wrote it).  The committed
+files were written by the service itself while v1 was current; they pin
+the v1 byte contract and the seed → hash-coefficient derivation, so only
+regenerate them on purpose: ``tests/test_golden_state.py`` fails whenever
+a v1 restore, re-encoded by the oracle, gives different bytes or answers
+differently.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 
+from repro.core.io import atomic_write_json
 from repro.data.synthetic import gaussian_mixture
 from repro.data.workloads import churn_stream
 from repro.service import ClusteringService, ServiceConfig
@@ -45,10 +49,14 @@ def events_for(config: ServiceConfig):
 
 
 def main() -> None:
+    sys.path.insert(0, str(HERE.parents[1]))  # the repo root, for tests/
+    from tests.scalar_oracle import v1_service_payload
+
     for name, config in CONFIGS.items():
         svc = ClusteringService(config)
         svc.apply_events(events_for(config))
-        svc.checkpoint(HERE / f"golden_v1_{name}.ckpt.json")
+        atomic_write_json(HERE / f"golden_v1_{name}.ckpt.json",
+                          v1_service_payload(svc))
         result, _ = svc.query()
         (HERE / f"golden_v1_{name}.answer.json").write_text(
             json.dumps(result.to_dict(), sort_keys=True) + "\n")

@@ -22,10 +22,16 @@ that batched ingest reproduce it byte for byte:
   capacitated solver's greedy loop over numpy scalars and the cycle
   cancelling that always runs the DFS, which the float-list greedy and the
   forest check in :mod:`repro.assignment.capacitated` must match;
+- :func:`v1_service_payload` / :func:`v1_streaming_state_to_dict` /
+  :func:`v1_store_lists` / :func:`v1_bucket_rows` — the retired v1
+  checkpoint writer, column-wise as it shipped: re-encoding a restored v1
+  file with it must reproduce the file's bytes;
 - :func:`counter_state_to_dict` / :func:`counter_state_from_dict` — the v1
-  checkpoint codec written entry by entry through the Counter and bucket
-  dict views, the reference the columnar codec in
-  :mod:`repro.service.state` must match byte for byte.
+  codec written entry by entry through the Counter and bucket dict views,
+  the reference the v1 reader in :mod:`repro.service.state` must match;
+- :func:`counter_state_v2_to_dict` / :func:`counter_state_v2_from_dict` —
+  the v2 codec, entry by entry in Python ints, the reference the columnar
+  v2 codec must match byte for byte.
 
 Import as ``from tests.scalar_oracle import scalar_ingest`` (the repo root
 must be on ``sys.path``; pytest and the benchmark scripts arrange that).
@@ -38,8 +44,7 @@ from collections import Counter
 import numpy as np
 
 from repro.assignment.capacitated import _find_support_cycle
-from repro.core.io import params_from_dict
-from repro.service.state import streaming_state_to_dict
+from repro.core.io import params_from_dict, params_to_dict
 from repro.streaming.sketch import DecodeFailure
 from repro.streaming.storing import ExactStoring, SketchStoring
 from repro.streaming.stream import events_to_arrays
@@ -50,6 +55,8 @@ __all__ = [
     "CounterStoring",
     "counter_state_from_dict",
     "counter_state_to_dict",
+    "counter_state_v2_from_dict",
+    "counter_state_v2_to_dict",
     "forestify_support_dfs",
     "greedy_assignment_numpy",
     "iblt_update",
@@ -59,6 +66,10 @@ __all__ = [
     "scalar_ingest",
     "scalar_sample",
     "sketch_storing_update",
+    "v1_bucket_rows",
+    "v1_service_payload",
+    "v1_store_lists",
+    "v1_streaming_state_to_dict",
 ]
 
 
@@ -279,6 +290,90 @@ def scalar_ingest(driver, events) -> int:
 _GROUPS = ("store_h", "store_hp", "store_hhat")
 
 
+def v1_store_lists(store) -> tuple[list, list]:
+    """The retired v1 writer of one :class:`ExactStoring`, column-wise from
+    the compacted state: ``cells`` as ``[cell, count]`` rows sorted by
+    cell, and ``points`` as ``[cell, [[point, count], ...]]`` per cell run
+    of the pairs."""
+    store._flush()
+    cells = np.column_stack((store._ckeys, store._ccounts)).tolist()
+    pcell = store._pcell
+    if not len(pcell):
+        return cells, []
+    pairs = np.column_stack((store._ppoint, store._pcount)).tolist()
+    starts = np.flatnonzero(np.r_[True, np.asarray(pcell[1:] != pcell[:-1], dtype=bool)])
+    heads = pcell[starts].tolist()
+    bounds = np.r_[starts, len(pcell)].tolist()
+    return cells, [[c, pairs[lo:hi]] for c, lo, hi in zip(heads, bounds, bounds[1:])]
+
+
+def v1_bucket_rows(sk) -> list:
+    """The retired v1 IBLT rows: ``[row, pos, count, keysum, fpsum]`` in
+    slot (first-touch) order, column-wise."""
+    n = len(sk._slot)
+    flat = np.fromiter(sk._slot, dtype=np.int64, count=n)
+    idx = np.fromiter(sk._slot.values(), dtype=np.int64, count=n)
+    row, pos = np.divmod(flat, sk.m)
+    cols = (row, pos, sk._count[idx], sk._keysum[idx], sk._fpsum[idx])
+    return np.column_stack(cols).tolist()
+
+
+def _v1_storing(store) -> dict:
+    if isinstance(store, ExactStoring):
+        cells, points = v1_store_lists(store)
+        return {"kind": "exact", "cells": cells, "points": points}
+    return {
+        "kind": "sketch",
+        "cells": v1_bucket_rows(store._cells),
+        "nested": [[r, p, v1_bucket_rows(sk)] for (r, p), sk in store._nested.items()],
+    }
+
+
+def _header(sc, version: int) -> dict:
+    return {
+        "format_version": version,
+        "params": params_to_dict(sc.params),
+        "seed": sc.seed,
+        "backend": sc.backend,
+        "prefer": sc.prefer,
+        "o_range": list(sc.o_range) if sc.o_range is not None else None,
+        "auto_pilot": sc.auto_pilot,
+        "num_updates": sc.num_updates,
+    }
+
+
+def v1_streaming_state_to_dict(sc, storing=_v1_storing, bucket_rows=v1_bucket_rows) -> dict:
+    """The retired v1 ``streaming_state_to_dict``: one dict per store under
+    each instance, IBLT rows in slot order."""
+    data = _header(sc, 1)
+    data["instances"] = [
+        {"o": inst.o, "dead_reason": inst.dead_reason,
+         **{group: [storing(s) for s in getattr(inst, group)] for group in _GROUPS}}
+        for inst in sc.instances]
+    data["pilot"] = (None if sc._pilot_sampler is None else
+                     [bucket_rows(sk) for sk in sc._pilot_sampler._sketches])
+    return data
+
+
+def v1_service_payload(service) -> dict:
+    """The retired v1 checkpoint envelope of a :class:`ClusteringService`."""
+    ingest = service.ingest
+    return {
+        "format_version": 1,
+        "config": service.config.to_dict(),
+        "counters": {"bytes_ingested": service.bytes_ingested},
+        "ingest": {
+            "format_version": 1,
+            "num_shards": len(ingest.shards),
+            "version": int(ingest.version),
+            "events_per_shard": [int(x) for x in ingest.events_per_shard],
+            "num_insertions": int(ingest.num_insertions),
+            "num_deletions": int(ingest.num_deletions),
+            "shards": [v1_streaming_state_to_dict(s) for s in ingest.shards],
+        },
+    }
+
+
 def _bucket_rows(sk) -> list:
     return [[r, p, b[0], int(b[1]), int(b[2])] for (r, p), b in sk.buckets.items()]
 
@@ -320,20 +415,12 @@ def _storing_from_dict(store, data: dict) -> None:
 
 
 def counter_state_to_dict(sc) -> dict:
-    """``streaming_state_to_dict(sc)`` with every store and pilot level
-    encoded entry by entry from the dict views."""
-    data = streaming_state_to_dict(sc)
-    for inst, rec in zip(sc.instances, data["instances"]):
-        for group in _GROUPS:
-            rec[group] = [_storing_to_dict(s) for s in getattr(inst, group)]
-    if sc._pilot_sampler is not None:
-        data["pilot"] = [_bucket_rows(sk) for sk in sc._pilot_sampler._sketches]
-    return data
+    """The v1 ``streaming_state_to_dict(sc)`` with every store and pilot
+    level encoded entry by entry from the dict views."""
+    return v1_streaming_state_to_dict(sc, _storing_to_dict, _bucket_rows)
 
 
-def counter_state_from_dict(data: dict):
-    """Rebuild a driver from its arguments and pour ``data`` in through the
-    Counter and bucket-dict setters."""
+def _rebuild(data: dict):
     o_range = tuple(data["o_range"]) if data["o_range"] is not None else None
     sc = StreamingCoreset(
         params_from_dict(data["params"]), seed=data["seed"],
@@ -342,13 +429,102 @@ def counter_state_from_dict(data: dict):
     )
     for inst, rec in zip(sc.instances, data["instances"]):
         inst.dead_reason = rec["dead_reason"]
-        for group in _GROUPS:
-            for store, payload in zip(getattr(inst, group), rec[group]):
-                _storing_from_dict(store, payload)
     if data["pilot"] is not None:
         for sk, rows in zip(sc._pilot_sampler._sketches, data["pilot"]):
             _load_bucket_rows(sk, rows)
     sc.num_updates = int(data["num_updates"])
+    return sc
+
+
+def counter_state_from_dict(data: dict):
+    """Rebuild a driver from its arguments and pour v1 ``data`` in through
+    the Counter and bucket-dict setters."""
+    sc = _rebuild(data)
+    for inst, rec in zip(sc.instances, data["instances"]):
+        for group in _GROUPS:
+            for store, payload in zip(getattr(inst, group), rec[group]):
+                _storing_from_dict(store, payload)
+    return sc
+
+
+# ------------------------------------------------------------ v2 codec
+_V2_COLUMNS = ("cells", "keys", "counts", "runs", "heads", "lengths", "points",
+               "pair_counts")
+
+
+def _schedule(sc) -> list:
+    return [s for inst in sc.instances for group in _GROUPS for s in getattr(inst, group)]
+
+
+def _position_rows(sk) -> list:
+    return [[r, p, b[0], int(b[1]), int(b[2])] for (r, p), b in sorted(sk.buckets.items())]
+
+
+def _deltas(keys) -> list:
+    return [k - prev if j else k for j, (prev, k) in enumerate(zip([0] + keys, keys))]
+
+
+def counter_state_v2_to_dict(sc) -> dict:
+    """``streaming_state_to_dict(sc)`` (format v2) built entry by entry from
+    the Counter and bucket-dict views: the stores in schedule order, the
+    exact columns delta-coded per store and per run in Python ints, IBLT
+    rows and nested sketches sorted by bucket position."""
+    data = _header(sc, 2)
+    data["instances"] = [{"o": inst.o, "dead_reason": inst.dead_reason}
+                         for inst in sc.instances]
+    stores = _schedule(sc)
+    if sc.backend == "exact":
+        cols = {name: [] for name in _V2_COLUMNS}
+        for store in stores:
+            cells = sorted(store._cells.items())
+            cols["cells"].append(len(cells))
+            cols["keys"] += _deltas([c for c, _ in cells])
+            cols["counts"] += [n for _, n in cells]
+            runs = sorted(store._points.items())
+            cols["runs"].append(len(runs))
+            cols["heads"] += _deltas([c for c, _ in runs])
+            for _, pts in runs:
+                pairs = sorted(pts.items())
+                cols["lengths"].append(len(pairs))
+                cols["points"] += _deltas([p for p, _ in pairs])
+                cols["pair_counts"] += [n for _, n in pairs]
+        data["stores"] = cols
+    else:
+        data["stores"] = [
+            {"cells": _position_rows(s._cells),
+             "nested": [[r, p, _position_rows(s._nested[r, p])] for r, p in sorted(s._nested)]}
+            for s in stores]
+    data["pilot"] = (None if sc._pilot_sampler is None else
+                     [_position_rows(sk) for sk in sc._pilot_sampler._sketches])
+    return data
+
+
+def counter_state_v2_from_dict(data: dict):
+    """Rebuild a driver from its arguments and pour v2 ``data`` in through
+    the Counter and bucket-dict setters, undoing the differences one entry
+    at a time."""
+    sc = _rebuild(data)
+    stores = _schedule(sc)
+    if sc.backend != "exact":
+        for store, rec in zip(stores, data["stores"]):
+            _storing_from_dict(store, {**rec, "kind": "sketch"})
+        return sc
+    cols = {name: iter(col) for name, col in data["stores"].items()}
+
+    def undelta(name: str, n: int) -> list:
+        out, key = [], 0
+        for j in range(n):
+            d = next(cols[name])
+            key = key + d if j else d
+            out.append(key)
+        return out
+
+    for store, ncell, nrun in zip(stores, data["stores"]["cells"], data["stores"]["runs"]):
+        store._cells = {c: next(cols["counts"]) for c in undelta("keys", ncell)}
+        store._points = {
+            head: {p: next(cols["pair_counts"])
+                   for p in undelta("points", next(cols["lengths"]))}
+            for head in undelta("heads", nrun)}
     return sc
 
 

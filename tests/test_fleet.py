@@ -32,9 +32,8 @@ from repro.distributed.fleet import (
     plan_site_ops,
     pull_state_bits,
     run_fleet,
-    simulate_fleet,
 )
-from repro.distributed.fleet import _merged_state_json, _reference_service
+from repro.distributed.fleet import _ingest_json, _reference_service
 from repro.service import (
     ClusteringService,
     ServiceClient,
@@ -122,7 +121,7 @@ class TestMergeProperties:
 
         # Bit-identical to one process fed the concatenated stream.
         reference = _reference_service(cfg, ops)
-        assert merged == _merged_state_json(reference)
+        assert merged == _ingest_json(reference.ingest)
         reference.close()
 
     @given(fleet_plan())

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hashing import BernoulliHash, KWiseHash, is_prime, next_prime
+from repro.hashing.kwise import as_keys
 from repro.streaming.sketch import SketchHashFamily
 
 
@@ -202,3 +203,46 @@ class TestUniformBucketHash:
         b = SketchHashFamily(13, 48, seed=8)
         assert a.positions(key) == b.positions(key)
         assert a.hash_np([key])[0][:, 0].tolist() == list(a.positions(key))
+
+
+class TestAsKeys:
+    """The one key normaliser every hashing, Storing, IBLT and checkpoint
+    path types its keys through."""
+
+    W = 1 << 70
+
+    @staticmethod
+    def _typed(a: np.ndarray):
+        kinds = sorted({type(v).__name__ for v in a}) if a.dtype == object else None
+        return a.dtype.str, a.tolist(), kinds
+
+    def test_int64_ndarray_passes_through(self):
+        keys = np.array([5, 1, 1 << 62], dtype=np.int64)
+        assert as_keys(keys) is keys
+
+    @pytest.mark.parametrize("keys", [
+        [W, 1], [1, 1 << 63], [(1 << 64) + 3], iter([7, W]),
+    ])
+    def test_wide_keys_become_python_ints(self, keys):
+        keys = list(keys)
+        assert self._typed(as_keys(keys)) == ("|O", keys, ["int"])
+
+    def test_narrow_list_becomes_int64(self):
+        assert self._typed(as_keys([3, 1, 2])) == ("<i8", [3, 1, 2], None)
+        assert self._typed(as_keys([])) == ("<i8", [], None)
+
+    @pytest.mark.parametrize("keys", [
+        np.array([4, 2], dtype=np.int32),
+        np.array([4, 2], dtype=np.uint64),
+        np.array([4, 2], dtype=object),
+    ])
+    def test_other_ndarray_fitting_int64_becomes_int64(self, keys):
+        assert self._typed(as_keys(keys)) == ("<i8", [4, 2], None)
+
+    def test_uint64_past_int64_stays_exact(self):
+        keys = np.array([1, 1 << 63], dtype=np.uint64)
+        assert self._typed(as_keys(keys)) == ("|O", [1, 1 << 63], ["int"])
+
+    def test_wide_object_ndarray_passes_through(self):
+        keys = np.array([self.W, 1], dtype=object)
+        assert as_keys(keys) is keys

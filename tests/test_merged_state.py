@@ -399,20 +399,21 @@ class TestOnePassFold:
     @given(st.data())
     @settings(max_examples=6, deadline=None)
     def test_fold_in_any_order(self, dense_world, data):
-        """Any order of the ``others`` and any number of shards: the same
-        bytes as the pairwise and the legacy fold in that order (the
-        pilot's first-touch row order follows the merge order),
-        early-killed instances included."""
+        """Any number of shards, any shard leading the fold and any order
+        of the others: the same merged-state bytes as the fold in shard
+        order, and as the pairwise and the legacy fold in the drawn order,
+        early-killed instances and the pilot's rows included."""
         events, params = dense_world
         num_shards = data.draw(st.integers(1, 5))
         ing, before = _dense_ingest(params, num_shards, events)
-        order = data.draw(st.permutations(range(1, num_shards)))
-        others = [ing.shards[j] for j in order]
-        got = merge_streaming_states(ing.shards[0].copy(), *others)
-        assert state_json(got) == state_json(
-            _pairwise_fold(ing.shards[0].copy(), others))
-        assert state_json(got) == state_json(legacy_merged_state(
-            ShardedIngest.from_shards([ing.shards[0], *others])))
+        order = data.draw(st.permutations(range(num_shards)))
+        lead, others = ing.shards[order[0]], [ing.shards[j] for j in order[1:]]
+        got = state_json(merge_streaming_states(lead.copy(), *others))
+        assert got == state_json(merge_streaming_states(
+            ing.shards[0].copy(), *ing.shards[1:]))
+        assert got == state_json(_pairwise_fold(lead.copy(), others))
+        assert got == state_json(legacy_merged_state(
+            ShardedIngest.from_shards([lead, *others])))
         assert [state_json(s) for s in ing.shards] == before
 
     @pytest.mark.parametrize("num_shards", [2, 3, 4, 5])

@@ -5,8 +5,9 @@ Its checkpoints and evicted-tenant files hold the same ingest block as N
 in-process shards, so :meth:`ServiceConfig.from_dict` maps them to
 ``num_shards=N, workers=0`` and they restore into :class:`ShardedIngest`.
 The ``tests/data/legacy_pool_*`` fixtures were written by that backend
-(``tests/data/make_legacy_pool.py``): each must restore, re-serialize its
-ingest block byte for byte, and answer exactly as the pool did.  Process
+(``tests/data/make_legacy_pool.py``) in state format v1: each must
+restore, re-serialize its ingest block byte for byte through the retired
+v1 writer, and answer exactly as the pool did.  Process
 parallelism is the fleet's now (``test_fleet.py``).
 """
 
@@ -21,6 +22,7 @@ import pytest
 from repro.data.synthetic import gaussian_mixture
 from repro.data.workloads import churn_stream
 from repro.service import ClusteringService, ServiceConfig, ShardedIngest
+from tests.scalar_oracle import v1_service_payload
 
 DATA = Path(__file__).resolve().parent / "data"
 LEGACY = DATA / "legacy_pool_w2.ckpt.json"
@@ -66,17 +68,20 @@ class TestParallelDeterminism:
 
 class TestWorkerCheckpointRestore:
     def test_pool_checkpoint_restore_roundtrip(self, tmp_path):
-        """Restore → checkpoint keeps the ingest block byte for byte; the
-        new envelope is a plain in-process one and keeps ingesting like a
-        service that never stopped."""
+        """Restore keeps the ingest block byte for byte (re-encoded by the
+        retired v1 writer); the new envelope is a plain in-process one in
+        state format v2 and keeps ingesting like a service that never
+        stopped."""
         ckpt = tmp_path / "again.ckpt.json"
         with ClusteringService.restore(LEGACY) as svc:
             svc.checkpoint(ckpt)
+            v1_ingest = v1_service_payload(svc)["ingest"]
         payload = json.loads(ckpt.read_text())
         assert payload["config"]["workers"] == 0
         assert payload["config"]["num_shards"] == 2
+        assert payload["ingest"]["format_version"] == 2
         legacy = json.loads(LEGACY.read_text())
-        assert _ingest_bytes(payload["ingest"]) == _ingest_bytes(legacy["ingest"])
+        assert _ingest_bytes(v1_ingest) == _ingest_bytes(legacy["ingest"])
         assert b'"ingest":' + _ingest_bytes(legacy["ingest"]) in LEGACY.read_bytes()
 
         more = np.array([[3, 4], [20, 21], [9, 30]])

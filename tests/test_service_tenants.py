@@ -46,6 +46,7 @@ from repro.service.state import (
     tenant_id_from_filename,
 )
 from repro.streaming import materialize
+from tests.scalar_oracle import v1_service_payload
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -191,7 +192,8 @@ class TestEvictionAndRestore:
         """The eviction file of a ``workers=1`` tenant (written by the
         removed worker pool, ``tests/data/make_legacy_pool.py``) restores
         on touch into one in-process shard, re-serializes its ingest block
-        byte for byte, and answers as the pool-backed tenant did."""
+        byte for byte (through the retired v1 writer), and answers as the
+        pool-backed tenant did."""
         legacy = DATA / "legacy_pool_tenant_w1.ckpt.json"
         path = tmp_path / tenant_checkpoint_filename("alpha")
         path.write_bytes(legacy.read_bytes())
@@ -205,7 +207,7 @@ class TestEvictionAndRestore:
             want = json.loads(
                 (DATA / "legacy_pool_tenant_w1.answer.json").read_text())
             assert got.to_dict() == want
-            block = json.dumps(svc.ingest.to_state_dict(),
+            block = json.dumps(v1_service_payload(svc)["ingest"],
                                separators=(",", ":")).encode()
             assert b'"ingest":' + block in legacy.read_bytes()
             assert reg.evict("alpha") is True

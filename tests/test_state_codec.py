@@ -1,11 +1,15 @@
-"""The v1 streaming-state codec: columnar encode/restore against the oracle.
+"""The streaming-state codec: columnar encode/restore against the oracles.
 
-:mod:`repro.service.state` builds checkpoint lists straight from the
-compacted columns and restores them column-wise.  The reference is the
-entry-by-entry codec through the Counter / bucket-dict views kept in
-``tests/scalar_oracle.py``; the two must agree byte for byte on encode and
-produce identical structures on restore, on both backends, for wide
-(> 63-bit) keys and empty stores, and for non-canonical v1 input.
+:mod:`repro.service.state` writes format v2 — one set of flat,
+delta-coded int columns for all of a driver's exact stores, IBLT rows in
+bucket-position order — straight from the compacted columns, and restores
+it column-wise.  The reference is the entry-by-entry v2 codec through the
+Counter / bucket-dict views in ``tests/scalar_oracle.py``; the two must
+agree byte for byte on encode and produce identical structures on
+restore, on both backends, for wide (> 63-bit) keys and empty stores.
+Non-canonical v2 input is rejected.  v1 input (the retired writer, kept in
+the oracle) still restores exactly like the v1 reference, and
+non-canonical v1 input is normalised the way the v1 format defined.
 """
 
 from __future__ import annotations
@@ -29,7 +33,14 @@ from repro.service.state import (
 from repro.streaming import StreamingCoreset
 from repro.streaming.storing import ExactStoring
 from repro.streaming.stream import StreamEvent
-from tests.scalar_oracle import counter_state_from_dict, counter_state_to_dict
+from tests.scalar_oracle import (
+    counter_state_from_dict,
+    counter_state_to_dict,
+    counter_state_v2_from_dict,
+    counter_state_v2_to_dict,
+    v1_store_lists,
+    v1_streaming_state_to_dict,
+)
 
 #: (k, d, Δ): a small grid, and one whose cell keys exceed 63 bits.
 SHAPES = {"small": (2, 2, 32), "wide": (2, 6, 1024)}
@@ -66,6 +77,14 @@ def churn(draw):
     cuts = sorted(draw(st.lists(st.integers(0, len(events)), max_size=3)))
     batches = [events[a:b] for a, b in zip([0] + cuts, cuts + [len(events)])]
     return shape, backend, seed, batches
+
+
+def _fed(case) -> StreamingCoreset:
+    shape, backend, seed, batches = case
+    sc = _driver(shape, backend, seed)
+    for batch in batches:
+        sc.update_batch(batch)
+    return sc
 
 
 def _column(a: np.ndarray):
@@ -105,16 +124,29 @@ class TestColumnarCodecMatchesOracle:
     @given(churn())
     @settings(max_examples=25, deadline=None)
     def test_encode_bytes_and_restored_state(self, case):
-        shape, backend, seed, batches = case
-        sc = _driver(shape, backend, seed)
-        for batch in batches:
-            sc.update_batch(batch)
+        sc = _fed(case)
         blob = _dump(streaming_state_to_dict(sc))
+        assert blob == _dump(counter_state_v2_to_dict(sc))
+        data = json.loads(blob)
+        restored = streaming_state_from_dict(data)
+        assert _snapshot(restored) == _snapshot(counter_state_v2_from_dict(data))
+        assert _dump(streaming_state_to_dict(restored)) == blob
+
+    @given(churn())
+    @settings(max_examples=15, deadline=None)
+    def test_v1_input_restores_like_the_v1_reference(self, case):
+        """The retired v1 writer's output restores to exactly what the
+        entry-by-entry v1 reference restores (IBLT slot order included),
+        re-encodes to the same v1 bytes, and writes the v2 bytes of the
+        driver it came from."""
+        sc = _fed(case)
+        blob = _dump(v1_streaming_state_to_dict(sc))
         assert blob == _dump(counter_state_to_dict(sc))
         data = json.loads(blob)
         restored = streaming_state_from_dict(data)
         assert _snapshot(restored) == _snapshot(counter_state_from_dict(data))
-        assert _dump(streaming_state_to_dict(restored)) == blob
+        assert _dump(v1_streaming_state_to_dict(restored)) == blob
+        assert _dump(streaming_state_to_dict(restored)) == _dump(streaming_state_to_dict(sc))
 
     def test_wide_keys_are_covered(self):
         sc = _driver("wide", "exact", seed=3)
@@ -122,18 +154,25 @@ class TestColumnarCodecMatchesOracle:
         sc.update_batch([StreamEvent(tuple(map(int, p)), +1)
                          for p in rng.integers(1, 1024, size=(20, 6))])
         data = json.loads(_dump(streaming_state_to_dict(sc)))
-        store = streaming_state_from_dict(data).instances[0].store_h[0]
+        restored = streaming_state_from_dict(data)
+        store = restored.instances[0].store_h[0]
         assert store._ckeys.dtype == object
         assert max(store._ckeys.tolist()) >= 1 << 63
+        # Each column is typed on its own: wide cells, 60-bit points.
+        hhat = [s for inst in restored.instances for s in inst.store_hhat
+                if len(s._ppoint)]
+        assert hhat and all(s._ckeys.dtype == object and s._pcell.dtype == object
+                            and s._ppoint.dtype == np.int64 for s in hhat)
+        assert _snapshot(restored) == _snapshot(counter_state_v2_from_dict(data))
 
     def test_empty_driver_round_trips(self):
         for backend in ("exact", "sketch"):
             sc = _driver("small", backend, seed=1)
             data = streaming_state_to_dict(sc)
-            assert data["format_version"] == STATE_FORMAT_VERSION == 1
-            assert _dump(data) == _dump(counter_state_to_dict(sc))
+            assert data["format_version"] == STATE_FORMAT_VERSION == 2
+            assert _dump(data) == _dump(counter_state_v2_to_dict(sc))
             restored = streaming_state_from_dict(data)
-            assert _snapshot(restored) == _snapshot(counter_state_from_dict(data))
+            assert _snapshot(restored) == _snapshot(counter_state_v2_from_dict(data))
 
 
 def _exact_store(**payload) -> ExactStoring:
@@ -146,7 +185,7 @@ W = 1 << 70  # a key wider than int64
 
 
 class TestNonCanonicalExactInput:
-    """Restore normalises like the reference setters: sort, drop zeros,
+    """v1 restore normalises like the reference setters: sort, drop zeros,
     last entry wins for a repeated key."""
 
     @pytest.mark.parametrize("cells,points,want_cells,want_points", [
@@ -166,7 +205,7 @@ class TestNonCanonicalExactInput:
     ])
     def test_normalised(self, cells, points, want_cells, want_points):
         store = _exact_store(cells=cells, points=points)
-        assert store.to_lists() == (want_cells, want_points)
+        assert v1_store_lists(store) == (want_cells, want_points)
         canonical = _exact_store(cells=want_cells, points=want_points)
         assert _store(store) == _store(canonical)
 
@@ -176,11 +215,9 @@ class TestNonCanonicalExactInput:
         """Shuffled rows, zero-count rows and repeated rows restore to the
         state the canonical lists restore to."""
         shape, _, seed, batches = case
-        sc = _driver(shape, "exact", seed)
-        for batch in batches:
-            sc.update_batch(batch)
+        sc = _fed((shape, "exact", seed, batches))
         for store in sc.instances[0].store_hhat:
-            cells, points = store.to_lists()
+            cells, points = v1_store_lists(store)
             bad_cells = cells + [[-1, 0]] + cells[:1]
             rnd.shuffle(bad_cells)
             bad_points = [[c, pairs + [[-1, 0]]] for c, pairs in points]
@@ -191,14 +228,14 @@ class TestNonCanonicalExactInput:
             got.load_lists(bad_cells, bad_points)
             want = ExactStoring(store.alpha, store.beta)
             want.load_lists(cells, points)
-            assert got.to_lists() == (cells, points)
+            assert v1_store_lists(got) == (cells, points)
             assert _store(got) == _store(want)
 
 
 class TestNonCanonicalBucketInput:
     def test_repeated_bucket_last_wins(self):
         sc = _driver("small", "sketch", seed=2)
-        data = streaming_state_to_dict(sc)
+        data = v1_streaming_state_to_dict(sc)
         rows = [[0, 1, 1, 5, 7], [1, 2, 1, 5, 7], [0, 1, 2, 10, 14]]
         data["instances"][0]["store_h"][0]["cells"] = rows
         got = streaming_state_from_dict(data)
@@ -206,6 +243,141 @@ class TestNonCanonicalBucketInput:
         assert _snapshot(got) == _snapshot(want)
         assert got.instances[0].store_h[0]._cells.bucket_rows() == [
             [0, 1, 2, 10, 14], [1, 2, 1, 5, 7]]
+
+    def test_v1_rows_keep_their_order_in_memory(self):
+        sc = _driver("small", "sketch", seed=2)
+        data = v1_streaming_state_to_dict(sc)
+        rows = [[1, 2, 1, 5, 7], [0, 1, 2, 10, 14]]
+        data["instances"][0]["store_h"][0]["cells"] = rows
+        sk = streaming_state_from_dict(data).instances[0].store_h[0]._cells
+        assert list(sk._slot) == [sk.m + 2, 1]
+        assert sk.bucket_rows() == rows[::-1]
+
+
+def _fed_v2(backend: str) -> dict:
+    """v2 state of a small driver with points in its exact stores (or
+    nested sketches), some of them deleted."""
+    sc = _driver("small", backend, seed=1)
+    rng = np.random.default_rng(5)
+    pts = np.unique(rng.integers(1, 32, size=(30, 2)), axis=0)
+    sc.update_batch([StreamEvent(tuple(map(int, p)), +1) for p in pts]
+                    + [StreamEvent(tuple(map(int, p)), -1) for p in pts[::3]])
+    return json.loads(_dump(streaming_state_to_dict(sc)))
+
+
+def _first_run_store(cols: dict) -> tuple[int, int, int, int]:
+    """(store index, offsets of its first key, run and pair) of the first
+    store with ≥ 2 cells and ≥ 2 runs, the first of ≥ 2 pairs."""
+    key_at = run_at = pair_at = 0
+    for j, (ncell, nrun) in enumerate(zip(cols["cells"], cols["runs"])):
+        lengths = cols["lengths"][run_at:run_at + nrun]
+        if ncell >= 2 and nrun >= 2 and lengths[0] >= 2:
+            return j, key_at, run_at, pair_at
+        key_at += ncell
+        run_at += nrun
+        pair_at += sum(lengths)
+    raise AssertionError("no store with a long run")
+
+
+class TestColumnDtypes:
+    """Each store restores with the key dtypes the v1 reader gives it,
+    whatever its neighbours in the shared columns hold."""
+
+    STORES = [
+        # (cells, points) as v1 lists
+        ([[3, 1], [9, 2]], [[3, [[1, 1]]], [9, [[4, 1], [6, 1]]]]),
+        ([[W, 1], [W + 5, 1]], [[W, [[2, 1]]], [W + 5, [[W, 1]]]]),
+        ([], []),
+        # int64 keys whose differences do not fit int64
+        ([[-(1 << 62) - 5, 1], [(1 << 62) + 5, 1]],
+         [[-(1 << 62) - 5, [[-(1 << 62), 1], [1 << 62, 1]]],
+          [(1 << 62) + 5, [[0, 1]]]]),
+        ([[(1 << 63) - 1, 2]], [[(1 << 63) - 1, [[(1 << 63) - 2, 1], [(1 << 63) - 1, 1]]]]),
+    ]
+
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4], [1, 0, 4, 2, 3], [2, 3, 4, 0]])
+    def test_round_trip_keeps_v1_dtypes(self, order):
+        stores = [_exact_store(cells=c, points=p) for c, p in
+                  (self.STORES[i] for i in order)]
+        cols = json.loads(_dump(ExactStoring.encode_columns(stores)))
+        got = [ExactStoring(alpha=100, beta=4) for _ in stores]
+        ExactStoring.load_columns(got, cols)
+        assert [_store(g) for g in got] == [_store(s) for s in stores]
+        assert _dump(ExactStoring.encode_columns(got)) == _dump(cols)
+
+
+class TestNonCanonicalV2Input:
+    """v2 restore validates instead of normalising."""
+
+    def _reject(self, data, match="v2 state"):
+        with pytest.raises(ValueError, match=match):
+            streaming_state_from_dict(data)
+
+    @pytest.mark.parametrize("edit,match", [
+        ("key_delta_zero", "keys must strictly increase"),
+        ("key_delta_negative", "keys must strictly increase"),
+        ("zero_count", "'counts' holds a non-canonical count"),
+        ("empty_run", "'lengths' holds a non-canonical count"),
+        ("zero_pair_count", "'pair_counts' holds a non-canonical count"),
+        ("point_delta_zero", "points must strictly increase"),
+        ("head_delta_zero", "heads must strictly increase"),
+        ("runs_without_points", "store that keeps no points"),
+        ("short_column", "'counts' has"),
+        ("missing_column", "'heads' must be a list"),
+    ])
+    def test_exact_columns_rejected(self, edit, match):
+        data = _fed_v2("exact")
+        cols = data["stores"]
+        j, key_at, run_at, pair_at = _first_run_store(cols)
+        if edit == "key_delta_zero":
+            cols["keys"][key_at + 1] = 0
+        elif edit == "key_delta_negative":
+            cols["keys"][key_at + 1] = -1
+        elif edit == "zero_count":
+            cols["counts"][key_at] = 0
+        elif edit == "empty_run":  # the run's pairs move to the next run
+            cols["lengths"][run_at + 1] += cols["lengths"][run_at]
+            cols["lengths"][run_at] = 0
+        elif edit == "zero_pair_count":
+            cols["pair_counts"][pair_at] = 0
+        elif edit == "point_delta_zero":
+            cols["points"][pair_at + 1] = 0
+        elif edit == "head_delta_zero":
+            cols["heads"][run_at + 1] = 0
+        elif edit == "runs_without_points":  # store 0 is a store_h
+            cols["runs"][0] = 1
+            cols["runs"][j] -= 1
+        elif edit == "short_column":
+            cols["counts"].pop()
+        else:
+            del cols["heads"]
+        self._reject(data, match)
+
+    def test_canonical_columns_restore(self):
+        data = _fed_v2("exact")
+        assert _dump(streaming_state_to_dict(streaming_state_from_dict(data))) == _dump(data)
+
+    @pytest.mark.parametrize("backend", ["exact", "sketch"])
+    def test_unsorted_pilot_or_cell_rows_rejected(self, backend):
+        data = _fed_v2(backend)
+        if backend == "exact":
+            rows = next(r for r in data["pilot"] if len(r) >= 2)
+        else:
+            rows = next(s["cells"] for s in data["stores"] if len(s["cells"]) >= 2)
+        rows[0], rows[1] = rows[1], rows[0]
+        self._reject(data)
+
+    def test_repeated_bucket_rejected(self):
+        data = _fed_v2("sketch")
+        rows = next(s["cells"] for s in data["stores"] if s["cells"])
+        rows.append(list(rows[-1]))
+        self._reject(data)
+
+    def test_unsorted_nested_rejected(self):
+        data = _fed_v2("sketch")
+        nested = next(s["nested"] for s in data["stores"] if len(s["nested"]) >= 2)
+        nested[0], nested[1] = nested[1], nested[0]
+        self._reject(data)
 
 
 class TestPilotLevelCount:
