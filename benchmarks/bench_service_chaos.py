@@ -46,11 +46,10 @@ from repro.service import (
     start_async_server,
 )
 
-#: Service shape under chaos: 2 in-process shards per tenant.  Only fields
-#: the ``serve`` CLI exposes — the smoke's local references must mirror the
-#: subprocess server's config exactly (``o_range`` etc. shape the sketch
-#: state).
-CHAOS_CONFIG = dict(k=3, d=2, delta=128, num_shards=2, seed=17)
+#: Service shape under chaos.  Only fields the ``serve`` CLI exposes — the
+#: smoke's local references must mirror the subprocess server's config
+#: exactly (``o_range`` etc. shape the sketch state).
+CHAOS_CONFIG = dict(k=3, d=2, delta=128, seed=17)
 
 #: One seeded plan covering the whole failure menagerie; ``decide()`` is
 #: deterministic, so every run fires the same schedule.
@@ -192,7 +191,7 @@ def run_subprocess_smoke() -> dict:
     with tempfile.TemporaryDirectory(prefix="chaos_smoke_") as td:
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--k", "3", "--d", "2", "--delta", "128", "--shards", "2",
+             "--k", "3", "--d", "2", "--delta", "128",
              "--seed", "17", "--fault-plan", json.dumps(CHAOS_PLAN_SPEC)],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
             env={**os.environ,

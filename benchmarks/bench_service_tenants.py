@@ -46,7 +46,7 @@ from repro.service import (
 # Small-but-real tenant shape (matches tests/test_service_tenants.py): a
 # tenant costs ~50 ms to create and ~10 ms to query, so eviction churn —
 # not sketch construction — dominates what this bench measures.
-CHEAP = dict(k=2, d=2, delta=32, num_shards=1, seed=11,
+CHEAP = dict(k=2, d=2, delta=32, seed=11,
              o_range=(1.0, 8.0), restarts=1)
 
 
@@ -161,11 +161,11 @@ def run_subprocess_smoke(n_tenants: int = 3, batch_n: int = 160) -> dict:
     shutdown.  Uses the CLI's default config so it exercises exactly what
     ``repro serve`` ships.
     """
-    config = ServiceConfig(k=2, d=2, delta=32, num_shards=1, seed=7)
+    config = ServiceConfig(k=2, d=2, delta=32, seed=7)
     with tempfile.TemporaryDirectory(prefix="smoke_tenants_") as td:
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--k", "2", "--d", "2", "--delta", "32", "--shards", "1",
+             "--k", "2", "--d", "2", "--delta", "32",
              "--tenants-dir", td, "--max-live-tenants", "2"],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
             env={**os.environ,

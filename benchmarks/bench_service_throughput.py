@@ -1,9 +1,9 @@
-"""Service benchmark — sharded ingest throughput and query-cache latency.
+"""Service benchmark — ingest and query-cache latency.
 
-The numbers every later scaling change moves: (a) ingest events/sec
-through the sharded layer vs shard count, (b) cold (merge + decode + solve)
-vs cached query latency, and (c) checkpoint write/restore time.  Process
-parallelism is the fleet's and is measured by ``bench_fleet.py``.
+The numbers every later scaling change moves: (a) per-batch ingest
+latency, (b) cold (copy + decode + solve) vs cached query latency, and
+(c) checkpoint write/restore time.  Process parallelism is the fleet's and
+is measured by ``bench_fleet.py``.
 
 Also runnable as a script::
 
@@ -11,9 +11,9 @@ Also runnable as a script::
 
 which runs an ingest/query latency percentile pass (p50/p95/p99), the
 scalar-vs-batched ingest check (fails unless the two states are
-bit-identical), the shard-fold check (fails unless a 4-shard fold
-equals the unsharded driver and the merged pilot samples like the scalar
-peel) and the solve check (fails unless the exact transportation solve
+bit-identical), the fold check (fails unless 4 drivers fed disjoint
+parts of the stream fold to the bytes of one driver fed all of it, and the
+merged pilot samples like the scalar peel) and the solve check (fails unless the exact transportation solve
 matches HiGHS's cost within 1e-9 relative with a feasible flow), and
 **appends** the records to ``BENCH_service.json`` at
 the repo root (``make bench-smoke``) — runs accumulate as a history rather
@@ -103,17 +103,21 @@ def run_scalar_vs_batched(n: int = 4000, delta: int = 1024,
 
 
 def run_fold_identity(n: int = 1500, delta: int = 256, batch: int = 512,
-                      num_shards: int = 4, seed: int = 3, repeats: int = 5) -> dict:
-    """The query-time shard fold and the ℓ₀ pilot peel, checked and timed.
+                      num_drivers: int = 4, seed: int = 3, repeats: int = 5) -> dict:
+    """The linear fold of drivers and the ℓ₀ pilot peel, checked and timed.
 
-    ``merged_state()`` of a ``num_shards``-way :class:`ShardedIngest` must
-    equal the unsharded driver fed the same stream byte for byte, the
-    Storing state and the pilot sketches alike (IBLT rows are written in
-    bucket-position order, so it does not matter which shard touched a
-    bucket first).  The merged pilot's ``sample()`` must equal the
-    key-at-a-time peel of ``tests/scalar_oracle.py``.
+    ``num_drivers`` drivers fed disjoint parts of the stream (event ``i``
+    to driver ``i mod num_drivers``, so most deletions land in another
+    driver than their insertions) and folded by
+    :func:`merge_streaming_states` — what a fleet coordinator and a
+    multi-shard restore do — must equal one driver fed the whole stream
+    byte for byte, the Storing state and the pilot sketches alike (IBLT
+    rows are written in bucket-position order, so it does not matter which
+    driver touched a bucket first).  The merged pilot's ``sample()`` must
+    equal the key-at-a-time peel of ``tests/scalar_oracle.py``.
     """
     from repro.service.state import streaming_state_to_dict
+    from repro.streaming.merge import merge_streaming_states
     from repro.streaming.streaming_coreset import StreamingCoreset
 
     repo_root = str(Path(__file__).resolve().parents[1])
@@ -124,15 +128,17 @@ def run_fold_identity(n: int = 1500, delta: int = 256, batch: int = 512,
     params = CoresetParams.practical(k=3, d=2, delta=delta)
     stream, _, _ = _workload(n=n, delta=delta, seed=seed)
     events = list(stream)
-    ingest = ShardedIngest(params, num_shards=num_shards, seed=9)
+    drivers = [StreamingCoreset(params, seed=9) for _ in range(num_drivers)]
     single = StreamingCoreset(params, seed=9)
     for lo in range(0, len(events), batch):
-        ingest.apply_batch(events[lo: lo + batch])
-        single.update_batch(events[lo: lo + batch])
+        chunk = events[lo: lo + batch]
+        for j, driver in enumerate(drivers):
+            driver.update_batch(chunk[j::num_drivers])
+        single.update_batch(chunk)
     fold_s = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        merged = ingest.merged_state()
+        merged = merge_streaming_states(drivers[0].copy(), *drivers[1:])
         fold_s.append(time.perf_counter() - t0)
 
     sampler = merged._pilot_sampler
@@ -140,12 +146,12 @@ def run_fold_identity(n: int = 1500, delta: int = 256, batch: int = 512,
     sample = sampler.sample()
     sample_s = time.perf_counter() - t0
     return {
-        "bench": "shard fold and pilot peel identity",
+        "bench": "driver fold and pilot peel identity",
         "n_points": n,
         "delta": delta,
         "batch": batch,
         "events": len(events),
-        "shards": num_shards,
+        "drivers": num_drivers,
         "fold_ms": round(float(np.median(fold_s)) * 1e3, 3),
         "sample_ms": round(sample_s * 1e3, 3),
         "fold_identical": (_canonical(streaming_state_to_dict(merged))
@@ -155,12 +161,12 @@ def run_fold_identity(n: int = 1500, delta: int = 256, batch: int = 512,
 
 
 def run_solve_identity(n: int = 1500, delta: int = 256, batch: int = 512,
-                       num_shards: int = 4, seed: int = 3, slack: float = 1.2,
+                       seed: int = 3, slack: float = 1.2,
                        repeats: int = 5) -> dict:
     """The exact transportation solve (``auto``) checked against the HiGHS
     oracle (``_solve_transportation_lp``) and timed.
 
-    On the merged coreset of the smoke stream, at k-means++ centers (many
+    On the coreset of the smoke stream, at k-means++ centers (many
     pushes) and at the centers a :class:`CapacitatedKClustering` fit
     converges to (few), the ``auto`` flow must fit the capacities and
     reach HiGHS's fractional cost within 1e-9 relative.
@@ -175,7 +181,7 @@ def run_solve_identity(n: int = 1500, delta: int = 256, batch: int = 512,
     params = CoresetParams.practical(k=k, d=2, delta=delta)
     stream, _, _ = _workload(n=n, delta=delta, seed=seed)
     events = list(stream)
-    ingest = ShardedIngest(params, num_shards=num_shards, seed=9)
+    ingest = ShardedIngest(params, seed=9)
     for lo in range(0, len(events), batch):
         ingest.apply_batch(events[lo: lo + batch])
     coreset = ingest.merged_state().finalize()
@@ -229,12 +235,12 @@ def run_latency_percentiles(n: int = 3000, delta: int = 256,
                             batch: int = 256, queries: int = 12,
                             seed: int = 3) -> dict:
     """Tail-latency profile of one service: per-batch ingest, cold query
-    (merge + assemble + solve after an invalidating ingest) and cached
+    (copy + assemble + solve after an invalidating ingest) and cached
     query (version-keyed memo hit).  Tails, not means — the p99 is what a
     caller sharing the server actually waits."""
     stream, _, pilot = _workload(n=n, delta=delta, seed=seed)
     events = list(stream)
-    config = ServiceConfig(k=3, d=2, delta=delta, num_shards=2, seed=9,
+    config = ServiceConfig(k=3, d=2, delta=delta, seed=9,
                            o_range=(pilot / 16, pilot / 4))
     svc = ClusteringService(config)
     try:
@@ -293,39 +299,10 @@ def test_service_latency_percentiles(benchmark):
 
 
 @pytest.mark.benchmark(group="service")
-def test_service_ingest_throughput_vs_shards(benchmark):
-    """Events/sec through apply_batch as the shard count grows.
-
-    Shards are independent sketches, so per-event work is flat in N — the
-    table checks sharding costs nothing before it buys parallelism."""
-    params = CoresetParams.practical(k=3, d=2, delta=1024)
-    stream, survivors, pilot = _workload()
-    orange = (pilot / 16, pilot / 4)
-    rows = []
-    for shards in (1, 2, 4, 8):
-        ing = ShardedIngest(params, num_shards=shards, seed=9,
-                            backend="exact", o_range=orange)
-        t0 = time.time()
-        ing.apply_batch(stream)
-        dt = time.time() - t0
-        rows.append([shards, len(stream), round(dt, 2),
-                     int(len(stream) / max(dt, 1e-9)),
-                     ing.space_bits() // 8000])
-    print_table(
-        "service: sharded ingest throughput (k=3, d=2, Δ=1024; 30% churn)",
-        ["shards", "events", "sec", "events/sec", "state KB"],
-        rows,
-    )
-    # Per-event cost must not degrade materially with shard count.
-    assert rows[-1][3] >= rows[0][3] / 3
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-
-@pytest.mark.benchmark(group="service")
 def test_service_query_cache_latency(benchmark):
-    """Cold query (merge + assemble + solve) vs memoized repeat query."""
+    """Cold query (copy + assemble + solve) vs memoized repeat query."""
     stream, survivors, pilot = _workload(n=3000)
-    config = ServiceConfig(k=3, d=2, delta=1024, num_shards=4, seed=9,
+    config = ServiceConfig(k=3, d=2, delta=1024, seed=9,
                            o_range=(pilot / 16, pilot / 4))
     svc = ClusteringService(config)
     svc.apply_events(stream)
@@ -346,7 +323,7 @@ def test_service_query_cache_latency(benchmark):
     restore_s = time.time() - t0
 
     print_table(
-        "service: query & checkpoint latency (4 shards)",
+        "service: query & checkpoint latency",
         ["events", "|Q'|", "cold query s", "cached query s", "speedup",
          "checkpoint s", "restore s"],
         [[info["events"], cold.coreset_size, round(cold_s, 3),
@@ -402,7 +379,7 @@ def _smoke(argv=None) -> dict:
           vector["scalar_vs_batched"], vector["bit_identical"]]],
     )
     print_table(
-        f"service: {fold['shards']}-shard fold vs unsharded driver",
+        f"service: {fold['drivers']}-driver fold vs one driver",
         ["events", "fold ms", "sample ms", "fold identical", "peel identical"],
         [[fold["events"], fold["fold_ms"], fold["sample_ms"],
           fold["fold_identical"], fold["peel_identical"]]],
@@ -417,7 +394,7 @@ def _smoke(argv=None) -> dict:
     if not vector["bit_identical"]:
         raise SystemExit("FAIL: batched ingest state diverged from scalar")
     if not fold["fold_identical"]:
-        raise SystemExit("FAIL: shard fold diverged from the unsharded driver")
+        raise SystemExit("FAIL: driver fold diverged from the one-driver state")
     if not fold["peel_identical"]:
         raise SystemExit("FAIL: pilot sample diverged from the scalar peel")
     if not solve["feasible"]:

@@ -9,7 +9,7 @@ loop creeping back in silently undoes it long before any benchmark fails.
 Every ``for``/``while`` **statement** and every ``.tolist()`` call in the
 hot files must carry a ``# scalar-ok: <reason>`` marker — the reviewable
 assertion that the code is *not* per-event work (decode, construction,
-per-coefficient, per-shard, snapshot views, ...).  Comprehensions and
+per-coefficient, per-store, snapshot views, ...).  Comprehensions and
 generator expressions are exempt: the guard targets statement loops, where
 per-event mutation lives.  Being AST-based, the rule sees multi-line loop
 headers and is immune to strings or comments that merely look like loops.
@@ -37,7 +37,7 @@ __all__ = ["HOT_FILES", "HotPathRule", "MARKER"]
 MARKER = "scalar-ok"
 
 #: The six vectorized hot files (the ingest path end to end: hashing →
-#: sketches → storing → ℓ₀ sampler → driver → shard router).
+#: sketches → storing → ℓ₀ sampler → driver → service ingest).
 HOT_FILES = (
     "repro/hashing/kwise.py",
     "repro/streaming/sketch.py",

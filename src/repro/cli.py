@@ -107,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--r", type=float, default=2.0)
     srv.add_argument("--eps", type=float, default=0.25)
     srv.add_argument("--eta", type=float, default=0.25)
-    srv.add_argument("--shards", type=int, default=4)
     srv.add_argument("--max-request-mb", type=int, default=8,
                      help="per-connection request-line cap in MiB; "
                           "over-long frames get an error envelope")
@@ -138,10 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "plan (JSON file path or inline JSON) before "
                           "serving; the REPRO_FAULT_PLAN environment "
                           "variable is the no-flag equivalent")
-    # No --workers flag (shards always run in-process), but
-    # perfbench/workloads.py::serve_defaults() reads ``workers`` off the
+    # No --shards or --workers flag (a service runs one driver per tenant),
+    # but perfbench/workloads.py::serve_defaults() reads both off the
     # parsed serve arguments.
-    srv.set_defaults(workers=0)
+    srv.set_defaults(shards=1, workers=0)
 
     coord = sub.add_parser(
         "coordinator",
@@ -160,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     coord.add_argument("--k", type=int, default=4)
     coord.add_argument("--d", type=int, default=2)
     coord.add_argument("--delta", type=int, default=256)
-    coord.add_argument("--shards", type=int, default=4)
     coord.add_argument("--backend", choices=["exact", "sketch"],
                        default="exact")
     coord.add_argument("--seed", type=int, default=7)
@@ -352,9 +350,8 @@ def _cmd_serve(args) -> int:
     try:
         config = ServiceConfig(
             k=args.k, d=args.d, delta=args.delta, r=args.r, eps=args.eps,
-            eta=args.eta, num_shards=args.shards, seed=args.seed,
-            backend=args.backend, capacity_slack=args.capacity_slack,
-            restarts=args.restarts,
+            eta=args.eta, seed=args.seed, backend=args.backend,
+            capacity_slack=args.capacity_slack, restarts=args.restarts,
         )
     except ValueError as exc:
         print(f"repro serve: {exc}", file=sys.stderr)
@@ -403,8 +400,7 @@ def _cmd_coordinator(args) -> int:
             print(f"fault plan installed: {len(plan.rules)} rule(s), "
                   f"seed={plan.seed}", flush=True)
         config = ServiceConfig(k=args.k, d=args.d, delta=args.delta,
-                               num_shards=args.shards, seed=args.seed,
-                               backend=args.backend)
+                               seed=args.seed, backend=args.backend)
         if args.points:
             pts = np.load(args.points)
         else:
@@ -495,14 +491,13 @@ def _cmd_client(args) -> int:
             state = cli.pull_state()
             if args.path:
                 atomic_write_json(args.path, state)
-                print(f"pulled state ({state['ingest']['num_shards']} shards, "
-                      f"version {state['ingest']['version']}) -> {args.path}")
+                print(f"pulled state (version {state['ingest']['version']}) "
+                      f"-> {args.path}")
             else:
                 print(json.dumps({k: state[k] for k in ("format_version",
                                                         "config", "counters")},
                                  indent=2))
-                print(f"ingest: {state['ingest']['num_shards']} shards, "
-                      f"version {state['ingest']['version']} "
+                print(f"ingest: version {state['ingest']['version']} "
                       f"(use --path FILE to save the full state)")
             return 0
         if args.op == "tenants":

@@ -8,9 +8,8 @@ serialized sketch state over the JSON-lines wire protocol (the
 ``pull_state`` op — the checkpoint envelope doubling as the transfer
 encoding) and merges the states through sketch linearity
 (:func:`repro.streaming.merge.merge_streaming_states`).  Because every
-site is built from the same ``(params, seed)``, and routing of points to
-shards is the same deterministic function everywhere, shard ``j`` summed
-across sites equals shard ``j`` of a single process that saw the whole
+site's one driver is built from the same ``(params, seed)``, the sum of
+the site drivers equals the driver of a single process that saw the whole
 stream — so the coordinator's merged state, and every query answer derived
 from it, is **bit-identical** to a single-process reference.
 
@@ -99,7 +98,7 @@ REQUEST_BITS = 16
 #: exactly these scalar counters, so the reply is charged a constant
 #: ``float_bits(len(SITE_STATS_FIELDS))``.
 SITE_STATS_FIELDS = ("version", "events", "insertions", "deletions",
-                     "num_shards", "space_bits")
+                     "space_bits")
 
 
 # --------------------------------------------------------------- bit policy
@@ -108,10 +107,9 @@ def pull_state_bits(ingest) -> int:
 
     The sketch payload at its information-theoretic size (``space_bits()``
     — the same figure E3/E7 charge for sketch storage) plus one word per
-    ingest counter: version, insertions, deletions, and one event count
-    per shard.
+    ingest counter: version, insertions, deletions and events.
     """
-    return ingest.space_bits() + float_bits(3 + ingest.num_shards)
+    return ingest.space_bits() + float_bits(4)
 
 
 def accountant(num_sites: int) -> Network:
@@ -127,29 +125,20 @@ def merge_sharded(ingests: list):
     :class:`~repro.service.shards.ShardedIngest` (in place, into the
     first; the others are consumed).
 
-    Shard-wise: shard ``j`` of the result is the sketch sum of shard ``j``
-    across sites.  All sites route points with the same deterministic
-    key-mix over the same shard count, so this equals shard ``j`` of a
-    single process that ingested the concatenated stream — the fan-in is
-    exact, not approximate.  Counters sum likewise; the merged ``version``
-    is the total number of batches applied fleet-wide, which is exactly
-    the version a single process fed the same batches would report.
+    The result's driver is the sketch sum of the site drivers, which equals
+    the driver of a single process that ingested the concatenated stream —
+    the fan-in is exact, not approximate.  Counters sum likewise; the
+    merged ``version`` is the total number of batches applied fleet-wide,
+    which is exactly the version a single process fed the same batches
+    would report.
     """
     ingests = list(ingests)
     if not ingests:
         raise ValueError("need at least one site state to merge")
     acc, others = ingests[0], ingests[1:]
-    for other in others:  # scalar-ok: per-site fan-in, not data plane
-        if other.num_shards != acc.num_shards:
-            raise ValueError(
-                f"cannot merge fleet states with {acc.num_shards} vs "
-                f"{other.num_shards} shards")
-    for j, shard in enumerate(acc.shards):
-        merge_streaming_states(shard, *(other.shards[j] for other in others))
-    for other in others:
+    merge_streaming_states(acc.driver, *(other.driver for other in others))
+    for other in others:  # scalar-ok: per-site counters, not data plane
         acc.version += other.version
-        acc.events_per_shard = [a + b for a, b in
-                                zip(acc.events_per_shard, other.events_per_shard)]
         acc.num_insertions += other.num_insertions
         acc.num_deletions += other.num_deletions
     return acc
@@ -207,7 +196,7 @@ class Coordinator:
 
         Returns ``(shared config, rebuilt ShardedIngest per site, raw
         envelopes)``.  Verifies all sites were built from one logical
-        config (seed/params/backend/shards) — anything else would make
+        config (seed/params/backend) — anything else would make
         the merge silently wrong.
         """
         envelopes = []
@@ -270,7 +259,6 @@ def _serve_argv(config: ServiceConfig, port: int = 0,
             "--k", str(config.k), "--d", str(config.d),
             "--delta", str(config.delta), "--r", str(config.r),
             "--eps", str(config.eps), "--eta", str(config.eta),
-            "--shards", str(config.num_shards),
             "--backend", config.backend,
             "--capacity-slack", str(config.capacity_slack),
             "--restarts", str(config.restarts),

@@ -24,10 +24,11 @@ what the space accounting charges.
 
 For an integer seed the coefficients are a pure function of (λ, p, seed),
 so they are drawn once per process and memoised (a bounded LRU cache of
-immutable tuples): rebuilding a driver from a checkpoint, or building shard
-2..n of a sharded service, reuses the draws instead of re-running the
-rejection sampler.  ``seed=None`` and ``Generator`` seeds bypass the cache
-and consume the generator exactly as an uncached draw would.
+immutable tuples): rebuilding a driver from a checkpoint, or every site
+driver a fleet coordinator restores, reuses the draws instead of
+re-running the rejection sampler.  ``seed=None`` and ``Generator`` seeds
+bypass the cache and consume the generator exactly as an uncached draw
+would.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from repro.hashing.primes import next_prime
 from repro.utils.rng import as_rng
 
 __all__ = ["KWiseHash", "BernoulliHash", "StackedHashes", "horner",
-           "as_keys", "exact_field_threshold"]
+           "as_keys", "json_ints", "exact_field_threshold"]
 
 #: Largest prime bit-length handled by the int64 multi-limb Horner path.
 #: Beyond this the limb count (⌈B/(62−B)⌉) grows past ~8 and the object
@@ -54,10 +55,11 @@ _MULTI_LIMB_MAX_BITS = 55
 _OBJECT_CHUNK = 32768
 
 _INT64 = np.dtype(np.int64)
+_INT_TYPE = {int}
 
 #: Entries of the per-process cache of seeded coefficient draws.  One
 #: service configuration draws a few hundred distinct (λ, p, seed) triples
-#: (~190 for a d=2, Δ=64 shard), so this holds the draws of ~20 distinct
+#: (~190 for a d=2, Δ=64 driver), so this holds the draws of ~20 distinct
 #: seeds/shapes; evicted entries are simply re-drawn.
 _COEFF_CACHE_SIZE = 4096
 
@@ -144,6 +146,24 @@ def as_keys(keys) -> np.ndarray:
         if isinstance(seq, np.ndarray) and seq.dtype == object:
             return seq
         return np.array([int(k) for k in seq], dtype=object)  # scalar-ok: keys beyond int64
+
+
+def json_ints(values, what: str) -> None:
+    """``ValueError`` unless every entry of ``values`` (an iterable of
+    decoded JSON values) is an integer.
+
+    Checkpoint and ``pull_state`` readers call it before they type a
+    column with :func:`as_keys` or ``np.asarray``, which would truncate
+    ``1.5`` and read ``"3"`` and ``true`` as integers.  The check is on
+    element types, in one C-level pass: ``bool`` subclasses ``int`` and
+    numpy types ``[1, true]`` as int64, so no dtype inference can see it.
+    """
+    try:
+        types = set(map(type, values))
+    except TypeError:  # not a list, or (chained rows) a row that is not
+        types = None
+    if types is None or not types <= _INT_TYPE:
+        raise ValueError(f"{what} must hold integers only")
 
 
 def horner(coeffs: np.ndarray, keys: np.ndarray, prime: int) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Long-lived clustering service over dynamic streams.
 
 The paper's sketches are *linear*, which is exactly what a production
-service needs: state can be sharded across independent sketches
-(:mod:`repro.service.shards`), persisted and restored bit-identically
-(:mod:`repro.service.state`), merged on demand and queried with result
-memoization (:mod:`repro.service.engine`), multiplexed across any number
+service needs: one streaming driver per stream takes inserts and deletes
+(:mod:`repro.service.shards`), is persisted and restored bit-identically
+(:mod:`repro.service.state`), queried with result memoization
+(:mod:`repro.service.engine`), multiplexed across any number
 of named streams with cold-tenant eviction (:mod:`repro.service.tenants` /
 :mod:`repro.service.eviction`), and exposed over a wire protocol
 (:mod:`repro.service.aserver` / :mod:`repro.service.client`).

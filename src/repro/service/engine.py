@@ -1,7 +1,11 @@
-"""The query engine: merge shards on demand, solve, memoize by version.
+"""The query engine: a service over one streaming driver, its answers
+solved on demand and memoized by version.
 
-A query is expensive — copy + fan-in of every shard, sketch decode,
-coreset assembly, capacitated solve — while ingest is cheap.  The engine
+A service keeps its stream in one driver
+(:class:`~repro.service.shards.ShardedIngest`); checkpoints written with N
+in-process shards restore with their shards folded into it.  A query is
+expensive — a copy of the driver, sketch decode, coreset assembly,
+capacitated solve — while ingest is cheap.  The engine
 therefore keys its single-entry result cache on the ingest layer's state
 *version* (bumped once per applied batch): repeated queries against an
 unchanged stream return the memoized :class:`QueryResult` in O(1), and any
@@ -62,12 +66,14 @@ class ServiceConfig:
     r: float = 2.0
     eps: float = 0.25
     eta: float = 0.25
-    num_shards: int = 4
-    #: Always 0: every shard runs in-process.  The field stays because v1
-    #: checkpoints carry ``"workers":0`` and must re-serialize byte for
-    #: byte.  Process parallelism is the fleet's: separate ``repro serve``
-    #: sites whose sketches a coordinator sums
-    #: (:mod:`repro.distributed.fleet`).
+    #: Always 1: a service holds one driver per tenant.  Any value >= 1 is
+    #: accepted and read as 1, because checkpoints written when a service
+    #: split its stream over N in-process shards carry ``num_shards: N``
+    #: (their shards fold into the one driver on restore).  Process
+    #: parallelism is the fleet's: separate ``repro serve`` sites whose
+    #: sketches a coordinator sums (:mod:`repro.distributed.fleet`).
+    num_shards: int = 1
+    #: Always 0, for the same reason: v1 checkpoints carry ``"workers":0``.
     workers: int = 0
     seed: int = 0
     backend: str = "exact"
@@ -81,15 +87,18 @@ class ServiceConfig:
     def __post_init__(self):
         if self.workers != 0:
             raise ValueError(
-                f"workers must be 0, got {self.workers}: shards always run "
-                "in-process; for process parallelism run a fleet of "
+                f"workers must be 0, got {self.workers}: a service runs one "
+                "driver in-process; for process parallelism run a fleet of "
                 "`repro serve` sites (`repro coordinator --sites spawn:N`)")
+        if self.num_shards < 1:
+            raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
+        object.__setattr__(self, "num_shards", 1)
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         check_capacity_slack(self.capacity_slack)
 
     def make_params(self) -> CoresetParams:
-        """The shared :class:`CoresetParams` of every shard."""
+        """The :class:`CoresetParams` of the service's driver."""
         return CoresetParams.practical(k=self.k, d=self.d, delta=self.delta,
                                        r=self.r, eps=self.eps, eta=self.eta)
 
@@ -107,7 +116,7 @@ class ServiceConfig:
         # shards (older ones also carry its ``supervise`` flag).
         data.pop("supervise", None)
         if data.get("workers", 0) > 0:
-            data["num_shards"], data["workers"] = data["workers"], 0
+            data["workers"] = 0
         if data.get("o_range") is not None:
             data["o_range"] = tuple(data["o_range"])
         return cls(**data)
@@ -143,7 +152,7 @@ class QueryResult:
 
 
 class ClusteringService:
-    """Long-lived balanced-clustering service over a sharded dynamic stream.
+    """Long-lived balanced-clustering service over one dynamic stream.
 
     Thread-safe: one lock serializes state mutation and queries (the wire
     server calls in from ``asyncio.to_thread`` workers).  All randomness is
@@ -155,10 +164,9 @@ class ClusteringService:
         self.config = config
         self.params = config.make_params()
         if ingest is None:
-            ingest = ShardedIngest(
-                self.params, num_shards=config.num_shards, seed=config.seed,
-                backend=config.backend, o_range=config.o_range,
-            )
+            ingest = ShardedIngest(self.params, seed=config.seed,
+                                   backend=config.backend,
+                                   o_range=config.o_range)
         self.ingest = ingest
         self._lock = threading.RLock()
         self._cached: QueryResult | None = None
@@ -170,7 +178,7 @@ class ClusteringService:
         self.bytes_ingested = 0
 
     def close(self) -> None:
-        """Nothing to release: every shard lives in this process's memory.
+        """Nothing to release: the driver lives in this process's memory.
         Kept so owners (the tenant registry, ``with`` blocks) can end a
         service's lifetime explicitly."""
 
@@ -293,12 +301,11 @@ class ClusteringService:
                 "events": ingest.num_events,
                 "insertions": ingest.num_insertions,
                 "deletions": ingest.num_deletions,
-                "num_shards": ingest.num_shards,
                 "space_bits": ingest.space_bits(),
             }
 
     def checkpoint(self, path, extra: dict | None = None) -> dict:
-        """Atomically persist config + full shard state + version to disk
+        """Atomically persist config + full sketch state + version to disk
         (the :meth:`state_payload` envelope via
         :func:`~repro.service.state.write_checkpoint`)."""
         with self._lock:
@@ -331,12 +338,8 @@ class ClusteringService:
             )
         config = ServiceConfig.from_dict(payload["config"])
         ingest = sharded_state_from_dict(payload["ingest"])
-        if ingest.num_shards != config.num_shards:
-            raise ValueError(
-                f"checkpoint has {ingest.num_shards} shards but its config "
-                f"asks for {config.num_shards}")
         if ingest.params != config.make_params():
-            raise ValueError("checkpoint shard parameters do not match its config")
+            raise ValueError("checkpoint sketch parameters do not match its config")
         service = cls(config, ingest=ingest)
         service.bytes_ingested = int(
             payload.get("counters", {}).get("bytes_ingested", 0))
@@ -359,9 +362,7 @@ class ClusteringService:
         with self._lock:
             return {
                 "version": self.ingest.version,
-                "num_shards": self.ingest.num_shards,
                 "events": self.ingest.num_events,
-                "events_per_shard": list(self.ingest.events_per_shard),
                 "insertions": self.ingest.num_insertions,
                 "deletions": self.ingest.num_deletions,
                 "live_points": self.ingest.num_insertions - self.ingest.num_deletions,

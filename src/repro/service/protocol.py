@@ -111,7 +111,7 @@ def parse_points(req: dict, d: int, delta: int) -> np.ndarray:
     Range-checks coordinates against the codec's injective window [0, Δ]:
     an out-of-range coordinate would alias to a *different* valid point's
     key under the mixed-radix encoding and silently corrupt the sketches,
-    so it is rejected at the wire boundary before any shard is touched.
+    so it is rejected at the wire boundary before any sketch is touched.
     Non-integral coordinates (JSON numbers like 2.7) are likewise rejected
     rather than truncated — truncation would silently ingest a different
     point (integral floats such as 2.0 are accepted).
@@ -187,7 +187,7 @@ class IdempotencyCache:
 
     Stores the most recent ``(seq, response)`` per client id: a retried
     request with the *same* seq gets the cached response back (stamped
-    ``replayed: true``) without touching any shard, so a mid-batch
+    ``replayed: true``) without touching the sketch, so a mid-batch
     connection reset followed by a client retry cannot double-count
     events.  One entry per client suffices because the client assigns seqs
     monotonically and never pipelines mutations — a replay is always of

@@ -45,6 +45,14 @@ canonical function of the sketch contents, so a merged state's bytes do not
 depend on the order sites or shards were folded in, and restore → write is
 byte-identical.  Restore rejects non-canonical v2 input with ``ValueError``.
 
+A service's ingest block (:func:`sharded_state_to_dict`) holds its
+counters and a ``shards`` list with its one driver (``num_shards`` 1,
+``events_per_shard`` ``[events]``).  Files from services that split a
+stream over N in-process shards have N drivers there; they restore with
+the drivers folded into one (:func:`sharded_state_from_dict`).  Restore of
+either format rejects sketch data and counters that are not JSON integers
+(``1.5``, ``"3"``, ``true``) instead of truncating or coercing them.
+
 Format v1 (read only)
 ---------------------
 Files and senders from before v2 hold one ``{"kind", "cells", "points"}``
@@ -60,6 +68,7 @@ from __future__ import annotations
 from urllib.parse import quote, unquote
 
 from repro.core.io import atomic_write_json, params_from_dict, params_to_dict
+from repro.hashing.kwise import json_ints
 from repro.service.faults import fault_point
 from repro.streaming.storing import ExactStoring, SketchStoring
 from repro.streaming.streaming_coreset import StreamingCoreset
@@ -151,6 +160,7 @@ def _sketch_storing_from_dict(store: SketchStoring, data: dict) -> None:
     store._nested = {}
     last = None
     for r, p, rows in data["nested"]:
+        json_ints((r, p), "v2 state: nested sketch positions")
         if (last is not None and (r, p) <= last) or not (
                 0 <= r < store._cells.ROWS and 0 <= p < store._cells.m):
             raise ValueError("v2 state: nested sketches must name in-range "
@@ -171,6 +181,7 @@ def _v1_storing_from_dict(store, data: dict) -> None:
     store._cells.load_bucket_rows(data["cells"], canonical=False)
     store._nested = {}
     for r, p, rows in data["nested"]:
+        json_ints((r, p), "checkpoint nested sketch positions")
         store._nested_at(r, p).load_bucket_rows(rows, canonical=False)
 
 
@@ -208,6 +219,15 @@ def _check_version(data: dict, what: str) -> int:
     return version
 
 
+def _count(value, what: str) -> int:
+    """A non-negative JSON integer counter, else ``ValueError`` (``true``,
+    ``1.5`` and ``"3"`` are not counters)."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"checkpoint {what} must be a non-negative integer, "
+                         f"got {value!r}")
+    return value
+
+
 def streaming_state_from_dict(data: dict) -> StreamingCoreset:
     """Rebuild a :class:`StreamingCoreset` from :func:`streaming_state_to_dict`
     output (format v2) or a v1 file.
@@ -215,7 +235,7 @@ def streaming_state_from_dict(data: dict) -> StreamingCoreset:
     The driver is reconstructed from its arguments (regenerating identical
     grids and hash polynomials), then the sketch contents are restored, so
     the result is indistinguishable from the checkpointed original — it can
-    keep ingesting, merge with sibling shards, and finalize.
+    keep ingesting, merge with other sites' drivers, and finalize.
     """
     version = _check_version(data, "streaming-state")
     params = params_from_dict(data["params"])
@@ -268,36 +288,44 @@ def streaming_state_from_dict(data: dict) -> StreamingCoreset:
                 f"match rebuilt {len(levels)}")
         for sk, rows in zip(levels, data["pilot"]):
             sk.load_bucket_rows(rows, canonical=version > 1)
-    sc.num_updates = int(data["num_updates"])
+    sc.num_updates = _count(data["num_updates"], "num_updates")
     return sc
 
 
-# ----------------------------------------------------------- shard fan-out
+# ------------------------------------------------------------ service ingest
 def sharded_state_to_dict(ingest) -> dict:
-    """JSON-safe state of a :class:`~repro.service.shards.ShardedIngest`."""
+    """JSON-safe state of a :class:`~repro.service.shards.ShardedIngest`:
+    its counters and its one driver (``num_shards`` 1)."""
     return {
         "format_version": STATE_FORMAT_VERSION,
-        "num_shards": len(ingest.shards),
+        "num_shards": 1,
         "version": int(ingest.version),
-        "events_per_shard": [int(x) for x in ingest.events_per_shard],
+        "events_per_shard": [int(ingest.num_events)],
         "num_insertions": int(ingest.num_insertions),
         "num_deletions": int(ingest.num_deletions),
-        "shards": [streaming_state_to_dict(s) for s in ingest.shards],
+        "shards": [streaming_state_to_dict(ingest.driver)],
     }
 
 
 def sharded_state_from_dict(data: dict):
     """Rebuild a :class:`~repro.service.shards.ShardedIngest` (inverse of
-    :func:`sharded_state_to_dict`)."""
+    :func:`sharded_state_to_dict`).
+
+    A file written with N in-process shards restores as one driver: its
+    shards are folded by :meth:`ShardedIngest.from_drivers`, the sum a
+    query over those shards always took.
+    """
     from repro.service.shards import ShardedIngest
 
     _check_version(data, "sharded-state")
-    shards = [streaming_state_from_dict(rec) for rec in data["shards"]]
-    if len(shards) != int(data["num_shards"]):
+    drivers = [streaming_state_from_dict(rec) for rec in data["shards"]]
+    if len(drivers) != _count(data["num_shards"], "num_shards"):
         raise ValueError("checkpoint shard count mismatch")
-    ingest = ShardedIngest.from_shards(shards)
-    ingest.version = int(data["version"])
-    ingest.events_per_shard = [int(x) for x in data["events_per_shard"]]
-    ingest.num_insertions = int(data["num_insertions"])
-    ingest.num_deletions = int(data["num_deletions"])
+    per_shard = [_count(x, "events_per_shard") for x in data["events_per_shard"]]
+    ingest = ShardedIngest.from_drivers(drivers)
+    ingest.version = _count(data["version"], "version")
+    ingest.num_insertions = _count(data["num_insertions"], "num_insertions")
+    ingest.num_deletions = _count(data["num_deletions"], "num_deletions")
+    if len(per_shard) != len(drivers) or sum(per_shard) != ingest.num_events:
+        raise ValueError("checkpoint event counts do not add up")
     return ingest

@@ -2,7 +2,7 @@
 
 The paper's summary is a small linear sketch, which is what lets one server
 host *many* independent logical streams: each tenant is a full
-:class:`~repro.service.engine.ClusteringService` (sharded ingest +
+:class:`~repro.service.engine.ClusteringService` (one streaming driver +
 version-keyed query cache), created lazily the first time its ``stream_id``
 is touched.  Because a tenant's entire state checkpoints to a small JSON
 file and restores bit-identically (PR 1's atomic checkpoint format), cold

@@ -4,8 +4,10 @@ Enumerates every size-k subset of a candidate center pool (default: the
 points themselves — for ℓ1/ℓ2 on tiny instances medoid optima are close
 enough for *relative* comparisons, and the paper's model restricts centers
 to the finite grid anyway; pass ``candidates=[Δ]^d grid`` for true optima on
-very small Δ) and solves the optimal capacitated assignment for each by
-min-cost flow.  Exponential — use only for n ≲ 20, k ≤ 3.
+very small Δ) and solves the optimal capacitated assignment for each with
+the exact transportation solve over the k centers
+(:func:`~repro.assignment.capacitated.capacitated_assignment`).
+Exponential — use only for n ≲ 20, k ≤ 3.
 """
 
 from __future__ import annotations

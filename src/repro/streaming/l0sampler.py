@@ -119,8 +119,8 @@ class DistinctSampler:
                 # updates touched the buckets, and downstream consumers seed
                 # RNGs over the sample by row index.  Canonicalizing makes
                 # the sample a function of the live *set* alone — required
-                # for shard-merge and checkpoint-restore to answer exactly
-                # like an unsharded, never-restarted run.
+                # for a fleet merge and checkpoint-restore to answer
+                # exactly like one never-restarted driver.
                 return sorted(decoded.keys()), float(len(decoded)) * (2.0**j)
         if last_error is not None:
             raise last_error

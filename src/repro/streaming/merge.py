@@ -1,11 +1,11 @@
-"""Merging streaming states (parallel shards of one logical stream).
+"""Merging streaming states (drivers fed parts of one logical stream).
 
 Everything Algorithm 4 maintains is a *linear sketch*, so two instances
 built with the same randomness over disjoint sub-streams can be **added**:
 the merged state equals the state of one instance that saw the concatenated
 stream.  This is the streaming↔distributed bridge the paper exploits in
-Section 4.3 — here exposed directly so users can shard a stream across
-workers and merge, or combine checkpointed states.
+Section 4.3 — here exposed directly so a fleet coordinator can sum its
+sites' drivers, and a restore can fold the shards of an old checkpoint.
 
 Requirements (checked): identical parameters, identical seeds (same grids,
 hash polynomials, and sketch layouts), same backend, same guess preference,
@@ -19,8 +19,6 @@ paid by the first reader.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.streaming.storing import ExactStoring, SketchStoring
 from repro.streaming.streaming_coreset import StreamingCoreset
@@ -73,9 +71,6 @@ def _check_mergeable(a: StreamingCoreset, b: StreamingCoreset) -> None:
                          "the other does not (auto_pilot differs)")
     if a.seed != b.seed:
         raise ValueError(f"cannot merge: different seeds ({a.seed} vs {b.seed})")
-    # Same seed ⇒ same grid shift, unless a driver was handed other grids.
-    if not np.allclose(a.grids.shift, b.grids.shift):
-        raise ValueError("cannot merge: different grid randomness (seeds differ)")
 
 
 def merge_streaming_states(a: StreamingCoreset, *others: StreamingCoreset) -> StreamingCoreset:
@@ -83,7 +78,7 @@ def merge_streaming_states(a: StreamingCoreset, *others: StreamingCoreset) -> St
 
     All drivers must have been constructed with identical ``params``,
     ``seed``, ``backend``, ``prefer``, ``auto_pilot`` and guess windows —
-    i.e. they are shards of one logical computation, differing only in
+    i.e. they are parts of one logical computation, differing only in
     which updates they saw.  The driver-level checks run for every side
     before ``a`` changes; the ``others`` are only read.
     """

@@ -60,7 +60,7 @@ from itertools import chain
 
 import numpy as np
 
-from repro.hashing.kwise import KWiseHash, StackedHashes, as_keys
+from repro.hashing.kwise import KWiseHash, StackedHashes, as_keys, json_ints
 from repro.utils.rng import derive_seed
 
 __all__ = ["IBLTSketch", "SketchHashFamily", "DecodeFailure", "peel_many"]
@@ -228,8 +228,10 @@ class IBLTSketch:
         ``canonical=False`` (v1 files, written in first-touch order) rows
         naming distinct buckets load in any order, and a bucket listed
         twice goes through the :attr:`buckets` setter, whose
-        last-row-wins normalisation is the v1 reference semantics.
+        last-row-wins normalisation is the v1 reference semantics.  Either
+        way an entry that is not an integer raises ``ValueError``.
         """
+        json_ints(chain.from_iterable(rows), "IBLT rows")
         cols = np.array(rows, dtype=object)
         if not len(rows):
             cols = cols.reshape(0, 5)

@@ -37,7 +37,7 @@ from itertools import chain
 
 import numpy as np
 
-from repro.hashing.kwise import as_keys
+from repro.hashing.kwise import as_keys, json_ints
 from repro.streaming.sketch import DecodeFailure, IBLTSketch, SketchHashFamily, peel_many
 from repro.utils.rng import derive_seed
 from repro.utils.validation import FailedConstruction
@@ -58,9 +58,10 @@ class StoringResult:
 def _int_columns(rows) -> tuple[np.ndarray, np.ndarray]:
     """``(keys, counts)`` columns of v1 ``[key, count]`` rows: keys as
     :func:`~repro.hashing.kwise.as_keys` types them (object beyond int64),
-    counts int64."""
+    counts int64.  ``ValueError`` on any entry that is not an integer."""
     if not len(rows):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    json_ints(chain.from_iterable(rows), "checkpoint rows")
     try:
         arr = np.array(rows, dtype=np.int64)
     except OverflowError:  # a key wider than int64
@@ -187,10 +188,11 @@ def _split(column: np.ndarray, sizes: np.ndarray) -> list:
 
 
 def _column(data: dict, name: str) -> list:
-    """One v2 column: a JSON list, else ``ValueError``."""
+    """One v2 column: a JSON list of integers, else ``ValueError``."""
     values = data.get(name)
     if not isinstance(values, list):
         raise ValueError(f"v2 state: column {name!r} must be a list")
+    json_ints(values, f"v2 state: column {name!r}")
     return values
 
 
@@ -201,7 +203,7 @@ def _count_column(data: dict, name: str, size: int, *, nonzero: bool = False,
     (counts, which may be negative)."""
     try:
         col = np.asarray(_column(data, name), dtype=np.int64)
-    except (OverflowError, TypeError) as exc:
+    except OverflowError as exc:
         raise ValueError(f"v2 state: column {name!r} must hold int64 values") from exc
     if col.ndim != 1 or len(col) != size:
         raise ValueError(f"v2 state: column {name!r} has {col.size} entries, expected {size}")
@@ -491,7 +493,9 @@ class ExactStoring:
         if not points:
             self._points = {}
             return
-        heads = as_keys([c for c, _ in points])
+        heads = [c for c, _ in points]
+        json_ints(heads, "checkpoint point runs")
+        heads = as_keys(heads)
         lengths = np.asarray([len(run) for _, run in points], dtype=np.int64)
         ppoint, pcount = _int_columns(list(chain.from_iterable(run for _, run in points)))
         pcell = np.repeat(heads, lengths)

@@ -425,7 +425,6 @@ class StreamingCoreset:
         seed: int = 0,
         backend: str = "exact",
         o_range: tuple[float, float] | None = None,
-        grids: HierarchicalGrids | None = None,
         prefer: str | None = None,
         auto_pilot: bool | None = None,
     ):
@@ -451,8 +450,8 @@ class StreamingCoreset:
         self.backend = backend
         self.o_range = None if o_range is None else (float(o_range[0]), float(o_range[1]))
         self.auto_pilot = bool(auto_pilot)
-        self.grids = grids if grids is not None else HierarchicalGrids(
-            params.delta, params.d, seed=derive_seed(seed, "grids"))
+        self.grids = HierarchicalGrids(params.delta, params.d,
+                                       seed=derive_seed(seed, "grids"))
         self.shared = _SharedHashes(params, self.grids, derive_seed(seed, "hashes"))
         top = (params.delta ** params.d) * (math.sqrt(params.d) * params.delta) ** params.r
         lo, hi = (1.0, top) if o_range is None else (max(1.0, o_range[0]), o_range[1])

@@ -8,10 +8,12 @@ Writes, per backend, ``golden_v1_<backend>.ckpt.json`` (the service's
 checkpoint envelope in state format v1, written by the retired v1 writer
 kept in ``tests/scalar_oracle.py``) and ``golden_v1_<backend>.answer.json``
 (the ``query()`` answer of the service that wrote it).  The committed
-files were written by the service itself while v1 was current; they pin
-the v1 byte contract and the seed → hash-coefficient derivation, so only
-regenerate them on purpose: ``tests/test_golden_state.py`` fails whenever
-a v1 restore, re-encoded by the oracle, gives different bytes or answers
+files were written by the service itself while v1 was current, when it
+split its stream over two in-process shards, so each holds two drivers
+(this script now writes one); they pin the v1 byte contract and the
+seed → hash-coefficient derivation, so only regenerate them on purpose:
+``tests/test_golden_state.py`` fails whenever a restored v1 driver,
+re-encoded by the oracle, gives different bytes, or a v1 restore answers
 differently.
 """
 
@@ -34,10 +36,9 @@ HERE = Path(__file__).resolve().parent
 #: The exact one runs its ℓ₀ pilot over the full guess range; the sketch
 #: one (IBLT Storing) gets a guess window to keep the fixture small.
 CONFIGS = {
-    "exact": ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=5,
-                           backend="exact"),
-    "sketch": ServiceConfig(k=2, d=2, delta=32, num_shards=2, seed=7,
-                            backend="sketch", o_range=(4.0, 64.0)),
+    "exact": ServiceConfig(k=3, d=2, delta=64, seed=5, backend="exact"),
+    "sketch": ServiceConfig(k=2, d=2, delta=32, seed=7, backend="sketch",
+                            o_range=(4.0, 64.0)),
 }
 
 

@@ -356,7 +356,8 @@ def v1_streaming_state_to_dict(sc, storing=_v1_storing, bucket_rows=v1_bucket_ro
 
 
 def v1_service_payload(service) -> dict:
-    """The retired v1 checkpoint envelope of a :class:`ClusteringService`."""
+    """The retired v1 checkpoint envelope of a :class:`ClusteringService`
+    (one driver; files from services with N in-process shards hold N)."""
     ingest = service.ingest
     return {
         "format_version": 1,
@@ -364,12 +365,12 @@ def v1_service_payload(service) -> dict:
         "counters": {"bytes_ingested": service.bytes_ingested},
         "ingest": {
             "format_version": 1,
-            "num_shards": len(ingest.shards),
+            "num_shards": 1,
             "version": int(ingest.version),
-            "events_per_shard": [int(x) for x in ingest.events_per_shard],
+            "events_per_shard": [int(ingest.num_events)],
             "num_insertions": int(ingest.num_insertions),
             "num_deletions": int(ingest.num_deletions),
-            "shards": [v1_streaming_state_to_dict(s) for s in ingest.shards],
+            "shards": [v1_streaming_state_to_dict(ingest.driver)],
         },
     }
 

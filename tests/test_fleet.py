@@ -51,12 +51,11 @@ from repro.streaming.merge import merge_streaming_states
 from repro.utils.bits import float_bits
 
 # Cheap in-process shape: 4 guess instances, sub-100ms per service.
-CHEAP = dict(k=2, d=2, delta=32, num_shards=2, seed=11,
-             o_range=(1.0, 8.0), restarts=1)
+CHEAP = dict(k=2, d=2, delta=32, seed=11, o_range=(1.0, 8.0), restarts=1)
 
 # Real-fleet shape: no o_range (the serve CLI cannot express it, so
 # spawned sites always run the auto-pilot guess schedule).
-FLEET = dict(k=2, d=2, delta=32, num_shards=2, seed=7, restarts=1)
+FLEET = dict(k=2, d=2, delta=32, seed=7, restarts=1)
 
 
 def _site_states(config: ServiceConfig, site_ops) -> list[dict]:
@@ -128,18 +127,18 @@ class TestMergeProperties:
     @settings(max_examples=8, deadline=None)
     def test_merge_many_drivers_match_reference_shard(self, plan):
         """merge_streaming_states at the StreamingCoreset layer: summing
-        shard 0's drivers across sites equals shard 0 of the unsharded
+        the site drivers, in any order, equals the driver of the one-process
         reference."""
         ops, perm = plan
         cfg = ServiceConfig(**CHEAP)
         states = _site_states(cfg, ops)
-        drivers = [sharded_state_from_dict(states[i]).shards[0] for i in perm]
+        drivers = [sharded_state_from_dict(states[i]).driver for i in perm]
         merged = merge_streaming_states(*drivers)
         reference = _reference_service(cfg, ops)
-        ref_shard = reference.ingest.shards[0]
+        ref_driver = reference.ingest.driver
         assert json.dumps(streaming_state_to_dict(merged), sort_keys=True) == \
-            json.dumps(streaming_state_to_dict(ref_shard), sort_keys=True)
-        assert merged.num_updates == ref_shard.num_updates
+            json.dumps(streaming_state_to_dict(ref_driver), sort_keys=True)
+        assert merged.num_updates == ref_driver.num_updates
         reference.close()
 
 
@@ -200,7 +199,7 @@ class TestWireOps:
             server.shutdown()
             thread.join(10)
             reg.close(persist=False)
-        assert state["ingest"]["num_shards"] == CHEAP["num_shards"]
+        assert state["ingest"]["num_shards"] == 1
         assert encoded_on["other"] == thread.name
         assert encoded_on["pull_state"] != thread.name
 
@@ -210,8 +209,7 @@ class TestWireOps:
         svc = ClusteringService(cfg)
         svc.insert(self._workload(16))
         ingest = svc.ingest
-        assert pull_state_bits(ingest) == \
-            ingest.space_bits() + float_bits(3 + ingest.num_shards)
+        assert pull_state_bits(ingest) == ingest.space_bits() + float_bits(4)
         assert REQUEST_BITS == 16
         svc.close()
 

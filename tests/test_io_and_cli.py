@@ -126,8 +126,7 @@ class TestClientPullState:
         )
 
         pts = np.unique(gaussian_mixture(300, 2, 64, k=3, seed=8), axis=0)
-        reg = TenantRegistry(ServiceConfig(k=3, d=2, delta=64, num_shards=2,
-                                           seed=5))
+        reg = TenantRegistry(ServiceConfig(k=3, d=2, delta=64, seed=5))
         server, thread = start_async_server(reg)
         host, port = server.address
         path = tmp_path / "pulled.json"

@@ -1,13 +1,19 @@
-"""The copy-on-write merged query state and the deferred Storing merge.
+"""The linear fold of drivers, the deferred Storing merge and the
+copy-on-write query state.
 
-``ShardedIngest.merged_state`` copies shard 0 with
-:meth:`StreamingCoreset.copy` (exact stores share their compacted columns)
-and folds the other shards in with a *deferred* ``ExactStoring.merge_from``
-that only logs the other side's columns; the group-by runs when a store is
-first read.  These tests pin that against the previous implementation —
-``copy.deepcopy`` of shard 0 plus an eager, pairwise-flushed fold, kept
-here as a test-only oracle — and check that a merged state, once taken,
-never changes when ingest continues.
+:func:`merge_streaming_states` folds drivers built from one
+``(params, seed)`` and fed disjoint parts of a stream — the sites of a
+fleet, or the shards of an old multi-shard checkpoint being restored.  It
+copies nothing: each exact store takes the other sides' columns in a
+*deferred* ``ExactStoring.merge_from`` that only logs them, and the
+group-by runs when a store is first read.  These tests pin the fold
+against the previous implementation — ``copy.deepcopy`` plus an eager,
+pairwise-flushed fold, kept here as a test-only oracle — with every
+deletion fed to a different driver than its insertion, so the drivers
+hold negative counts that cancel in the fold, in any fold order.  They
+also check that a query's copy of a service's driver
+(``ShardedIngest.merged_state``), once taken, never changes when ingest
+continues.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from repro.core import CoresetParams
 from repro.data.synthetic import gaussian_mixture
 from repro.data.workloads import churn_stream
 from repro.service import ClusteringService, ServiceConfig, ShardedIngest
-from repro.service.state import sharded_state_to_dict
+from repro.service.state import streaming_state_to_dict
 from repro.streaming import StreamingCoreset
 from repro.streaming.merge import merge_storing, merge_streaming_states
 from repro.streaming.storing import ExactStoring, _group_sum, _group_sum_pairs
@@ -49,11 +55,11 @@ def eager_merge_exact(a: ExactStoring, b: ExactStoring) -> None:
             np.concatenate([a._pcount, b._pcount]))
 
 
-def legacy_merged_state(ingest: ShardedIngest) -> StreamingCoreset:
-    """The previous ``merged_state``: deep copy plus a pairwise flushed fold
-    (keeping the smallest kill reason, as the one-pass fold does)."""
-    merged = copy.deepcopy(ingest.shards[0])
-    for shard in ingest.shards[1:]:
+def legacy_merged_state(drivers: list) -> StreamingCoreset:
+    """The previous fold: deep copy plus a pairwise flushed fold (keeping
+    the smallest kill reason, as the one-pass fold does)."""
+    merged = copy.deepcopy(drivers[0])
+    for shard in drivers[1:]:
         for ia, ib in zip(merged.instances, shard.instances):
             reasons = [r for r in (ia.dead_reason, ib.dead_reason) if r is not None]
             ia.dead_reason = min(reasons, default=None)
@@ -74,8 +80,8 @@ def legacy_merged_state(ingest: ShardedIngest) -> StreamingCoreset:
 
 def state_json(driver: StreamingCoreset) -> str:
     """Canonical checkpoint JSON of one driver."""
-    return json.dumps(sharded_state_to_dict(ShardedIngest.from_shards([driver])),
-                      sort_keys=True, separators=(",", ":"))
+    return json.dumps(streaming_state_to_dict(driver), sort_keys=True,
+                      separators=(",", ":"))
 
 
 def assert_same_answer(got: StreamingCoreset, want: StreamingCoreset) -> None:
@@ -105,7 +111,7 @@ def small_world():
 @pytest.fixture(scope="module")
 def dense_world():
     """~1.6k events over a dense grid with shrunken Storing budgets, so
-    some guess instances die early, and on some shards only."""
+    some guess instances die early, and in some drivers only."""
     rng = np.random.default_rng(0)
     pts = np.unique(rng.integers(1, 65, size=(1500, 2)), axis=0)
     stream = churn_stream(pts, delete_fraction=0.3, seed=4)
@@ -119,47 +125,73 @@ def _rows(events):
             np.array([ev.sign for ev in events], dtype=np.int64))
 
 
-def _feed_with_cross_shard_deletions(ing: ShardedIngest, events) -> None:
-    """Large and one-event batches, plus deletions sent to the wrong shard."""
-    half = len(events) // 2
-    ing.apply_batch(events[:half])
-    for ev in events[half: half + 8]:
-        ing.apply_batch([ev])
-    rest = events[half + 8:]
-    ing.apply_batch(rest[: len(rest) // 2])
-    # Delete a few live points through a shard that never saw them, then
-    # re-insert them through their own shard: linearity cancels the pair.
-    rows, _ = _rows(events[:6])
-    for row in rows:
-        wrong = (ing.shard_of(row) + 1) % ing.num_shards
-        ing.shards[wrong].update_arrays(row[None, :], np.array([-1]))
-        ing.shards[ing.shard_of(row)].update_arrays(row[None, :], np.array([1]))
-    ing.apply_batch(rest[len(rest) // 2:])
+def fed_drivers(params, num: int, events, backend: str = "exact") -> list:
+    """``num`` drivers with one seed, fed disjoint parts of ``events``.
+
+    Insertions go round robin over uneven shares (driver ``j`` takes
+    ``j + 1`` of every ``num·(num+1)/2``), so the drivers' loads, and which
+    guesses they kill early, differ.  Every deletion goes to the driver
+    after its insertion's, so with ``num > 1`` no deletion meets its
+    insertion and the drivers hold negative counts.  Each part is fed as a
+    large batch, eight one-event batches and two more large batches.
+    """
+    drivers = [StreamingCoreset(params, seed=9, backend=backend)
+               for _ in range(num)]
+    parts: list[list] = [[] for _ in range(num)]
+    shares = [j for j in range(num) for _ in range(j + 1)]
+    home: dict = {}
+    for ev in events:
+        if ev.sign > 0:
+            home[ev.point] = j = shares[len(home) % len(shares)]
+        else:
+            j = (home[ev.point] + 1) % num
+        parts[j].append(ev)
+    for driver, part in zip(drivers, parts):
+        n, half = len(part), len(part) // 2
+        cuts = sorted({min(c, n) for c in
+                       (0, *range(half, half + 9), (n + half + 8) // 2, n)})
+        for lo, hi in zip(cuts, cuts[1:]):
+            driver.update_arrays(*_rows(part[lo:hi]))
+    return drivers
+
+
+def fold(drivers: list) -> StreamingCoreset:
+    """The drivers summed into a copy of the first (they are only read)."""
+    return merge_streaming_states(drivers[0].copy(), *drivers[1:])
 
 
 # -------------------------------------------------------- oracle equality
 class TestMergedStateMatchesOracle:
     @pytest.mark.parametrize("backend", ["exact", "sketch"])
     def test_cross_shard_deletions(self, small_world, backend):
+        """Deletions in other drivers than their insertions: the fold
+        equals the oracle's and the driver fed the whole stream."""
         events, params = small_world
-        ing = ShardedIngest(params, num_shards=3, seed=9, backend=backend)
-        _feed_with_cross_shard_deletions(ing, events)
-        # The new merge first: it must cope with unflushed shard logs.
-        got = ing.merged_state()
-        want = legacy_merged_state(ing)
+        drivers = fed_drivers(params, 3, events, backend)
+        if backend == "exact":  # the drivers really hold negative counts
+            assert any(cnt < 0
+                       for d in drivers
+                       for store in d.instances[0].store_hhat
+                       for cell_points in store._points.values()
+                       for cnt in cell_points.values())
+        # The new fold first: it must cope with unflushed driver logs.
+        got = fold(drivers)
+        want = legacy_merged_state(drivers)
         assert_same_answer(got, want)
         assert state_json(got) == state_json(want)
+        whole = StreamingCoreset(params, seed=9, backend=backend)
+        whole.update_arrays(*_rows(events))
+        assert state_json(got) == state_json(whole)
 
     def test_early_killed_instances(self, dense_world):
         events, params = dense_world
-        ing = ShardedIngest(params, num_shards=3, seed=9)
-        _feed_with_cross_shard_deletions(ing, events)
-        dead = [[inst.dead_reason is not None for inst in s.instances]
-                for s in ing.shards]
+        drivers = fed_drivers(params, 3, events)
+        dead = [[inst.dead_reason is not None for inst in d.instances]
+                for d in drivers]
         assert any(any(d) for d in dead)
-        assert len({tuple(d) for d in dead}) > 1  # killed on some shards only
-        got = ing.merged_state()
-        want = legacy_merged_state(ing)
+        assert len({tuple(d) for d in dead}) > 1  # killed in some drivers only
+        got = fold(drivers)
+        want = legacy_merged_state(drivers)
         assert [i.dead_reason for i in got.instances] == \
             [i.dead_reason for i in want.instances]
         assert_same_answer(got, want)
@@ -167,11 +199,10 @@ class TestMergedStateMatchesOracle:
 
     def test_merged_state_leaves_shards_untouched(self, small_world):
         events, params = small_world
-        ing = ShardedIngest(params, num_shards=3, seed=9)
-        _feed_with_cross_shard_deletions(ing, events)
-        before = [state_json(s) for s in ing.shards]
-        ing.merged_state().finalize()
-        assert [state_json(s) for s in ing.shards] == before
+        drivers = fed_drivers(params, 3, events)
+        before = [state_json(d) for d in drivers]
+        fold(drivers).finalize()
+        assert [state_json(d) for d in drivers] == before
 
 
 _updates = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 9),
@@ -243,7 +274,7 @@ class TestMergedStateIsolation:
     def test_later_ingest_does_not_leak_in(self, small_world, backend,
                                            monkeypatch):
         events, params = small_world
-        ing = ShardedIngest(params, num_shards=3, seed=9, backend=backend)
+        ing = ShardedIngest(params, seed=9, backend=backend)
         ing.apply_batch(events[: len(events) // 2])
         m = ing.merged_state()
         before = copy.deepcopy(m)
@@ -252,11 +283,10 @@ class TestMergedStateIsolation:
         rest = events[len(events) // 2:]
         for lo in range(0, len(rest), 16):
             ing.apply_batch(rest[lo: lo + 16])
-        for shard in ing.shards:
-            for inst in shard.instances:
-                for store in inst.store_h + inst.store_hp + inst.store_hhat:
-                    if isinstance(store, ExactStoring):
-                        store.live_cells()
+        for inst in ing.driver.instances:
+            for store in inst.store_h + inst.store_hp + inst.store_hhat:
+                if isinstance(store, ExactStoring):
+                    store.live_cells()
         assert_same_answer(m, before)
         assert state_json(m) == state_json(before)
 
@@ -269,7 +299,7 @@ class TestMergedStateIsolation:
         half = len(rows) // 2
         first = list(zip(rows[:half].tolist(), signs[:half].tolist()))
         rest = list(zip(rows[half:].tolist(), signs[half:].tolist()))
-        config = ServiceConfig(k=3, d=2, delta=64, num_shards=3, seed=9)
+        config = ServiceConfig(k=3, d=2, delta=64, seed=9)
         svc = ClusteringService(config)
         svc.apply_events(first)
         monkeypatch.setattr(ExactStoring, "FLUSH_THRESHOLD", 0)
@@ -328,7 +358,7 @@ class TestMergedStateIsolation:
         assert result.cost == want.cost
         (m, before), = taken
         assert state_json(m) == state_json(before) == state_json(
-            legacy_merged_state(reference.ingest))
+            reference.ingest.driver)
 
 
 # ------------------------------------------------------------ merge guards
@@ -363,10 +393,10 @@ class TestMergeCompatibility:
 
     def test_seed_mismatch_rejected(self):
         """Drivers built with other seeds hash with other polynomials and
-        pilot sketches; sharing one grid object must not hide that."""
+        pilot sketches, and shift their grids otherwise."""
         params = CoresetParams.practical(k=3, d=2, delta=64)
         a = StreamingCoreset(params, seed=1, o_range=(1.0, 1e9))
-        b = StreamingCoreset(params, seed=2, o_range=(1.0, 1e9), grids=a.grids)
+        b = StreamingCoreset(params, seed=2, o_range=(1.0, 1e9))
         with pytest.raises(ValueError, match=r"different seeds \(1 vs 2\)"):
             merge_streaming_states(a, b)
         with pytest.raises(ValueError, match="seeds"):
@@ -385,64 +415,64 @@ class TestOnePassFold:
         ("exact", 1), ("exact", 2), ("exact", 3), ("exact", 5), ("sketch", 3)])
     def test_fold_equals_pairwise_and_legacy(self, small_world, backend,
                                              num_shards):
+        """The one-pass fold, the pairwise fold, the oracle and the restore
+        of an N-shard checkpoint (:meth:`ShardedIngest.from_drivers`) give
+        the same bytes, and only the restore writes into its drivers."""
         events, params = small_world
-        ing = ShardedIngest(params, num_shards=num_shards, seed=9,
-                            backend=backend)
-        _feed_with_cross_shard_deletions(ing, events)
-        before = [state_json(s) for s in ing.shards]
-        want = state_json(legacy_merged_state(ing))
-        pairwise = _pairwise_fold(ing.shards[0].copy(), ing.shards[1:])
+        drivers = fed_drivers(params, num_shards, events, backend)
+        before = [state_json(d) for d in drivers]
+        want = state_json(legacy_merged_state(drivers))
+        pairwise = _pairwise_fold(drivers[0].copy(), drivers[1:])
         assert state_json(pairwise) == want
-        assert state_json(ing.merged_state()) == want
-        assert [state_json(s) for s in ing.shards] == before
+        assert state_json(fold(drivers)) == want
+        assert [state_json(d) for d in drivers] == before
+        restored = ShardedIngest.from_drivers([d.copy() for d in drivers])
+        assert state_json(restored.driver) == want
 
     @given(st.data())
     @settings(max_examples=6, deadline=None)
     def test_fold_in_any_order(self, dense_world, data):
-        """Any number of shards, any shard leading the fold and any order
-        of the others: the same merged-state bytes as the fold in shard
+        """Any number of drivers, any driver leading the fold and any order
+        of the others: the same merged-state bytes as the fold in driver
         order, and as the pairwise and the legacy fold in the drawn order,
         early-killed instances and the pilot's rows included."""
         events, params = dense_world
         num_shards = data.draw(st.integers(1, 5))
-        ing, before = _dense_ingest(params, num_shards, events)
+        drivers, before = _dense_drivers(params, num_shards, events)
         order = data.draw(st.permutations(range(num_shards)))
-        lead, others = ing.shards[order[0]], [ing.shards[j] for j in order[1:]]
+        lead, others = drivers[order[0]], [drivers[j] for j in order[1:]]
         got = state_json(merge_streaming_states(lead.copy(), *others))
-        assert got == state_json(merge_streaming_states(
-            ing.shards[0].copy(), *ing.shards[1:]))
+        assert got == state_json(fold(drivers))
         assert got == state_json(_pairwise_fold(lead.copy(), others))
-        assert got == state_json(legacy_merged_state(
-            ShardedIngest.from_shards([lead, *others])))
-        assert [state_json(s) for s in ing.shards] == before
+        assert got == state_json(legacy_merged_state([lead, *others]))
+        assert [state_json(d) for d in drivers] == before
 
     @pytest.mark.parametrize("num_shards", [2, 3, 4, 5])
     @given(data=st.data())
     @settings(max_examples=4, deadline=None)
     def test_kill_reason_is_order_free(self, dense_world, num_shards, data):
-        """Whichever shard leads the fold and whatever order the rest
+        """Whichever driver leads the fold and whatever order the rest
         come in, every instance keeps the same kill reason (the smallest),
-        although on three shards the shards disagree about some."""
+        although on three drivers the drivers disagree about some."""
         events, params = dense_world
-        ing, _ = _dense_ingest(params, num_shards, events)
-        reasons = [[inst.dead_reason for inst in s.instances] for s in ing.shards]
+        drivers, _ = _dense_drivers(params, num_shards, events)
+        reasons = [[inst.dead_reason for inst in d.instances] for d in drivers]
         if num_shards == 3:
             assert any(len(set(filter(None, per))) > 1 for per in zip(*reasons))
         order = data.draw(st.permutations(range(num_shards)))
-        got = merge_streaming_states(ing.shards[order[0]].copy(),
-                                     *(ing.shards[j] for j in order[1:]))
+        got = merge_streaming_states(drivers[order[0]].copy(),
+                                     *(drivers[j] for j in order[1:]))
         want = [min(filter(None, per), default=None) for per in zip(*reasons)]
         assert [inst.dead_reason for inst in got.instances] == want
 
 
-_DENSE_INGESTS: dict = {}
+_DENSE_DRIVERS: dict = {}
 
 
-def _dense_ingest(params, num_shards: int, events):
-    """One fed ingest per shard count, with its shards' state JSON (the
-    tests above only read the shards)."""
-    if num_shards not in _DENSE_INGESTS:
-        ing = ShardedIngest(params, num_shards=num_shards, seed=9)
-        _feed_with_cross_shard_deletions(ing, events)
-        _DENSE_INGESTS[num_shards] = ing, [state_json(s) for s in ing.shards]
-    return _DENSE_INGESTS[num_shards]
+def _dense_drivers(params, num: int, events):
+    """One set of fed drivers per driver count, with their state JSON (the
+    tests above only read the drivers)."""
+    if num not in _DENSE_DRIVERS:
+        drivers = fed_drivers(params, num, events)
+        _DENSE_DRIVERS[num] = drivers, [state_json(d) for d in drivers]
+    return _DENSE_DRIVERS[num]

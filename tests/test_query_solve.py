@@ -29,7 +29,7 @@ def _churn_answers(seed: int, slack: float, batch: int = 150) -> list:
     pts = np.unique(gaussian_mixture(900, 2, 128, k=4, seed=seed), axis=0)
     events = list(churn_stream(pts, delete_fraction=0.3, seed=seed))
     answers = []
-    config = ServiceConfig(k=4, d=2, delta=128, num_shards=2, seed=seed,
+    config = ServiceConfig(k=4, d=2, delta=128, seed=seed,
                            capacity_slack=slack)
     with ClusteringService(config) as svc:
         for lo in range(0, len(events), batch):

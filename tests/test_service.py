@@ -2,9 +2,10 @@
 
 Covers the three load-bearing claims of the subsystem:
 
-1. sharding is *exact* — N shards built with shared randomness merge to the
-   state of one driver that saw the whole stream, even when deletions land
-   on a different shard than their insertions;
+1. the sketches are *linear* — drivers built with shared randomness and
+   fed disjoint parts of a stream fold to the state of one driver that saw
+   the whole stream, even when deletions land in a different driver than
+   their insertions (what fleet merges and multi-shard restores rely on);
 2. checkpoint/restore is *bit-identical* — a restored driver finalizes to
    the same coreset and can keep ingesting in lockstep with the original;
 3. the wire service end-to-end: ingest over TCP, query quality vs the
@@ -79,28 +80,9 @@ def _coreset_points(cs):
 
 
 class TestShardRouting:
-    def test_deterministic_and_spread(self, world):
-        stream, _, params = world
-        ing = ShardedIngest(params, num_shards=4, seed=3)
-        points = [ev.point for ev in stream]
-        routes = [ing.shard_of(p) for p in points]
-        assert routes == [ing.shard_of(p) for p in points]  # stable
-        assert len(set(routes)) == 4  # every shard sees traffic
-
-    def test_insert_and_delete_meet_in_same_shard(self, world):
-        stream, _, params = world
-        ing = ShardedIngest(params, num_shards=5, seed=3)
-        for ev in stream:
-            assert ing.shard_of(ev.point) == ing.shard_of(ev.point)
-        ing.apply_batch(stream)
-        # Routing by point key ⇒ per-shard signed counts are non-negative.
-        for shard in ing.shards:
-            inst = shard.instances[0]
-            assert all(c >= 0 for c in inst.store_h[0]._cells.values())
-
     def test_version_bumps_per_batch_not_per_event(self, world):
         stream, _, params = world
-        ing = ShardedIngest(params, num_shards=2, seed=3)
+        ing = ShardedIngest(params, seed=3)
         ing.apply_batch(list(stream)[:10])
         assert ing.version == 1
         ing.apply_batch(list(stream)[10:20])
@@ -112,17 +94,28 @@ class TestShardRouting:
 class TestShardedMergeExact:
     @pytest.mark.parametrize("backend", ["exact", "sketch"])
     def test_three_shards_equal_unsharded(self, world, backend):
-        """≥3 shards of one logical stream merge to the unsharded answer."""
+        """Three drivers fed thirds of one logical stream fold, in two
+        orders, to the answer and the state bytes of the service's one
+        driver fed all of it."""
         stream, _, params = world
-        ref = StreamingCoreset(params, seed=9, backend=backend)
-        ref.process(stream)
-        want = ref.finalize()
-
-        ing = ShardedIngest(params, num_shards=3, seed=9, backend=backend)
+        events = list(stream)
+        ing = ShardedIngest(params, seed=9, backend=backend)
         assert ing.apply_batch(stream) == len(stream)
-        got = ing.merged_state().finalize()
-        assert got.o == want.o
-        assert _coreset_points(got) == _coreset_points(want)
+        want = ing.merged_state().finalize()
+        want_state = json.dumps(streaming_state_to_dict(ing.driver))
+
+        parts = []
+        for i in range(3):
+            part = StreamingCoreset(params, seed=9, backend=backend)
+            part.update_batch(events[i::3])
+            parts.append(part)
+        for order in ([0, 1, 2], [2, 0, 1]):
+            merged = merge_streaming_states(
+                parts[order[0]].copy(), *(parts[j] for j in order[1:]))
+            assert json.dumps(streaming_state_to_dict(merged)) == want_state
+            got = merged.finalize()
+            assert got.o == want.o
+            assert _coreset_points(got) == _coreset_points(want)
 
     def test_deletions_crossing_shard_boundaries(self, world):
         """Round-robin routing sends deletions to different shards than the
@@ -155,12 +148,12 @@ class TestShardedMergeExact:
 
     def test_merged_state_does_not_disturb_ingest(self, world):
         stream, _, params = world
-        ing = ShardedIngest(params, num_shards=2, seed=9)
+        ing = ShardedIngest(params, seed=9)
         events = list(stream)
         ing.apply_batch(events[: len(events) // 2])
         first = ing.merged_state().finalize()
-        # Querying must not consume the shards: keep ingesting and the
-        # final answer matches a fresh unsharded run of the whole stream.
+        # Querying must not consume the driver: keep ingesting and the
+        # final answer matches a fresh run of the whole stream.
         ing.apply_batch(events[len(events) // 2:])
         got = ing.merged_state().finalize()
         ref = StreamingCoreset(params, seed=9)
@@ -219,16 +212,42 @@ class TestCheckpointRestore:
         assert read_json(path)["v"] == 2
 
     def test_sharded_roundtrip_preserves_counters(self, world):
+        """One-driver state round-trips with its counters; a three-shard
+        state (as services once wrote) restores into one driver whose
+        checkpoint is the one-driver state's."""
         stream, _, params = world
-        ing = ShardedIngest(params, num_shards=3, seed=9)
-        ing.apply_batch(stream)
-        ing2 = sharded_state_from_dict(sharded_state_to_dict(ing))
+        events = list(stream)
+        ing = ShardedIngest(params, seed=9)
+        ing.apply_batch(events)
+        data = sharded_state_to_dict(ing)
+        assert data["num_shards"] == 1
+        assert data["events_per_shard"] == [len(events)]
+        ing2 = sharded_state_from_dict(data)
         assert ing2.version == ing.version
-        assert ing2.events_per_shard == ing.events_per_shard
+        assert ing2.num_events == ing.num_events == len(events)
         assert ing2.num_insertions == ing.num_insertions
         assert ing2.num_deletions == ing.num_deletions
         assert (_coreset_points(ing2.merged_state().finalize())
                 == _coreset_points(ing.merged_state().finalize()))
+
+        parts = [StreamingCoreset(params, seed=9) for _ in range(3)]
+        for i, part in enumerate(parts):
+            part.update_batch(events[i::3])
+        three = dict(data, num_shards=3,
+                     events_per_shard=[len(events[i::3]) for i in range(3)],
+                     shards=[streaming_state_to_dict(p) for p in parts])
+        assert sharded_state_to_dict(sharded_state_from_dict(three)) == data
+
+    @pytest.mark.parametrize("field,value", [
+        ("version", 1.5), ("version", "3"), ("num_insertions", True),
+        ("num_deletions", -1), ("events_per_shard", [1.0]),
+        ("num_shards", "1")])
+    def test_non_integral_counters_rejected(self, world, field, value):
+        _, _, params = world
+        data = sharded_state_to_dict(ShardedIngest(params, seed=9))
+        data[field] = value
+        with pytest.raises(ValueError):
+            sharded_state_from_dict(data)
 
     def test_bad_format_version_rejected(self, world):
         _, _, params = world
@@ -243,7 +262,7 @@ class TestQueryEngine:
     def test_cache_hit_until_ingest_invalidates(self, world):
         stream, _, params = world
         svc = ClusteringService(
-            ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=17))
+            ServiceConfig(k=3, d=2, delta=64, seed=17))
         svc.apply_events(stream)
         r1, hit1 = svc.query()
         r2, hit2 = svc.query()
@@ -258,7 +277,7 @@ class TestQueryEngine:
     def test_nondefault_slack_bypasses_cache(self, world):
         stream, _, params = world
         svc = ClusteringService(
-            ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=17))
+            ServiceConfig(k=3, d=2, delta=64, seed=17))
         svc.apply_events(stream)
         svc.query()
         result, hit = svc.query(capacity_slack=2.0)
@@ -275,7 +294,7 @@ class TestQueryEngine:
                 ServiceConfig(k=3, d=2, delta=64, **bad)
         stream, _, _ = world
         svc = ClusteringService(
-            ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=17))
+            ServiceConfig(k=3, d=2, delta=64, seed=17))
         svc.apply_events(stream)
 
         def no_merge():
@@ -346,7 +365,7 @@ class TestQueryEngine:
     def test_service_checkpoint_restore(self, world, tmp_path):
         stream, _, params = world
         svc = ClusteringService(
-            ServiceConfig(k=3, d=2, delta=64, num_shards=3, seed=17))
+            ServiceConfig(k=3, d=2, delta=64, seed=17))
         svc.apply_events(stream)
         want, _ = svc.query()
         info = svc.checkpoint(tmp_path / "svc.json")
@@ -365,7 +384,7 @@ class TestQueryEngine:
         unknown config key is still an error."""
         stream, _, _ = world
         svc = ClusteringService(
-            ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=17))
+            ServiceConfig(k=3, d=2, delta=64, seed=17))
         svc.apply_events(stream)
         want, _ = svc.query()
         current = svc.state_payload()
@@ -400,7 +419,7 @@ class TestServiceEndToEnd:
 
     def test_ingest_query_checkpoint_restore(self, world, tmp_path):
         stream, survivors, params = world
-        config = ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=17,
+        config = ServiceConfig(k=3, d=2, delta=64, seed=17,
                                capacity_slack=1.2)
         registry = TenantRegistry(config)
         server, _ = start_async_server(registry)
@@ -466,7 +485,7 @@ class TestServiceEndToEnd:
         from repro.service.client import ServiceError
 
         registry = TenantRegistry(
-            ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=1))
+            ServiceConfig(k=3, d=2, delta=64, seed=1))
         server, _ = start_async_server(registry)
         host, port = server.address
         try:
@@ -492,7 +511,7 @@ class TestServiceEndToEnd:
         import socket
 
         registry = TenantRegistry(
-            ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=1))
+            ServiceConfig(k=3, d=2, delta=64, seed=1))
         server, _ = start_async_server(registry, max_request_bytes=2048)
         host, port = server.address
         try:
@@ -517,7 +536,7 @@ class TestServiceEndToEnd:
 
     def test_malformed_requests_get_error_responses(self, world):
         registry = TenantRegistry(
-            ServiceConfig(k=3, d=2, delta=64, num_shards=2, seed=1))
+            ServiceConfig(k=3, d=2, delta=64, seed=1))
         server, _ = start_async_server(registry)
         host, port = server.address
         try:

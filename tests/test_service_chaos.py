@@ -60,7 +60,7 @@ def test_chaos_run_is_bit_identical_to_fault_free_reference(tmp_path):
     assert all(len(c) >= 10 for c in inserts)
     assert all(len(c) >= 10 for c in deletes)
 
-    config = ServiceConfig(k=3, d=2, delta=256, num_shards=2, seed=17)
+    config = ServiceConfig(k=3, d=2, delta=256, seed=17)
     # Fault-free single-tenant reference: the oracle for "no event lost,
     # none double-counted".
     reference = ClusteringService(config)
@@ -100,12 +100,12 @@ def test_chaos_run_is_bit_identical_to_fault_free_reference(tmp_path):
             stats = cli.stats()
             ref_stats = reference.stats()
             for key in ("events", "insertions", "deletions", "live_points",
-                        "version", "events_per_shard", "bytes_ingested"):
+                        "version", "bytes_ingested"):
                 assert stats[key] == ref_stats[key], key
             assert stats["fault_plan"]["fire_counts"] == fires
 
             # Bit-identical sketches: the faulted service's checkpoint
-            # carries exactly the reference's serialized shard state.
+            # carries exactly the reference's serialized sketch state.
             cli.checkpoint(final_ckpt)
             payload = json.loads(final_ckpt.read_text(encoding="utf-8"))
             assert (_canonical(payload["ingest"])

@@ -1,8 +1,8 @@
 """Fault injection and client resilience.
 
 The robustness story rests on the same linearity the paper's theory does: a
-shard's state is a deterministic function of ``(params, seed)`` plus the
-events routed to it, so any component that dies can be rebuilt from its
+driver's state is a deterministic function of ``(params, seed)`` plus the
+events applied to it, so any component that dies can be rebuilt from its
 last checkpoint and replayed *bit-identically*.  Process death and replay
 are pinned by the fleet's ``site.kill`` tests (``test_fleet.py``).
 
@@ -116,7 +116,7 @@ class TestCheckpointFaults:
         stream = world
         path = tmp_path / "svc.ckpt.json"
         with ClusteringService(ServiceConfig(k=3, d=2, delta=64,
-                                             num_shards=2, seed=7)) as svc:
+                                             seed=7)) as svc:
             svc.apply_events(stream[:100])
             svc.checkpoint(path)
             before = path.read_bytes()
@@ -185,7 +185,7 @@ def _serving(config):
 
 
 class TestResilientClient:
-    CONFIG = ServiceConfig(k=2, d=2, delta=32, num_shards=2, seed=13)
+    CONFIG = ServiceConfig(k=2, d=2, delta=32, seed=13)
 
     def test_unreachable_raises_typed_error(self):
         with socket.socket() as probe:
@@ -339,7 +339,7 @@ class TestCircuitBreaker:
         structured degraded envelope, the tenants-row flag, and recovery
         after cooldown."""
         registry = TenantRegistry(
-            ServiceConfig(k=2, d=2, delta=32, num_shards=2, seed=13),
+            ServiceConfig(k=2, d=2, delta=32, seed=13),
             breaker_threshold=2, breaker_cooldown_s=0.5)
         server, _ = start_async_server(registry)
         host, port = server.address
@@ -377,7 +377,7 @@ class TestCircuitBreaker:
         before the lease and the wire as a protocol error, so the breaker
         stays closed and the next good query is answered."""
         registry = TenantRegistry(
-            ServiceConfig(k=2, d=2, delta=32, num_shards=2, seed=13),
+            ServiceConfig(k=2, d=2, delta=32, seed=13),
             breaker_threshold=3)
         server, _ = start_async_server(registry)
         host, port = server.address
@@ -404,7 +404,7 @@ class TestCircuitBreaker:
         from repro.service import TenantQuota
 
         registry = TenantRegistry(
-            ServiceConfig(k=2, d=2, delta=32, num_shards=2, seed=13),
+            ServiceConfig(k=2, d=2, delta=32, seed=13),
             quota=TenantQuota(max_events=1), breaker_threshold=1)
         try:
             registry.insert("t", np.array([[1, 1]]))
@@ -426,7 +426,7 @@ class TestEvictionFaults:
         """A full disk at eviction time must not lose the victim's events:
         it stays in memory (budget overshoots) and the failure is surfaced."""
         registry = TenantRegistry(
-            ServiceConfig(k=2, d=2, delta=32, num_shards=2, seed=13),
+            ServiceConfig(k=2, d=2, delta=32, seed=13),
             tenants_dir=tmp_path / "tenants", max_live_tenants=1)
         try:
             registry.insert("a", np.array([[1, 1], [2, 2]]))

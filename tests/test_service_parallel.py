@@ -3,12 +3,12 @@
 ``ServiceConfig.workers = N > 0`` used to run one shard per worker process.
 Its checkpoints and evicted-tenant files hold the same ingest block as N
 in-process shards, so :meth:`ServiceConfig.from_dict` maps them to
-``num_shards=N, workers=0`` and they restore into :class:`ShardedIngest`.
-The ``tests/data/legacy_pool_*`` fixtures were written by that backend
-(``tests/data/make_legacy_pool.py``) in state format v1: each must
-restore, re-serialize its ingest block byte for byte through the retired
-v1 writer, and answer exactly as the pool did.  Process
-parallelism is the fleet's now (``test_fleet.py``).
+``workers=0`` and they restore into :class:`ShardedIngest`'s one driver,
+their shards folded.  The ``tests/data/legacy_pool_*`` fixtures were
+written by that backend (``tests/data/make_legacy_pool.py``) in state
+format v1: each must restore, re-serialize every driver byte for byte
+through the retired v1 writer, and answer exactly as the pool did.
+Process parallelism is the fleet's now (``test_fleet.py``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import pytest
 from repro.data.synthetic import gaussian_mixture
 from repro.data.workloads import churn_stream
 from repro.service import ClusteringService, ServiceConfig, ShardedIngest
-from tests.scalar_oracle import v1_service_payload
+from repro.service.state import streaming_state_from_dict
+from tests.scalar_oracle import v1_streaming_state_to_dict
 
 DATA = Path(__file__).resolve().parent / "data"
 LEGACY = DATA / "legacy_pool_w2.ckpt.json"
@@ -35,8 +36,8 @@ def _events(seed: int):
     return list(churn_stream(pts, delete_fraction=0.3, seed=seed + 1))
 
 
-def _ingest_bytes(block: dict) -> bytes:
-    """An ingest block as the checkpoint writer encodes it."""
+def _bytes(block: dict) -> bytes:
+    """A state block as the checkpoint writer encodes it."""
     return json.dumps(block, separators=(",", ":")).encode()
 
 
@@ -49,40 +50,43 @@ class TestLegacyConfig:
         data = ServiceConfig(k=2, d=2, delta=32).to_dict()
         data.update(workers=3, num_shards=4, supervise=True)
         config = ServiceConfig.from_dict(data)
-        assert config.workers == 0 and config.num_shards == 3
+        assert config.workers == 0 and config.num_shards == 1
 
 
 class TestParallelDeterminism:
     def test_query_results_identical_across_backends(self):
-        """The pool-written state equals a fresh in-process service with
-        as many shards, fed the same stream: same bytes, same answer."""
-        config = ServiceConfig(k=2, d=2, delta=32, num_shards=2, seed=13)
+        """The pool-written state, its shards folded, equals a fresh
+        service fed the same stream: same bytes, same answer."""
+        config = ServiceConfig(k=2, d=2, delta=32, seed=13)
         with ClusteringService(config) as fresh, \
                 ClusteringService.restore(LEGACY) as legacy:
             fresh.apply_events(_events(3))
             assert legacy.config == config
-            assert (_ingest_bytes(legacy.ingest.to_state_dict())
-                    == _ingest_bytes(fresh.ingest.to_state_dict()))
+            assert (_bytes(legacy.ingest.to_state_dict())
+                    == _bytes(fresh.ingest.to_state_dict()))
             assert legacy.query()[0].to_dict() == fresh.query()[0].to_dict()
 
 
 class TestWorkerCheckpointRestore:
     def test_pool_checkpoint_restore_roundtrip(self, tmp_path):
-        """Restore keeps the ingest block byte for byte (re-encoded by the
-        retired v1 writer); the new envelope is a plain in-process one in
-        state format v2 and keeps ingesting like a service that never
-        stopped."""
+        """Every pool driver restores and re-encodes byte for byte through
+        the retired v1 writer; the service checkpoint of the restore is a
+        plain one-driver envelope in state format v2 and keeps ingesting
+        like a service that never stopped."""
         ckpt = tmp_path / "again.ckpt.json"
         with ClusteringService.restore(LEGACY) as svc:
             svc.checkpoint(ckpt)
-            v1_ingest = v1_service_payload(svc)["ingest"]
         payload = json.loads(ckpt.read_text())
         assert payload["config"]["workers"] == 0
-        assert payload["config"]["num_shards"] == 2
+        assert payload["config"]["num_shards"] == 1
         assert payload["ingest"]["format_version"] == 2
+        assert payload["ingest"]["num_shards"] == 1
         legacy = json.loads(LEGACY.read_text())
-        assert _ingest_bytes(v1_ingest) == _ingest_bytes(legacy["ingest"])
-        assert b'"ingest":' + _ingest_bytes(legacy["ingest"]) in LEGACY.read_bytes()
+        assert b'"ingest":' + _bytes(legacy["ingest"]) in LEGACY.read_bytes()
+        assert len(legacy["ingest"]["shards"]) == 2
+        for shard in legacy["ingest"]["shards"]:
+            again = v1_streaming_state_to_dict(streaming_state_from_dict(shard))
+            assert _bytes(again) == _bytes(shard)
 
         more = np.array([[3, 4], [20, 21], [9, 30]])
         with ClusteringService.restore(ckpt) as twin, \
@@ -98,19 +102,13 @@ class TestWorkerCheckpointRestore:
         with ClusteringService.restore(LEGACY) as svc:
             assert isinstance(svc.ingest, ShardedIngest)
             assert svc.config.workers == 0
-            assert svc.ingest.num_shards == 2
+            assert svc.ingest.num_events == len(_events(3))
             got, _ = svc.query()
         assert got.to_dict() == json.loads(LEGACY_ANSWER.read_text())
 
-    def test_restore_rejects_worker_count_mismatch(self, tmp_path):
-        """``workers=3`` maps to 3 shards, but the block holds 2."""
-        payload = json.loads(LEGACY.read_text())
-        payload["config"]["workers"] = 3
-        with pytest.raises(ValueError, match="2 shards but its config asks for 3"):
-            ClusteringService.from_payload(payload)
-
     def test_restore_rejects_shard_count_mismatch(self):
+        """The ingest block says 5 shards but holds 2."""
         payload = json.loads((DATA / "golden_v1_exact.ckpt.json").read_text())
-        payload["config"]["num_shards"] = 5
-        with pytest.raises(ValueError, match="2 shards but its config asks for 5"):
+        payload["ingest"]["num_shards"] = 5
+        with pytest.raises(ValueError, match="shard count mismatch"):
             ClusteringService.from_payload(payload)

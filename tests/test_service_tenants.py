@@ -53,7 +53,7 @@ DATA = Path(__file__).resolve().parent / "data"
 # Small-but-real problem shape: 4 guess instances instead of 22, so a
 # tenant costs ~50 ms to create and ~10 ms to query — cheap enough to host
 # a hundred of them in one test.
-CHEAP = dict(k=2, d=2, delta=32, num_shards=1, seed=11,
+CHEAP = dict(k=2, d=2, delta=32, seed=11,
              o_range=(1.0, 8.0), restarts=1)
 
 
@@ -191,7 +191,7 @@ class TestEvictionAndRestore:
     def test_evict_restore_with_worker_processes(self, tmp_path):
         """The eviction file of a ``workers=1`` tenant (written by the
         removed worker pool, ``tests/data/make_legacy_pool.py``) restores
-        on touch into one in-process shard, re-serializes its ingest block
+        on touch into the tenant's one driver, re-serializes its ingest block
         byte for byte (through the retired v1 writer), and answers as the
         pool-backed tenant did."""
         legacy = DATA / "legacy_pool_tenant_w1.ckpt.json"

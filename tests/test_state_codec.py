@@ -380,6 +380,71 @@ class TestNonCanonicalV2Input:
         self._reject(data)
 
 
+#: Top-level fields that are not sketch data (their checks are elsewhere).
+_HEADER = ("format_version", "params", "seed", "backend", "prefer", "o_range",
+           "auto_pilot")
+
+_STATES: dict = {}
+
+
+def _state(fmt: int, backend: str) -> dict:
+    """JSON of a fed driver in format ``fmt`` (a fresh copy per call)."""
+    if fmt not in (1, 2):
+        raise ValueError(fmt)
+    if (fmt, backend) not in _STATES:
+        v2 = _fed_v2(backend)
+        _STATES[fmt, backend] = _dump(
+            v2 if fmt == 2 else v1_streaming_state_to_dict(streaming_state_from_dict(v2)))
+    return json.loads(_STATES[fmt, backend])
+
+
+def _int_leaves(node, path=()):
+    """Paths to every integer (not bool) leaf under ``node``."""
+    if type(node) is int:
+        yield path
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _int_leaves(v, path + (i,))
+    elif isinstance(node, dict):
+        for key, v in node.items():
+            if path or key not in _HEADER:
+                yield from _int_leaves(v, path + (key,))
+
+
+class TestNonIntegralValuesRejected:
+    """Restore rejects a value that is not a JSON integer anywhere in the
+    sketch data — store columns and rows, IBLT rows, nested-sketch
+    positions, pilot rows and the update count — instead of truncating
+    ``1.5`` or reading ``"3"`` and ``true`` as integers."""
+
+    @given(st.sampled_from([1, 2]), st.sampled_from(["exact", "sketch"]),
+           st.sampled_from(["float", "integral float", "string", "true",
+                            "false", "null"]),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_leaf(self, fmt, backend, kind, data):
+        state = _state(fmt, backend)
+        leaves = list(_int_leaves(state))
+        path = data.draw(st.sampled_from(leaves))
+        *parents, last = path
+        node = state
+        for key in parents:
+            node = node[key]
+        old = node[last]
+        node[last] = {"float": old + 0.5, "integral float": float(old),
+                      "string": str(old), "true": True, "false": False,
+                      "null": None}[kind]
+        with pytest.raises(ValueError):
+            streaming_state_from_dict(state)
+
+    @pytest.mark.parametrize("fmt", [1, 2])
+    @pytest.mark.parametrize("backend", ["exact", "sketch"])
+    def test_unedited_state_restores(self, fmt, backend):
+        state = _state(fmt, backend)
+        assert list(_int_leaves(state))
+        streaming_state_from_dict(state)
+
+
 class TestPilotLevelCount:
     """Regression: a pilot with the wrong number of levels used to restore
     silently truncated (zip against the rebuilt sampler's levels)."""

@@ -463,7 +463,7 @@ class TestNonIntegralRejection:
         assert before == after  # nothing ingested from the bad batch
 
     def test_sharded_insert_rejects(self, params):
-        ing = ShardedIngest(params, num_shards=2, seed=0, o_range=(8.0, 64.0))
+        ing = ShardedIngest(params, seed=0, o_range=(8.0, 64.0))
         with pytest.raises(ValueError, match="integral"):
             ing.insert_points([[1.5, 2.0]])
         assert ing.num_events == 0 and ing.version == 0
@@ -496,7 +496,7 @@ class TestNonIntegralRejection:
     @pytest.mark.parametrize("entry", ["apply_batch", "apply_arrays",
                                        "insert_points"])
     def test_sharded_entry_points_reject_fraction(self, params, entry):
-        ing = ShardedIngest(params, num_shards=2, seed=0, o_range=(8.0, 64.0))
+        ing = ShardedIngest(params, seed=0, o_range=(8.0, 64.0))
         ing.apply_batch([((1, 1), 1)])
         before = (ing.version, json.dumps(ing.to_state_dict(), sort_keys=True))
         call = {
