@@ -20,11 +20,12 @@ bench:
 
 # Quick ingest, fold and solve check plus latency percentiles: times the
 # per-event oracle against batched ingest, the fold of 4 drivers fed
-# disjoint parts of a stream and the exact transportation solve against
-# HiGHS, appends to BENCH_service.json, and fails unless the batched and
-# per-event states are bit-identical, the fold equals one driver fed the
-# whole stream, the merged pilot samples like the scalar peel and the exact
-# solve's flow is feasible at HiGHS's cost (within 1e-9 relative).
+# disjoint parts of a stream (exact and sketch backends) and the exact
+# transportation solve against HiGHS, appends to BENCH_service.json, and
+# fails unless the batched and per-event states are bit-identical, each
+# fold equals one driver fed the whole stream, the merged pilot samples
+# like the scalar peel and the exact solve's flow is feasible at HiGHS's
+# cost (within 1e-9 relative).
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_service_throughput.py --smoke
 

@@ -12,8 +12,9 @@ Also runnable as a script::
 which runs an ingest/query latency percentile pass (p50/p95/p99), the
 scalar-vs-batched ingest check (fails unless the two states are
 bit-identical), the fold check (fails unless 4 drivers fed disjoint
-parts of the stream fold to the bytes of one driver fed all of it, and the
-merged pilot samples like the scalar peel) and the solve check (fails unless the exact transportation solve
+parts of the stream fold to the bytes of one driver fed all of it, on the
+exact and the sketch backend, and the merged pilot samples like the scalar
+peel) and the solve check (fails unless the exact transportation solve
 matches HiGHS's cost within 1e-9 relative with a feasible flow), and
 **appends** the records to ``BENCH_service.json`` at
 the repo root (``make bench-smoke``) — runs accumulate as a history rather
@@ -102,8 +103,22 @@ def run_scalar_vs_batched(n: int = 4000, delta: int = 1024,
     }
 
 
+def _fed_drivers(make, events, batch: int, num_drivers: int):
+    """``num_drivers`` drivers fed disjoint parts of ``events`` (event
+    ``i`` to driver ``i mod num_drivers``) and one driver fed all of it."""
+    drivers = [make() for _ in range(num_drivers)]
+    single = make()
+    for lo in range(0, len(events), batch):
+        chunk = events[lo: lo + batch]
+        for j, driver in enumerate(drivers):
+            driver.update_batch(chunk[j::num_drivers])
+        single.update_batch(chunk)
+    return drivers, single
+
+
 def run_fold_identity(n: int = 1500, delta: int = 256, batch: int = 512,
-                      num_drivers: int = 4, seed: int = 3, repeats: int = 5) -> dict:
+                      num_drivers: int = 4, seed: int = 3, repeats: int = 5,
+                      sketch_n: int = 300) -> dict:
     """The linear fold of drivers and the ℓ₀ pilot peel, checked and timed.
 
     ``num_drivers`` drivers fed disjoint parts of the stream (event ``i``
@@ -113,8 +128,11 @@ def run_fold_identity(n: int = 1500, delta: int = 256, batch: int = 512,
     multi-shard restore do — must equal one driver fed the whole stream
     byte for byte, the Storing state and the pilot sketches alike (IBLT
     rows are written in bucket-position order, so it does not matter which
-    driver touched a bucket first).  The merged pilot's ``sample()`` must
-    equal the key-at-a-time peel of ``tests/scalar_oracle.py``.
+    driver touched a bucket first).  The same holds for sketch-backend
+    drivers on a ``sketch_n``-point stream with a two-guess window (cell
+    IBLTs and the nested point sketches folded).  The merged pilot's
+    ``sample()`` must equal the key-at-a-time peel of
+    ``tests/scalar_oracle.py``.
     """
     from repro.service.state import streaming_state_to_dict
     from repro.streaming.merge import merge_streaming_states
@@ -128,18 +146,23 @@ def run_fold_identity(n: int = 1500, delta: int = 256, batch: int = 512,
     params = CoresetParams.practical(k=3, d=2, delta=delta)
     stream, _, _ = _workload(n=n, delta=delta, seed=seed)
     events = list(stream)
-    drivers = [StreamingCoreset(params, seed=9) for _ in range(num_drivers)]
-    single = StreamingCoreset(params, seed=9)
-    for lo in range(0, len(events), batch):
-        chunk = events[lo: lo + batch]
-        for j, driver in enumerate(drivers):
-            driver.update_batch(chunk[j::num_drivers])
-        single.update_batch(chunk)
+    drivers, single = _fed_drivers(lambda: StreamingCoreset(params, seed=9),
+                                   events, batch, num_drivers)
     fold_s = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         merged = merge_streaming_states(drivers[0].copy(), *drivers[1:])
         fold_s.append(time.perf_counter() - t0)
+
+    sketch_stream, _, pilot = _workload(n=sketch_n, delta=delta, seed=seed)
+    sketch_events = list(sketch_stream)
+    sketches, sketch_single = _fed_drivers(
+        lambda: StreamingCoreset(params, seed=9, backend="sketch",
+                                 o_range=(pilot / 8, pilot / 4)),
+        sketch_events, batch, num_drivers)
+    t0 = time.perf_counter()
+    sketch_merged = merge_streaming_states(sketches[0].copy(), *sketches[1:])
+    sketch_fold_s = time.perf_counter() - t0
 
     sampler = merged._pilot_sampler
     t0 = time.perf_counter()
@@ -156,6 +179,11 @@ def run_fold_identity(n: int = 1500, delta: int = 256, batch: int = 512,
         "sample_ms": round(sample_s * 1e3, 3),
         "fold_identical": (_canonical(streaming_state_to_dict(merged))
                            == _canonical(streaming_state_to_dict(single))),
+        "sketch_events": len(sketch_events),
+        "sketch_fold_ms": round(sketch_fold_s * 1e3, 3),
+        "sketch_fold_identical": (
+            _canonical(streaming_state_to_dict(sketch_merged))
+            == _canonical(streaming_state_to_dict(sketch_single))),
         "peel_identical": sample == scalar_sample(sampler),
     }
 
@@ -380,9 +408,12 @@ def _smoke(argv=None) -> dict:
     )
     print_table(
         f"service: {fold['drivers']}-driver fold vs one driver",
-        ["events", "fold ms", "sample ms", "fold identical", "peel identical"],
-        [[fold["events"], fold["fold_ms"], fold["sample_ms"],
-          fold["fold_identical"], fold["peel_identical"]]],
+        ["backend", "events", "fold ms", "sample ms", "fold identical",
+         "peel identical"],
+        [["exact", fold["events"], fold["fold_ms"], fold["sample_ms"],
+          fold["fold_identical"], fold["peel_identical"]],
+         ["sketch", fold["sketch_events"], fold["sketch_fold_ms"], "-",
+          fold["sketch_fold_identical"], "-"]],
     )
     print_table(
         f"service: exact solve vs HiGHS ({solve['coreset']}-point merged coreset)",
@@ -395,6 +426,8 @@ def _smoke(argv=None) -> dict:
         raise SystemExit("FAIL: batched ingest state diverged from scalar")
     if not fold["fold_identical"]:
         raise SystemExit("FAIL: driver fold diverged from the one-driver state")
+    if not fold["sketch_fold_identical"]:
+        raise SystemExit("FAIL: sketch driver fold diverged from the one-driver state")
     if not fold["peel_identical"]:
         raise SystemExit("FAIL: pilot sample diverged from the scalar peel")
     if not solve["feasible"]:

@@ -50,6 +50,10 @@ __all__ = ["AsyncClusteringServer", "start_async_server", "serve_forever_async"]
 class AsyncClusteringServer:
     """One asyncio listener over one :class:`TenantRegistry`."""
 
+    #: Seconds a stop waits for connection handlers to finish after their
+    #: connections are closed (one mid-solve finishes its request first).
+    SHUTDOWN_GRACE_S = 10.0
+
     def __init__(self, registry: TenantRegistry, host: str = "127.0.0.1",
                  port: int = 0, max_request_bytes: int | None = None):
         self.registry = registry
@@ -65,6 +69,8 @@ class AsyncClusteringServer:
         self._stop_event: asyncio.Event | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._idem = IdempotencyCache()
+        #: Open connections: handler task → its writer.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # ------------------------------------------------------------ lifecycle
     async def start(self) -> None:
@@ -81,9 +87,15 @@ class AsyncClusteringServer:
 
     async def wait_stopped(self) -> None:
         """Block until a ``shutdown`` op (or :meth:`shutdown`) fires, then
-        close the listener."""
+        close the listener and every open connection, and wait (up to
+        :attr:`SHUTDOWN_GRACE_S`) for their handlers to finish, so none is
+        left for the loop's teardown to cancel."""
         await self._stop_event.wait()
         self._server.close()
+        for writer in self._connections.values():
+            writer.close()
+        if self._connections:
+            await asyncio.wait(list(self._connections), timeout=self.SHUTDOWN_GRACE_S)
         await self._server.wait_closed()
 
     async def serve(self, ready: threading.Event | None = None) -> None:
@@ -105,6 +117,8 @@ class AsyncClusteringServer:
     # ------------------------------------------------------------ connection
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -155,6 +169,7 @@ class AsyncClusteringServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+            del self._connections[task]
 
     # -------------------------------------------------------------- dispatch
     async def _dispatch(self, line: bytes

@@ -43,7 +43,8 @@ and ``pilot`` holds one row list per ℓ₀ level.  IBLT rows are
 (``IBLTSketch.bucket_rows`` / ``load_bucket_rows``).  Every part is a
 canonical function of the sketch contents, so a merged state's bytes do not
 depend on the order sites or shards were folded in, and restore → write is
-byte-identical.  Restore rejects non-canonical v2 input with ``ValueError``.
+byte-identical.  Restore rejects non-canonical v2 input with ``ValueError``
+(a nested sketch that is empty or listed twice included).
 
 A service's ingest block (:func:`sharded_state_to_dict`) holds its
 counters and a ``shards`` list with its one driver (``num_shards`` 1,
@@ -58,14 +59,20 @@ Format v1 (read only)
 Files and senders from before v2 hold one ``{"kind", "cells", "points"}``
 (exact) or ``{"kind", "cells", "nested"}`` (sketch) dict per store under
 each instance's ``store_h`` / ``store_hp`` / ``store_hhat``, IBLT rows in
-first-touch order.  They restore bit-identically into memory (slot order
-included) and answer as before; non-canonical v1 input is normalised the
-way the v1 writer's dict views defined it.  Writing always produces v2.
+first-touch order.  They restore to the same bucket contents, held in
+position order, and answer as before; non-canonical v1 input is
+normalised the way the v1 writer's dict views defined it (a bucket or
+nested sketch listed twice keeps its last entry).  Rows naming buckets
+outside the sketch and nested sketches in a store that keeps no points
+are rejected.  Writing always produces v2.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from urllib.parse import quote, unquote
+
+import numpy as np
 
 from repro.core.io import atomic_write_json, params_from_dict, params_to_dict
 from repro.hashing.kwise import json_ints
@@ -145,28 +152,61 @@ def _stores(sc: StreamingCoreset) -> list:
 
 
 def _sketch_storing_to_dict(store: SketchStoring) -> dict:
-    """One sketch Storing: its cell IBLT and every nested point IBLT, the
-    nested sketches in (row, pos) order."""
+    """One sketch Storing: its cell IBLT and every touched nested point
+    IBLT, the nested sketches in (row, pos) order."""
+    points = store._points
+    m = store._cells.m
     return {
         "cells": store._cells.bucket_rows(),
-        "nested": [[r, p, store._nested[r, p].bucket_rows()]
-                   for r, p in sorted(store._nested)],
+        "nested": [] if points is None else [
+            [*divmod(g, m), rows] for g, rows in points.group_rows()],
     }
 
 
-def _sketch_storing_from_dict(store: SketchStoring, data: dict) -> None:
-    """Inverse of :func:`_sketch_storing_to_dict` (v2: canonical only)."""
-    store._cells.load_bucket_rows(data["cells"])
-    store._nested = {}
-    last = None
-    for r, p, rows in data["nested"]:
-        json_ints((r, p), "v2 state: nested sketch positions")
-        if (last is not None and (r, p) <= last) or not (
-                0 <= r < store._cells.ROWS and 0 <= p < store._cells.m):
-            raise ValueError("v2 state: nested sketches must name in-range "
-                             "buckets in increasing (row, pos) order")
-        last = (r, p)
-        store._nested_at(r, p).load_bucket_rows(rows)
+def _sketch_storing_from_dict(store: SketchStoring, data: dict, *,
+                              canonical: bool) -> None:
+    """Inverse of :func:`_sketch_storing_to_dict` into a fresh Storing.
+
+    ``canonical`` (v2): nested sketches non-empty, naming in-range cell
+    buckets in increasing (row, pos) order, else ``ValueError``.  v1
+    (``canonical=False``): any order; a bucket listed twice keeps its last
+    nested sketch, and an empty one is no sketch.  Either way nested
+    sketches in a store that keeps no points raise ``ValueError``.
+    """
+    what = "v2 state: nested sketches" if canonical else "checkpoint nested sketches"
+    store._cells.load_bucket_rows(data["cells"], canonical=canonical)
+    nested = data["nested"]
+    if not nested:
+        return
+    if store._points is None:
+        raise ValueError(f"{what} in a store that keeps no points")
+    try:
+        pos = [(r, p) for r, p, _ in nested]
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be [row, pos, rows] entries") from None
+    json_ints(chain.from_iterable(pos), f"{what} positions")
+    rows = [entry[2] for entry in nested]
+    if not all(isinstance(r, list) for r in rows):
+        raise ValueError(f"{what} must be [row, pos, rows] entries")
+    cells = store._cells
+    try:
+        rp = np.array(pos, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{what} must name in-range cell buckets") from None
+    if not ((rp >= 0).all() and (rp[:, 0] < cells.ROWS).all() and (rp[:, 1] < cells.m).all()):
+        raise ValueError(f"{what} must name in-range cell buckets")
+    groups = rp[:, 0] * cells.m + rp[:, 1]
+    if canonical:
+        if not ((groups[1:] > groups[:-1]).all() and all(rows)):
+            raise ValueError(f"{what} must be non-empty, in increasing (row, pos) order")
+    else:
+        last = dict(zip(groups.tolist(), rows))  # scalar-ok: checkpoint restore, per nested sketch
+        groups = np.fromiter(last, dtype=np.int64, count=len(last))
+        rows = list(last.values())
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    store._points.load_bucket_rows(list(chain.from_iterable(rows)),
+                                   group=np.repeat(groups, lengths),
+                                   canonical=canonical)
 
 
 def _v1_storing_from_dict(store, data: dict) -> None:
@@ -178,11 +218,7 @@ def _v1_storing_from_dict(store, data: dict) -> None:
         return
     if data["kind"] != "sketch":
         raise ValueError("checkpoint backend mismatch (expected sketch)")
-    store._cells.load_bucket_rows(data["cells"], canonical=False)
-    store._nested = {}
-    for r, p, rows in data["nested"]:
-        json_ints((r, p), "checkpoint nested sketch positions")
-        store._nested_at(r, p).load_bucket_rows(rows, canonical=False)
+    _sketch_storing_from_dict(store, data, canonical=False)
 
 
 # ------------------------------------------------------------- one driver
@@ -277,7 +313,7 @@ def streaming_state_from_dict(data: dict) -> StreamingCoreset:
             if not isinstance(payload, list) or len(payload) != len(stores):
                 raise ValueError("v2 state: one entry per sketch store expected")
             for store, d in zip(stores, payload):
-                _sketch_storing_from_dict(store, d)
+                _sketch_storing_from_dict(store, d, canonical=True)
     if data["pilot"] is not None:
         if sc._pilot_sampler is None:
             raise ValueError("checkpoint has pilot state but rebuilt driver has none")

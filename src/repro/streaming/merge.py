@@ -39,20 +39,11 @@ def merge_storing(a, *others):
         return a
     if isinstance(a, SketchStoring):
         for b in others:
-            _add_iblt(a._cells, b._cells)
-            # repro-lint: disable=DET104 merging in b's first-touch order creates
-            # any nested sketch new to `a` exactly where sequential ingest of the
-            # concatenated stream (a's events then b's) would have created it.
-            for pos, sk in b._nested.items():
-                _add_iblt(a._nested_at(*pos), sk)
+            a._cells.merge_from(b._cells)
+            if a._points is not None:
+                a._points.merge_from(b._points)
         return a
     raise TypeError(f"unknown Storing type {type(a)!r}")
-
-
-def _add_iblt(dst, src) -> None:
-    if dst.m != src.m or dst.universe_bits != src.universe_bits:
-        raise ValueError("cannot merge IBLTs of different shapes")
-    dst.merge_from(src)
 
 
 def _check_mergeable(a: StreamingCoreset, b: StreamingCoreset) -> None:
@@ -96,7 +87,7 @@ def merge_streaming_states(a: StreamingCoreset, *others: StreamingCoreset) -> St
     if a._pilot_sampler is not None:
         for b in others:
             for sa, sb in zip(a._pilot_sampler._sketches, b._pilot_sampler._sketches):
-                _add_iblt(sa, sb)
+                sa.merge_from(sb)
     a.num_updates += sum(b.num_updates for b in others)
     return a
 

@@ -18,39 +18,34 @@ The classic tool is an invertible-Bloom-lookup-table (IBLT) style sketch:
 
 Implementation notes (performance — see the HPC guide):
 
-- bucket state is **sparse-columnar**: a dict maps each touched
-  ``row·m + pos`` flat position to a slot index into three parallel growable
-  accumulator arrays (int64 counts; object-dtype key/fingerprint sums, since
-  both can exceed 64 bits).  :meth:`IBLTSketch.update_many` applies a whole
-  batch with one stacked Horner sweep and three ``np.add.at`` scatters.
-  Slots are assigned in *first-touch event order* (event-major,
-  row-minor), so the :attr:`buckets` view is identical whether a stream
-  was ingested one event at a time or in batches of any size.  Checkpoint
-  rows (:meth:`IBLTSketch.bucket_rows`) are written in bucket-position
-  order, so their bytes depend on the bucket contents alone — not on the
-  slot order, the batching or the order sketches were merged in.
-- :meth:`IBLTSketch.merge_from` appends the other sketch's new slots in its
-  first-touch order (where sequential ingest of the concatenated stream
-  would create them) and adds the three sums column-wise.
-- :meth:`IBLTSketch.decode` peels in rounds over the columns: every
-  verified 1-sparse bucket is found at once, the distinct keys are
-  subtracted at all their positions with ``np.subtract.at``, and the next
-  round checks only the buckets that changed.  Key sums run in int64 while
-  a pure bucket's ``count·key`` provably fits, else in object dtype; the
-  fingerprint check is exact either way.  Sketches sharing one hash family
-  (the nested point sketches) peel jointly in :func:`peel_many`, hashing
-  all their keys in one sweep per round.  The key-at-a-time peel is the
-  oracle in ``tests/scalar_oracle.py``.
-- a zeroed slot is equivalent to an absent one; decoding only walks touched
-  slots.  ``space_bits`` still charges the full pre-allocated layout a
-  space-bounded implementation would use; ``resident_bits`` reports what is
-  actually materialized.
-- many sketches of identical shape (the nested per-bucket point sketches of
-  :class:`~repro.streaming.storing.SketchStoring`) share one
-  :class:`SketchHashFamily`, so creating a nested sketch allocates nothing
-  but a dict and three empty arrays, and the per-key hash sweeps can be
-  computed once per batch and fanned out to every nested sketch via
-  :meth:`IBLTSketch.apply_hashed`.
+- bucket state is **sparse-columnar**: the touched flat positions
+  ``row·m + pos`` sit in one increasing int64 column, next to three
+  accumulator columns (int64 counts; object-dtype key/fingerprint sums,
+  since both can exceed 64 bits).  :meth:`IBLTSketch.update_many` applies a
+  whole batch with one stacked Horner sweep, one ``searchsorted`` touch
+  (inserting new positions in order) and three ``np.add.at`` scatters.
+  The state is a function of the bucket contents alone — not of the
+  batching, the event order or the order sketches were merged in — and so
+  are the checkpoint rows (:meth:`IBLTSketch.bucket_rows`).
+- one table can hold many sketches of one shape (``groups``): group ``g``
+  owns the flat positions ``g·ROWS·m + row·m + pos``, and all groups share
+  one :class:`SketchHashFamily`.  The nested per-bucket point sketches of
+  :class:`~repro.streaming.storing.SketchStoring` are the groups of one
+  table, so a batch hashes its points once and lands in one scatter.
+- :meth:`IBLTSketch.merge_from` touches the other table's positions and
+  adds the three sums column-wise.
+- :meth:`IBLTSketch.peel` peels in rounds over the columns of the wanted
+  groups: every verified 1-sparse bucket is found at once, the distinct
+  keys are subtracted at all their positions with ``np.subtract.at``, and
+  the next round checks only the buckets that changed.  Groups are
+  disjoint, so each peels exactly as it would alone.  Key sums run in
+  int64 while a pure bucket's ``count·key`` provably fits, else in object
+  dtype; the fingerprint check is exact either way.  The key-at-a-time
+  peel is the oracle in ``tests/scalar_oracle.py``.
+- a zeroed bucket is equivalent to an absent one; decoding only walks
+  touched buckets.  ``space_bits`` still charges the full pre-allocated
+  layout a space-bounded implementation would use; ``resident_bits``
+  reports what is actually materialized.
 """
 
 from __future__ import annotations
@@ -63,7 +58,7 @@ import numpy as np
 from repro.hashing.kwise import KWiseHash, StackedHashes, as_keys, json_ints
 from repro.utils.rng import derive_seed
 
-__all__ = ["IBLTSketch", "SketchHashFamily", "DecodeFailure", "peel_many"]
+__all__ = ["IBLTSketch", "SketchHashFamily", "DecodeFailure"]
 
 
 class DecodeFailure(Exception):
@@ -125,139 +120,140 @@ class IBLTSketch:
     ----------
     capacity:
         Number of distinct keys the decoder must handle (the α or β of
-        Lemma 4.2).  Buckets per row default to 2×capacity (min 8).
+        Lemma 4.2).  Buckets per row are 2×capacity (min 8).
     universe_bits:
         Keys satisfy 0 ≤ key < 2^universe_bits (Python bigints fine).
     seed:
-        Seeds a private hash family; ignored when ``family`` is given.
-    family:
-        Optional shared :class:`SketchHashFamily` (must match the bucket
-        count implied by ``capacity``/``buckets_per_row``).
+        Seeds the hash family.
+    groups:
+        Number of sketches the table holds (group ``g`` owns the flat
+        positions ``[g·ROWS·m, (g+1)·ROWS·m)``), all hashed by one family.
     """
 
     ROWS = SketchHashFamily.ROWS
 
-    def __init__(self, capacity: int, universe_bits: int, seed=0,
-                 buckets_per_row: int | None = None,
-                 family: SketchHashFamily | None = None):
+    def __init__(self, capacity: int, universe_bits: int, seed=0, groups: int = 1):
         self.capacity = int(capacity)
         self.universe_bits = int(universe_bits)
-        m = buckets_per_row if buckets_per_row is not None else max(8, 2 * self.capacity)
-        if family is not None and family.m != int(m):
-            raise ValueError("shared family bucket count mismatch")
-        self.family = family if family is not None else SketchHashFamily(
-            int(m), universe_bits, seed=seed)
+        self.groups = int(groups)
+        if self.groups < 1:
+            raise ValueError(f"groups must be >= 1, got {self.groups}")
+        self.family = SketchHashFamily(max(8, 2 * self.capacity), universe_bits,
+                                       seed=seed)
         self.m = self.family.m
-        # Sparse-columnar bucket state: flat position (row·m + pos) → slot
-        # index into the parallel accumulator arrays.  Slots are assigned in
-        # first-touch order, which keeps the `buckets` view independent of
-        # batch boundaries (checkpoint rows are in position order anyway).
-        self._slot: dict[int, int] = {}
+        #: Flat positions one group spans.
+        self.span = self.ROWS * self.m
+        self._row_base = (np.arange(self.ROWS, dtype=np.int64) * self.m)[:, None]
+        # Sparse-columnar bucket state: touched flat positions, increasing,
+        # and their sums.
+        self._flat = np.zeros(0, dtype=np.int64)
         self._count = np.zeros(0, dtype=np.int64)
         self._keysum = np.zeros(0, dtype=object)  # can exceed 64 bits
         self._fpsum = np.zeros(0, dtype=object)   # count · fp exceeds 2^63 fast
 
     # -- columnar plumbing ----------------------------------------------------
-    def _ensure_capacity(self, need: int) -> None:
-        cap = len(self._count)
-        if need <= cap:
-            return
-        new_cap = max(16, 2 * cap, need)
-        count = np.zeros(new_cap, dtype=np.int64)
-        keysum = np.zeros(new_cap, dtype=object)
-        fpsum = np.zeros(new_cap, dtype=object)
-        n = len(self._slot)
-        count[:n] = self._count[:n]
-        keysum[:n] = self._keysum[:n]
-        fpsum[:n] = self._fpsum[:n]
-        self._count, self._keysum, self._fpsum = count, keysum, fpsum
+    def _touch(self, flat: np.ndarray) -> np.ndarray:
+        """Column index of every entry of ``flat`` (any shape), inserting
+        the positions not touched yet as zero buckets, in position order."""
+        have = self._flat
+        idx = np.searchsorted(have, flat)
+        if len(have):
+            found = have.take(idx, mode="clip") == flat
+            if found.all():
+                return idx
+            new = _distinct(flat[~found])
+        else:
+            new = _distinct(flat)
+        size = len(have) + len(new)
+        old = np.ones(size, dtype=bool)
+        old[np.searchsorted(have, new) + np.arange(len(new))] = False
+        merged = np.empty(size, dtype=np.int64)
+        merged[old], merged[~old] = have, new
+        self._flat = merged
+        for name in ("_count", "_keysum", "_fpsum"):  # scalar-ok: three columns
+            col = getattr(self, name)
+            grown = np.zeros(size, dtype=col.dtype)
+            grown[old] = col
+            setattr(self, name, grown)
+        return idx + np.searchsorted(new, flat)
 
-    @property
-    def buckets(self) -> dict[tuple[int, int], list]:
-        """Materialized buckets as ``{(row, pos): [count, keysum, fpsum]}``.
-
-        A fresh dict of Python ints in first-touch order — the exact view
-        (and serialization order) the pre-columnar implementation stored.
-        Mutating the returned dict does not write through; use
-        :meth:`update_many` / :meth:`merge_from`.
-        """
-        m = self.m
-        count, keysum, fpsum = self._count, self._keysum, self._fpsum
-        return {
-            divmod(flat, m): [int(count[i]), int(keysum[i]), int(fpsum[i])]
-            for flat, i in self._slot.items()
-        }
-
-    @buckets.setter
-    def buckets(self, mapping: dict) -> None:
-        """Load bucket state (checkpoint restore); preserves mapping order."""
-        self._slot = {}
-        n = len(mapping)
-        self._count = np.zeros(n, dtype=np.int64)
-        self._keysum = np.zeros(n, dtype=object)
-        self._fpsum = np.zeros(n, dtype=object)
-        m = self.m
-        for (r, pos), b in mapping.items():  # scalar-ok: checkpoint restore
-            i = len(self._slot)
-            self._slot[r * m + pos] = i
-            self._count[i] = int(b[0])
-            self._keysum[i] = int(b[1])
-            self._fpsum[i] = int(b[2])
+    def flat_positions(self, pos_rows: np.ndarray, group=None) -> np.ndarray:
+        """Flat positions of hashed keys: ``(ROWS, n)`` from the
+        :meth:`SketchHashFamily.hash_np` positions, or ``(ROWS, G, n)``
+        when ``group`` names ``G`` groups for each of the ``n`` keys."""
+        flat = pos_rows + self._row_base
+        if group is None:
+            return flat
+        return flat[:, None, :] + group * self.span
 
     def bucket_rows(self) -> list[list[int]]:
         """Materialized buckets as ``[row, pos, count, keysum, fpsum]`` rows
         of Python ints, in bucket-position order — the checkpoint form,
-        built column-wise from the accumulator arrays.  Position order
-        makes the rows a function of the bucket contents alone, whatever
-        order the slots were created or merged in."""
-        n = len(self._slot)
-        flat = np.fromiter(self._slot, dtype=np.int64, count=n)
-        idx = np.fromiter(self._slot.values(), dtype=np.int64, count=n)
-        order = np.argsort(flat)
-        flat, idx = flat[order], idx[order]
-        row, pos = np.divmod(flat, self.m)
-        cols = (row, pos, self._count[idx], self._keysum[idx], self._fpsum[idx])
+        built column-wise.  In a table of several groups ``row`` counts on
+        across groups (group ``g``'s rows are ``g·ROWS`` … ``g·ROWS + 2``);
+        :meth:`group_rows` splits them."""
+        row, pos = np.divmod(self._flat, self.m)
+        cols = (row, pos, self._count, self._keysum, self._fpsum)
         return np.column_stack(cols).tolist()  # scalar-ok: checkpoint encode
 
-    def load_bucket_rows(self, rows, *, canonical: bool = True) -> None:
-        """Inverse of :meth:`bucket_rows` (checkpoint restore), keeping the
-        given row order as the slot order.
+    def group_rows(self) -> list[tuple[int, list[list[int]]]]:
+        """``(group, rows)`` of every touched group, in group order, each
+        group's rows as :meth:`bucket_rows` gives a one-group table's."""
+        group, flat = np.divmod(self._flat, self.span)
+        row, pos = np.divmod(flat, self.m)
+        cols = (row, pos, self._count, self._keysum, self._fpsum)
+        rows = np.column_stack(cols).tolist()  # scalar-ok: checkpoint encode
+        starts = np.flatnonzero(np.diff(group, prepend=-1))
+        bounds = np.append(starts, len(group)).tolist()  # scalar-ok: one bound per group
+        return [(g, rows[lo:hi]) for g, lo, hi in  # scalar-ok: checkpoint encode, per group
+                zip(group[starts].tolist(), bounds, bounds[1:])]  # scalar-ok: one id per group
 
-        ``canonical`` input (state format v2) must name in-range buckets in
-        strictly increasing position order, else ``ValueError``.  With
-        ``canonical=False`` (v1 files, written in first-touch order) rows
-        naming distinct buckets load in any order, and a bucket listed
-        twice goes through the :attr:`buckets` setter, whose
-        last-row-wins normalisation is the v1 reference semantics.  Either
-        way an entry that is not an integer raises ``ValueError``.
+    def load_bucket_rows(self, rows, *, group=None, canonical: bool = True) -> None:
+        """Inverse of :meth:`bucket_rows` (checkpoint restore) into an empty
+        table; ``group`` gives the group of every row (default group 0,
+        rows then numbered within their group).
+
+        Every row must name an in-range bucket, else ``ValueError``.
+        ``canonical`` input (state format v2) must list them in strictly
+        increasing position order, else ``ValueError``.  With
+        ``canonical=False`` (v1 files) rows load in any order, and a bucket
+        listed twice keeps its last row — the v1 reference semantics.
+        Either way an entry that is not an integer raises ``ValueError``.
         """
-        json_ints(chain.from_iterable(rows), "IBLT rows")
+        what = "v2 state: IBLT rows" if canonical else "checkpoint IBLT rows"
+        json_ints(chain.from_iterable(rows), what)
         cols = np.array(rows, dtype=object)
         if not len(rows):
             cols = cols.reshape(0, 5)
-        if cols.ndim == 2 and cols.shape[1] == 5:
+        if cols.ndim != 2 or cols.shape[1] != 5:
+            raise ValueError(f"{what} must be [row, pos, count, keysum, fpsum]")
+        try:
             row, pos = cols[:, 0].astype(np.int64), cols[:, 1].astype(np.int64)
-            flat = row * self.m + pos
-            if canonical:
-                if not (((row >= 0) & (row < self.ROWS) & (pos >= 0) & (pos < self.m)).all()
-                        and (flat[1:] > flat[:-1]).all()):
-                    raise ValueError("v2 state: IBLT rows must name in-range "
-                                     "buckets in increasing position order")
-            slot = dict(zip(flat.tolist(), range(len(flat))))  # scalar-ok: checkpoint restore
-            if len(slot) == len(flat):
-                self._slot = slot
-                self._count = cols[:, 2].astype(np.int64)
-                self._keysum = cols[:, 3].copy()
-                self._fpsum = cols[:, 4].copy()
-                return
+        except OverflowError:
+            raise ValueError(f"{what} must name in-range buckets") from None
+        g = np.zeros(len(row), dtype=np.int64) if group is None else group
+        if not ((row >= 0) & (row < self.ROWS) & (pos >= 0) & (pos < self.m)
+                & (g >= 0) & (g < self.groups)).all():
+            raise ValueError(f"{what} must name in-range buckets")
+        flat = g * self.span + row * self.m + pos
         if canonical:
-            raise ValueError("v2 state: IBLT rows must be [row, pos, count, keysum, fpsum]")
-        self.buckets = {(r, p): [c, ks, fs] for r, p, c, ks, fs in rows}
+            if not (flat[1:] > flat[:-1]).all():
+                raise ValueError(f"{what} must be in increasing position order")
+            keep = np.arange(len(flat))
+        else:
+            order = np.argsort(flat, kind="stable")
+            last = np.ones(len(order), dtype=bool)
+            last[:-1] = flat[order][1:] != flat[order][:-1]
+            keep = order[last]
+        self._flat = flat[keep]
+        self._count = cols[keep, 2].astype(np.int64)
+        self._keysum = cols[keep, 3]
+        self._fpsum = cols[keep, 4]
 
     def copy(self) -> "IBLTSketch":
-        """An independent sketch with the same buckets; shares the family."""
+        """An independent sketch with the same buckets; shares the family
+        and the position column, which is rebound, never written in place."""
         new = copy.copy(self)
-        new._slot = dict(self._slot)
         new._count = self._count.copy()
         new._keysum = self._keysum.copy()
         new._fpsum = self._fpsum.copy()
@@ -265,12 +261,7 @@ class IBLTSketch:
 
     # -- updates -------------------------------------------------------------
     def update_many(self, keys, deltas) -> None:
-        """Apply a batch of signed updates in vectorized sweeps.
-
-        ``keys``/``deltas`` are equal-length sequences; buckets materialize
-        in first-touch order, so the state does not depend on how a stream
-        is split into batches.
-        """
+        """Apply a batch of signed updates (group 0) in vectorized sweeps."""
         keys = as_keys(keys)
         if keys.size == 0:
             return
@@ -278,89 +269,90 @@ class IBLTSketch:
         self.apply_hashed(*self.family.hash_np(keys), keys, deltas)
 
     def apply_hashed(self, pos_rows: np.ndarray, fps: np.ndarray,
-                     keys, deltas: np.ndarray) -> None:
+                     keys: np.ndarray, deltas: np.ndarray, group=None) -> None:
         """Batched scatter with hash sweeps precomputed by the caller.
 
         ``pos_rows`` and ``fps`` are the output of
-        :meth:`SketchHashFamily.hash_np` — shared-family callers (the nested
-        point sketches of ``SketchStoring``) hash once per batch and fan the
-        arrays out here.
+        :meth:`SketchHashFamily.hash_np` for the key array ``keys``;
+        ``group`` (``(G, n)``, default group 0) puts every update into
+        ``G`` groups, as :meth:`flat_positions` reads it.
         """
-        n = pos_rows.shape[1]
-        m = self.m
-        rows = self.ROWS
-        # Flat positions interleaved in event-major order: entry 3·i + r is
-        # event i, row r — so first-touch slot assignment follows the
-        # stream, not the batching.
-        flat = np.empty(rows * n, dtype=np.int64)
-        for r in range(rows):  # scalar-ok: ROWS=3, vectorized over events
-            flat[r::rows] = np.int64(r) * m + pos_rows[r]
-        slot = self._slot
-        uniq, first = np.unique(flat, return_index=True)
-        fresh = np.fromiter((u not in slot for u in uniq.tolist()),  # scalar-ok: dict-backed slot lookup, per distinct bucket
-                            dtype=bool, count=len(uniq))
-        if fresh.any():
-            new_ids = uniq[fresh]
-            order = np.argsort(first[fresh], kind="stable")
-            base = len(slot)
-            self._ensure_capacity(base + len(new_ids))
-            for u in new_ids[order].tolist():  # scalar-ok: per new bucket
-                slot[u] = base
-                base += 1
-        idx = np.fromiter((slot[u] for u in flat.tolist()),  # scalar-ok: dict-backed slot lookup
-                          dtype=np.int64, count=len(flat))
-        dk = deltas.astype(object) * (
-            keys.astype(object) if isinstance(keys, np.ndarray)
-            else np.array([int(k) for k in keys], dtype=object))
-        dfp = deltas.astype(object) * fps.astype(object)
-        np.add.at(self._count, idx, np.repeat(deltas, rows))
-        np.add.at(self._keysum, idx, np.repeat(dk, rows))
-        np.add.at(self._fpsum, idx, np.repeat(dfp, rows))
+        idx = self._touch(self.flat_positions(pos_rows, group).ravel())
+        reps = len(idx) // len(deltas)
+        wide = deltas.astype(object)
+        dk = wide * keys.astype(object)
+        dfp = wide * fps.astype(object)
+        # Values tiled to the index length: numpy 2.4's int64 ``add.at``
+        # reads garbage when it has to broadcast them.
+        np.add.at(self._count, idx, np.tile(deltas, reps))
+        np.add.at(self._keysum, idx, np.tile(dk, reps))
+        np.add.at(self._fpsum, idx, np.tile(dfp, reps))
 
     def merge_from(self, other: "IBLTSketch") -> None:
-        """Add another sketch's bucket state into this one (linearity).
-
-        Slots new to this sketch are appended in ``other``'s first-touch
-        order, where a slot-by-slot merge would create them, so the
-        :attr:`buckets` view matches sequential ingest of the concatenated
-        stream; the sums then add in one fancy-indexed pass per column.
-        """
-        n = len(other._slot)
-        if not n:
+        """Add another sketch's bucket state into this one (linearity): one
+        touch of its positions, then the sums add column-wise."""
+        if (other.m, other.universe_bits, other.groups) != (
+                self.m, self.universe_bits, self.groups):
+            raise ValueError("cannot merge IBLTs of different shapes")
+        if not len(other._flat):
             return
-        slot = self._slot
-        fresh = [flat for flat in other._slot if flat not in slot]
-        if fresh:
-            base = len(slot)
-            self._ensure_capacity(base + len(fresh))
-            slot.update(zip(fresh, range(base, base + len(fresh))))
-        dst = np.fromiter(map(slot.__getitem__, other._slot), dtype=np.int64, count=n)
-        src = np.fromiter(other._slot.values(), dtype=np.int64, count=n)
-        self._count[dst] += other._count[src]
-        self._keysum[dst] += other._keysum[src]
-        self._fpsum[dst] += other._fpsum[src]
-
-    def total_count(self) -> int:
-        """Signed total of all updates (row 0 holds every key once)."""
-        total = 0
-        m = self.m
-        for flat, i in self._slot.items():  # scalar-ok: accounting
-            if flat < m:
-                total += int(self._count[i])
-        return total
+        idx = self._touch(other._flat)
+        self._count[idx] += other._count
+        self._keysum[idx] += other._keysum
+        self._fpsum[idx] += other._fpsum
 
     # -- decoding -------------------------------------------------------------
     def decode(self) -> dict[int, int]:
-        """Peel a copy of the sketch; returns {key: count} for live keys in
-        ascending key order.
+        """Peel group 0; returns {key: count} for live keys in ascending
+        key order.
 
         Raises :class:`DecodeFailure` when peeling stalls with residual mass
-        (more distinct keys than capacity, w.h.p.).  See :func:`peel_many`.
+        (more distinct keys than capacity, w.h.p.).  See :meth:`peel`.
         """
-        (out,) = peel_many([self])
+        (out,) = self.peel([0])
         if out is None:
             raise DecodeFailure(f"IBLT peeling stalled (capacity {self.capacity})")
         return out
+
+    def peel(self, groups) -> list[dict[int, int] | None]:
+        """Peel the given groups in joint rounds over their bucket columns;
+        returns each group's ``{key: count}`` in ascending key order (empty
+        for an untouched group), or ``None`` where its peel stalls with
+        residual mass.
+
+        Each round extracts the key of every verified 1-sparse bucket at once
+        (count ≠ 0, key sum divisible by it, key in range, exact fingerprint
+        match), keeps one extraction per (group, key), subtracts those keys
+        at all their positions, and looks next only at the buckets that
+        changed.  The groups' buckets are disjoint, so each one peels exactly
+        as it would alone, while every round hashes all their keys in one
+        sweep.
+        """
+        groups = np.asarray(groups, dtype=np.int64)
+        owner = self._flat // self.span
+        sel = np.flatnonzero(np.isin(owner, groups))
+        columns = (self._flat[sel], owner[sel], self._count[sel],
+                   self._keysum[sel], self._fpsum[sel])
+        found = None
+        if self.universe_bits <= 62:
+            found = _peel(self.family, *columns, narrow=True)
+        if found is None:
+            found = _peel(self.family, *columns, narrow=False)
+        owner, keys, counts, stalled = found
+        order = _pair_order(owner, keys)
+        owner, keys, counts = owner[order], keys[order], counts[order]
+        start = np.ones(len(keys), dtype=bool)
+        start[1:] = (owner[1:] != owner[:-1]) | np.asarray(keys[1:] != keys[:-1], dtype=bool)
+        firsts = np.flatnonzero(start)
+        sums = np.add.reduceat(counts, firsts) if len(firsts) else counts
+        keep = sums != 0
+        owner, keys, sums = owner[firsts][keep], keys[firsts][keep], sums[keep]
+        lo = np.searchsorted(owner, groups).tolist()  # scalar-ok: one bound per group
+        hi = np.searchsorted(owner, groups, side="right").tolist()  # scalar-ok: one bound per group
+        failed = np.isin(groups, stalled).tolist()  # scalar-ok: one flag per group
+        keys, sums = keys.tolist(), sums.tolist()  # scalar-ok: decode output, ≤ capacity keys per group
+        return [None if bad else dict(zip(keys[a:b], sums[a:b]))
+                for bad, a, b in zip(failed, lo, hi)]  # scalar-ok: one result per group
 
     # -- accounting ----------------------------------------------------------
     PER_BUCKET_OVERHEAD = 61  # fingerprint-sum modulus bits
@@ -371,63 +363,25 @@ class IBLTSketch:
                 + (self.PER_BUCKET_OVERHEAD + max_count_bits))
 
     def space_bits(self, max_count_bits: int = 32) -> int:
-        """Worst-case pre-allocated layout: every bucket of every row, plus
-        the hash-family randomness."""
-        return (self.ROWS * self.m * self._per_bucket_bits(max_count_bits)
+        """Worst-case pre-allocated layout: every bucket of every row of
+        every group, plus the hash-family randomness."""
+        return (self.groups * self.span * self._per_bucket_bits(max_count_bits)
                 + self.family.randomness_bits)
 
     def resident_bits(self, max_count_bits: int = 32) -> int:
         """Bits of the buckets actually materialized (data-dependent)."""
-        return (len(self._slot) * self._per_bucket_bits(max_count_bits)
+        return (len(self._flat) * self._per_bucket_bits(max_count_bits)
                 + self.family.randomness_bits)
 
 
-def peel_many(sketches: list[IBLTSketch]) -> list[dict[int, int] | None]:
-    """Peel sketches that share one hash family, in joint rounds over their
-    bucket columns; returns each sketch's ``{key: count}`` in ascending key
-    order, or ``None`` where its peel stalls with residual mass.
-
-    Each round extracts the key of every verified 1-sparse bucket at once
-    (count ≠ 0, key sum divisible by it, key in range, exact fingerprint
-    match), keeps one extraction per (sketch, key), subtracts those keys
-    at all their positions, and looks next only at the buckets that
-    changed.  The sketches' buckets are disjoint, so each one peels exactly
-    as it would alone, while every round hashes all their keys in one
-    sweep.
-    """
-    if not sketches:
-        return []
-    fam = sketches[0].family
-    if any(sk.family is not fam for sk in sketches):
-        raise ValueError("peel_many needs sketches sharing one hash family")
-    slots = [sk._slot for sk in sketches]
-    sizes = np.fromiter(map(len, slots), dtype=np.int64, count=len(slots))
-    group = np.repeat(np.arange(len(sketches)), sizes)
-    flat = np.fromiter(chain.from_iterable(slots), dtype=np.int64, count=len(group))
-    flat += group * (IBLTSketch.ROWS * fam.m)
-    idx = [np.fromiter(slot.values(), dtype=np.int64, count=len(slot)) for slot in slots]
-    columns = [np.concatenate([getattr(sk, name)[i] for sk, i in zip(sketches, idx)])
-               for name in ("_count", "_keysum", "_fpsum")]
-    found = None
-    if fam.universe_bits <= 62:
-        found = _peel(fam, flat, group, *columns, narrow=True)
-    if found is None:
-        found = _peel(fam, flat, group, *columns, narrow=False)
-    owner, keys, counts, stalled = found
-    failed = np.zeros(len(sketches), dtype=bool)
-    failed[stalled] = True
-    order = _pair_order(owner, keys)
-    owner, keys, counts = owner[order], keys[order], counts[order]
-    start = np.ones(len(keys), dtype=bool)
-    start[1:] = (owner[1:] != owner[:-1]) | np.asarray(keys[1:] != keys[:-1], dtype=bool)
-    firsts = np.flatnonzero(start)
-    sums = np.add.reduceat(counts, firsts) if len(firsts) else counts
-    keep = sums != 0
-    owner, keys, sums = owner[firsts][keep], keys[firsts][keep], sums[keep]
-    bounds = np.searchsorted(owner, np.arange(len(sketches) + 1)).tolist()  # scalar-ok: one bound per sketch
-    keys, sums = keys.tolist(), sums.tolist()  # scalar-ok: decode output, ≤ capacity keys per sketch
-    return [None if bad else dict(zip(keys[lo:hi], sums[lo:hi]))
-            for bad, lo, hi in zip(failed.tolist(), bounds, bounds[1:])]  # scalar-ok: one flag per sketch
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries of an int64 array: ``np.unique`` by one sort,
+    without the hash pass that makes numpy 2.4's several times slower."""
+    v = np.sort(values, axis=None)
+    keep = np.empty(len(v), dtype=bool)
+    keep[:1] = True
+    np.not_equal(v[1:], v[:-1], out=keep[1:])
+    return v[keep]
 
 
 def _pair_order(owner: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -437,15 +391,15 @@ def _pair_order(owner: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 def _peel(fam: SketchHashFamily, flat, group, count, keysum, fpsum, narrow: bool):
-    """The rounds of :func:`peel_many` over concatenated bucket columns.
+    """The rounds of :meth:`IBLTSketch.peel` over bucket columns.
 
-    ``flat`` holds each bucket's position offset by its sketch (``group``).
-    Returns ``(owner, keys, counts, stalled)`` — every extraction and the
-    sketch of every bucket left with residual mass — or ``None`` when
-    ``narrow`` (int64 key sums, exact mod 2^64) cannot be proven exact: a
-    pure bucket's ``count·key`` fits in int64 while |count| <
-    2^(63 − universe_bits), and the fingerprint check is exact in object
-    dtype either way.
+    ``flat`` holds the buckets' increasing flat positions and ``group`` the
+    group of each.  Returns ``(owner, keys, counts, stalled)`` — every
+    extraction and the group of every bucket left with residual mass — or
+    ``None`` when ``narrow`` (int64 key sums, exact mod 2^64) cannot be
+    proven exact: a pure bucket's ``count·key`` fits in int64 while
+    |count| < 2^(63 − universe_bits), and the fingerprint check is exact in
+    object dtype either way.
     """
     count, fpsum = count.copy(), fpsum.copy()
     if narrow:
@@ -458,8 +412,6 @@ def _peel(fam: SketchHashFamily, flat, group, count, keysum, fpsum, narrow: bool
         keysum = keysum.copy()
     rows = IBLTSketch.ROWS
     span = rows * fam.m
-    order = np.argsort(flat)
-    sorted_flat = flat[order]
     row_base = (np.arange(rows, dtype=np.int64) * fam.m)[:, None]
     top = 1 << fam.universe_bits
     owners, extracted, amounts = [], [], []
@@ -489,20 +441,20 @@ def _peel(fam: SketchHashFamily, flat, group, count, keysum, fpsum, narrow: bool
         o = o[first]
         c, key, fps, g = c[o], key[o], fps[o], g[o]
         at = pos[:, o] + row_base + g * span
-        loc = np.minimum(np.searchsorted(sorted_flat, at), len(flat) - 1)
-        # A key with an untouched bucket cannot be in its sketch (a
-        # fingerprint collision): it stays, and its sketch stalls.
-        held = (sorted_flat[loc] == at).all(axis=0)
+        loc = np.minimum(np.searchsorted(flat, at), len(flat) - 1)
+        # A key with an untouched bucket cannot be in its group (a
+        # fingerprint collision): it stays, and its group stalls.
+        held = (flat[loc] == at).all(axis=0)
         c, key, fps, g, loc = c[held], key[held], fps[held], g[held], loc[:, held]
         owners.append(g)
         extracted.append(key)
         amounts.append(c)
-        at = order[loc.ravel()]
+        at = loc.ravel()
         cc = np.tile(c, rows)
         np.subtract.at(count, at, cc)
         np.subtract.at(keysum, at, cc * np.tile(key, rows))
         np.subtract.at(fpsum, at, cc.astype(object) * np.tile(fps, rows))
-        cand = np.unique(at)
+        cand = _distinct(at)
     stalled = group[(count != 0) | np.asarray(keysum != 0, dtype=bool)
                     | np.asarray(fpsum != 0, dtype=bool)]
     if not owners:

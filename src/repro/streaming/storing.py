@@ -15,8 +15,9 @@ Two interchangeable implementations:
   set, used for fast experiments and by the service);
 - :class:`SketchStoring` — the true sublinear linear sketch: a cell-level
   IBLT of capacity α whose every (row, bucket) slot carries a *nested* point
-  IBLT of capacity β (all nested sketches share one hash family; their
-  bucket dicts materialize lazily).  After peeling the cell IBLT, every
+  IBLT of capacity β (the nested sketches are the groups of one bucket
+  table sharing one hash family, materialized as buckets are touched).
+  After peeling the cell IBLT, every
   decoded cell that is alone in some (row, bucket) has its points
   recoverable from that slot's nested sketch.  Updates are linear, so
   insertions and deletions in any order work — the property Theorem 4.5
@@ -38,7 +39,7 @@ from itertools import chain
 import numpy as np
 
 from repro.hashing.kwise import as_keys, json_ints
-from repro.streaming.sketch import DecodeFailure, IBLTSketch, SketchHashFamily, peel_many
+from repro.streaming.sketch import DecodeFailure, IBLTSketch
 from repro.utils.rng import derive_seed
 from repro.utils.validation import FailedConstruction
 
@@ -564,7 +565,12 @@ class ExactStoring:
 
 
 class SketchStoring:
-    """The sublinear linear-sketch implementation of Lemma 4.2."""
+    """The sublinear linear-sketch implementation of Lemma 4.2.
+
+    ``_cells`` is the cell IBLT of capacity α; ``_points`` (``None`` unless
+    ``recover_points``) holds the nested point IBLT of capacity β of every
+    cell bucket ``(row, pos)`` as group ``row·m + pos`` of one table.
+    """
 
     def __init__(
         self,
@@ -583,81 +589,39 @@ class SketchStoring:
         seed = int(seed) & 0xFFFFFFFF
         self._cells = IBLTSketch(self.alpha, cell_universe_bits,
                                  seed=derive_seed(seed, "cells"))
-        # One shared hash family serves every nested point sketch; nested
-        # sketches are just lazily-materialized bucket dicts.
-        self._pt_family = SketchHashFamily(
-            max(8, 2 * self.beta), point_universe_bits,
-            seed=derive_seed(seed, "pt-family")) if recover_points else None
-        self._nested: dict[tuple[int, int], IBLTSketch] = {}
+        self._points = IBLTSketch(
+            self.beta, point_universe_bits, seed=derive_seed(seed, "pt-family"),
+            groups=self._cells.span) if recover_points else None
 
     def copy(self) -> "SketchStoring":
-        """An independent structure with the same contents.
-
-        Copies the bucket arrays of the cell sketch and of every nested
-        sketch and shares the hash families, which are immutable after
-        construction.
-        """
+        """An independent structure with the same contents (the bucket
+        columns are copied, the hash families shared)."""
         new = copy.copy(self)
         new._cells = self._cells.copy()
-        new._nested = {key: sk.copy() for key, sk in self._nested.items()}
+        if self._points is not None:
+            new._points = self._points.copy()
         return new
-
-    def _nested_at(self, row: int, pos: int) -> IBLTSketch:
-        key = (row, pos)
-        sk = self._nested.get(key)
-        if sk is None:
-            sk = IBLTSketch(self.beta, self.point_universe_bits,
-                            family=self._pt_family)
-            self._nested[key] = sk
-        return sk
 
     def update_many(self, cell_keys, point_keys, signs) -> None:
         """Apply a batch of signed updates in vectorized sweeps.
 
-        The cell IBLT takes one batched scatter, and the point-side hash
-        sweeps run once for the whole batch (every nested sketch shares one
-        hash family) before fanning out per (row, cell-bucket) group.
-        Nested sketches materialize in first-touch event order, so the
-        state is the same however the stream was batched, one event at a
-        time included.
+        The cell IBLT takes one batched scatter; every event then updates
+        the nested point sketch of its cell bucket in each row — the groups
+        of the point table at the cell's flat positions — in one more.
         """
         cell_keys = as_keys(cell_keys)
-        n = len(cell_keys)
-        if n == 0:
+        if len(cell_keys) == 0:
             return
         signs = np.asarray(signs, dtype=np.int64)
         cells = self._cells
-        fam = cells.family
-        pos_rows, fps = fam.hash_np(cell_keys)
+        pos_rows, fps = cells.family.hash_np(cell_keys)
         cells.apply_hashed(pos_rows, fps, cell_keys, signs)
-        if not self.recover_points:
+        if self._points is None:
             return
         point_keys = as_keys(point_keys)
-        pfam = self._pt_family
-        ppos, pfps = pfam.hash_np(point_keys)
-        rows = cells.ROWS
-        m = cells.m
-        # Flat (row, cell-bucket) ids in scalar visitation order (event-major,
-        # row-minor): drives both nested-sketch creation order and grouping.
-        flat = np.empty(rows * n, dtype=np.int64)
-        for r in range(rows):  # scalar-ok: ROWS=3, vectorized over events
-            flat[r::rows] = np.int64(r) * m + pos_rows[r]
-        uniq, first, inverse = np.unique(flat, return_index=True,
-                                         return_inverse=True)
-        nested = self._nested
-        for u in np.argsort(first, kind="stable").tolist():  # scalar-ok: per touched bucket
-            key = divmod(int(uniq[u]), m)
-            if key not in nested:
-                nested[key] = IBLTSketch(self.beta, self.point_universe_bits,
-                                         family=pfam)
-        # Group flat entries by bucket; stable sort keeps event order inside
-        # each group, so every nested sketch sees its scalar subsequence.
-        order = np.argsort(inverse, kind="stable")
-        bounds = np.searchsorted(inverse[order], np.arange(len(uniq) + 1))
-        for u in range(len(uniq)):  # scalar-ok: per touched bucket, batched inside
-            sel = order[bounds[u]: bounds[u + 1]] // rows
-            nested[divmod(int(uniq[u]), m)].apply_hashed(
-                ppos[:, sel], pfps[sel], point_keys[sel], signs[sel])
+        points = self._points
+        points.apply_hashed(*points.family.hash_np(point_keys), point_keys, signs,
+                            group=cells.flat_positions(pos_rows))
 
     def result(self) -> StoringResult:
         """Peel the sketches into Lemma 4.2's output; FAIL on stall."""
@@ -670,32 +634,29 @@ class SketchStoring:
                 f"Storing sketch: decoded {len(cells)} cells exceed alpha={self.alpha}"
             )
         small: dict[int, dict[int, int]] = {}
-        if self.recover_points and cells:
+        if self._points is not None and cells:
             # Which cells share each (row, bucket)?  We know all live cells,
             # so bucket occupancy is computable exactly, in one hash sweep.
             sk = self._cells
-            pos, _ = sk.family.hash_np(list(cells))
-            flat = (pos + (np.arange(sk.ROWS, dtype=np.int64) * sk.m)[:, None]).ravel()
-            _, inverse, occupancy = np.unique(flat, return_inverse=True,
+            flat = sk.flat_positions(sk.family.hash_np(list(cells))[0])
+            _, inverse, occupancy = np.unique(flat.ravel(), return_inverse=True,
                                               return_counts=True)
-            alone = (occupancy[inverse] == 1).reshape(pos.shape)
+            alone = (occupancy[inverse] == 1).reshape(flat.shape)
             # A small cell's points come from the nested sketch of its first
             # isolated (row, bucket) that decodes (a shared bucket's sketch
-            # is polluted); all candidates share one family and peel jointly.
+            # is polluted); all candidates peel jointly.
             tries = {
-                cell: [(r, p) for r, (p, isolated) in enumerate(zip(cell_pos, cell_alone))
-                       if isolated]
-                for (cell, cnt), cell_pos, cell_alone in zip(
-                    cells.items(), pos.T.tolist(), alone.T.tolist())  # scalar-ok: decode, ≤ alpha cells
+                cell: [g for g, isolated in zip(cell_flat, cell_alone) if isolated]
+                for (cell, cnt), cell_flat, cell_alone in zip(
+                    cells.items(), flat.T.tolist(), alone.T.tolist())  # scalar-ok: decode, ≤ alpha cells
                 if cnt <= self.beta
             }
-            nested = {key: self._nested[key] for keys in tries.values()
-                      for key in keys if key in self._nested}
-            decoded = dict(zip(nested, peel_many(list(nested.values()))))
-            for cell, keys in tries.items():  # scalar-ok: decode, ≤ alpha cells
+            wanted = sorted(set(chain.from_iterable(tries.values())))
+            decoded = dict(zip(wanted, self._points.peel(wanted)))
+            for cell, groups in tries.items():  # scalar-ok: decode, ≤ alpha cells
                 points = None
-                for key in keys:  # scalar-ok: ROWS=3
-                    points = decoded.get(key, {})  # never touched: no points
+                for g in groups:  # scalar-ok: ROWS=3
+                    points = decoded[g]
                     if points is not None:
                         break
                 if points is None:
@@ -711,19 +672,13 @@ class SketchStoring:
         """Worst-case pre-allocated layout: the cell IBLT plus one nested
         point IBLT per (row, bucket) slot — the O(α·β) of Lemma 4.2."""
         bits = self._cells.space_bits()
-        if self.recover_points:
-            proto = IBLTSketch(self.beta, self.point_universe_bits,
-                               family=self._pt_family)
-            bits += (self._cells.ROWS * self._cells.m * proto.space_bits()
-                     - (self._cells.ROWS * self._cells.m - 1)
-                     * self._pt_family.randomness_bits)
+        if self._points is not None:
+            bits += self._points.space_bits()
         return bits
 
     def resident_bits(self) -> int:
         """Bits of buckets actually materialized (data-dependent)."""
         bits = self._cells.resident_bits()
-        if self.recover_points:
-            bits += self._pt_family.randomness_bits
-            for sk in self._nested.values():  # scalar-ok: accounting
-                bits += sk.resident_bits() - self._pt_family.randomness_bits
+        if self._points is not None:
+            bits += self._points.resident_bits()
         return bits

@@ -14,7 +14,8 @@ A two-shard file restores into one driver by folding its shards, so it
 must answer as recorded, and checkpointing the restore must give the
 one-driver fixture's bytes; the one-driver fixture must round-trip byte
 for byte.  Every v1 driver, re-encoded by the retired v1 writer
-(``tests/scalar_oracle.py``), must give its committed bytes.  The legacy
+(``tests/scalar_oracle.py``), must give its committed contents, IBLT rows
+in position order (memory keeps no first-touch order).  The legacy
 worker-pool files must restore and answer identically too.  Together they
 pin both formats and the hash coefficients every seed derives
 (checkpoints store seeds, not coefficients).
@@ -33,7 +34,7 @@ from repro.service.state import (
     STATE_FORMAT_VERSION,
     streaming_state_from_dict,
 )
-from tests.scalar_oracle import v1_streaming_state_to_dict
+from tests.scalar_oracle import v1_position_order, v1_streaming_state_to_dict
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -58,7 +59,7 @@ def _restore_and_checkpoint(golden: Path, tmp_path) -> tuple[bytes, dict]:
 @pytest.mark.parametrize("backend", ["exact", "sketch"])
 def test_golden_checkpoint_round_trip(backend, tmp_path):
     """v1: the v1 oracle re-encodes every restored driver to its committed
-    bytes; the service restore answers as recorded, and the live writer
+    contents in position order; the service restore answers as recorded, and the live writer
     turns it into the one-driver v2 fixture's bytes."""
     golden = DATA / f"golden_v1_{backend}.ckpt.json"
     payload = json.loads(golden.read_text())
@@ -67,7 +68,7 @@ def test_golden_checkpoint_round_trip(backend, tmp_path):
     assert len(shards) == 2
     for shard in shards:
         again = v1_streaming_state_to_dict(streaming_state_from_dict(shard))
-        assert _bytes(again) == _bytes(shard)
+        assert _bytes(again) == _bytes(v1_position_order(shard))
     assert payload["config"]["backend"] == backend
     got, answer = _restore_and_checkpoint(golden, tmp_path)
     assert got == (DATA / f"golden_v2_single_{backend}.ckpt.json").read_bytes()

@@ -1,12 +1,14 @@
 """The round-based IBLT peel and the column-wise IBLT merge, pinned to the
-key-at-a-time peel and the slot-at-a-time merge in ``tests/scalar_oracle.py``.
+key-at-a-time peel and the bucket-at-a-time merge in ``tests/scalar_oracle.py``.
 
 The peel must return the same ``{key: count}`` and raise
 :class:`DecodeFailure` on the same sketches — overfull ones, keys wider than
-63 bits, and negative counts (a deletion routed to another shard than its
+63 bits, and negative counts (a deletion routed to another driver than its
 insertion) included — and :meth:`DistinctSampler.sample` must pick the same
-level, keys and estimate.  The merge must leave the same ``bucket_rows()``:
-new slots in the other sketch's first-touch order.
+level, keys and estimate.  Every group of a grouped table (the nested point
+sketches of a ``SketchStoring``) must peel as the scalar peel gives it
+alone, a stalled group included.  The merge must leave the same
+``bucket_rows()``.
 """
 
 from __future__ import annotations
@@ -17,12 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CoresetParams
+from repro.hashing.kwise import as_keys
 from repro.streaming import StreamingCoreset
 from repro.streaming.l0sampler import DistinctSampler
 from repro.streaming.merge import merge_streaming_states
-from repro.streaming.sketch import DecodeFailure, IBLTSketch, SketchHashFamily, peel_many
+from repro.streaming.sketch import DecodeFailure, IBLTSketch
 from repro.streaming.storing import SketchStoring
 from tests.scalar_oracle import (
+    ScalarIBLT,
     scalar_decode,
     scalar_iblt_merge,
     scalar_sample,
@@ -101,27 +105,68 @@ class TestPeelMatchesScalar:
         assert list(sk.decode()) == sorted(keys.tolist())
 
 
-class TestJointPeel:
-    @given(st.lists(st.lists(st.tuples(st.integers(0, 2**40), st.integers(-2, 3)),
-                             max_size=40), min_size=1, max_size=8),
-           st.integers(0, 2**31))
-    @settings(max_examples=60, deadline=None)
-    def test_each_sketch_peels_as_alone(self, feeds, seed):
-        """Sketches sharing a family (the nested point sketches) peel
-        together to what each gives alone: empty and overfull ones too."""
-        family = SketchHashFamily(8, 41, seed=seed)
-        sketches = [IBLTSketch(4, 41, family=family) for _ in feeds]
-        for sk, ops in zip(sketches, feeds):
-            if ops:
-                keys, counts = zip(*ops)
-                sk.update_many(list(keys), list(counts))
-        want = [_outcome(scalar_decode, sk) for sk in sketches]
-        got = ["FAIL" if out is None else out for out in peel_many(sketches)]
-        assert got == want
+def feed_groups(table: IBLTSketch, feeds) -> None:
+    """Feed ``feeds[g]`` (``(key, count)`` pairs) into group ``g`` of
+    ``table``, all groups in one scatter."""
+    ops = [(g, key, count) for g, feed in enumerate(feeds) for key, count in feed]
+    if not ops:
+        return
+    group, keys, counts = zip(*ops)
+    keys = as_keys(list(keys))
+    table.apply_hashed(*table.family.hash_np(keys), keys,
+                       np.asarray(counts, dtype=np.int64),
+                       group=np.asarray([group], dtype=np.int64))
 
-    def test_families_must_match(self):
-        with pytest.raises(ValueError, match="family"):
-            peel_many([IBLTSketch(4, 16, seed=1), IBLTSketch(4, 16, seed=2)])
+
+def group_outcomes(table: IBLTSketch, groups) -> list:
+    return ["FAIL" if out is None else out for out in table.peel(groups)]
+
+
+class TestJointPeel:
+    @given(st.sampled_from([6, 41, 62, 63, 80]),
+           st.lists(st.lists(st.tuples(st.integers(0, 2**80), st.integers(-2, 3)),
+                             max_size=40), min_size=1, max_size=8),
+           st.integers(0, 2**31), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_each_sketch_peels_as_alone(self, ub, feeds, seed, rnd):
+        """The groups of one table peel together to what each gives alone
+        under the scalar peel: empty and overfull ones too, in any order
+        of the wanted groups, and a stall stays in its group."""
+        feeds = [[(key % (1 << ub), count) for key, count in feed] for feed in feeds]
+        table = IBLTSketch(4, ub, seed=seed, groups=len(feeds) + 1)
+        feed_groups(table, feeds)
+        groups = list(range(len(feeds) + 1))
+        rnd.shuffle(groups)
+        want = [_outcome(scalar_decode, table, g) for g in groups]
+        assert group_outcomes(table, groups) == want
+        alone = [group_outcomes(table, [g])[0] for g in groups]
+        assert alone == want
+
+    def test_stall_stays_in_its_group(self):
+        table = IBLTSketch(2, 20, seed=3, groups=3)
+        feeds = [[(k, 1) for k in range(200)], [(7, 2), (9, -1)], []]
+        feed_groups(table, feeds)
+        assert group_outcomes(table, [0, 1, 2]) == ["FAIL", {7: 2, 9: -1}, {}]
+        assert [_outcome(scalar_decode, table, g) for g in range(3)] == [
+            "FAIL", {7: 2, 9: -1}, {}]
+
+    def test_wide_keys_in_one_group(self):
+        """A key past 63 bits in one group sends every group to the object
+        peel; each still peels as alone."""
+        wide = [(1 << 70) + 3, (1 << 79) + 12345, (1 << 63)]
+        table = IBLTSketch(8, 80, seed=2, groups=2)
+        feed_groups(table, [[(k, 1) for k in wide], [(7, 1), (5, -2)]])
+        assert group_outcomes(table, [0, 1]) == [
+            scalar_decode(table, 0), scalar_decode(table, 1)]
+        assert group_outcomes(table, [1]) == [{5: -2, 7: 1}]
+
+    def test_counts_past_the_int64_key_sum_bound_in_one_group(self):
+        """A count·key beyond 2^63 in group 1 needs the object-dtype peel."""
+        key = (1 << 61) + 1
+        table = IBLTSketch(4, 62, seed=3, groups=2)
+        feed_groups(table, [[(3, 1)], [(key, 8), (5, 1)]])
+        assert group_outcomes(table, [0, 1]) == [{3: 1}, {5: 1, key: 8}]
+        assert [scalar_decode(table, g) for g in (0, 1)] == [{3: 1}, {5: 1, key: 8}]
 
 
 def _cross_shard_sketches(backend: str):
@@ -143,12 +188,14 @@ def _cross_shard_sketches(backend: str):
 
 
 def _iblts(driver: StreamingCoreset):
-    yield from driver._pilot_sampler._sketches
+    for sk in driver._pilot_sampler._sketches:
+        yield sk, [0]
     for inst in driver.instances:
         for store in inst.store_h + inst.store_hp + inst.store_hhat:
             if isinstance(store, SketchStoring):
-                yield store._cells
-                yield from store._nested.values()
+                yield store._cells, [0]
+                if store._points is not None:
+                    yield store._points, [g for g, _ in store._points.group_rows()]
 
 
 class TestDriversMatchScalar:
@@ -157,9 +204,12 @@ class TestDriversMatchScalar:
         drivers = _cross_shard_sketches(backend)
         negative = 0
         for driver in drivers:
-            for sk in _iblts(driver):
+            for sk, groups in _iblts(driver):
                 negative += any(row[2] < 0 for row in sk.bucket_rows())
-                assert_same_peel(sk)
+                before = sk.bucket_rows()
+                assert group_outcomes(sk, groups) == [
+                    _outcome(scalar_decode, sk, g) for g in groups]
+                assert sk.bucket_rows() == before
             sampler = driver._pilot_sampler
             assert _outcome(sampler.sample) == _outcome(scalar_sample, sampler)
         assert negative  # the shard-2 sketches hold only deletions
@@ -182,15 +232,16 @@ class TestMergeMatchesScalar:
     @given(sketches(), st.data())
     @settings(max_examples=80, deadline=None)
     def test_bucket_rows_identical(self, src, data):
-        dst = IBLTSketch(src.capacity, src.universe_bits, family=src.family)
+        dst = src.copy()
+        dst.load_bucket_rows([])  # empty, src's shape and hash family
         keys = data.draw(st.lists(st.integers(0, (1 << src.universe_bits) - 1),
                                   max_size=20))
         if keys:
             dst.update_many(keys, [1] * len(keys))
-        want = dst.copy()
-        scalar_iblt_merge(want, src)
+        want = ScalarIBLT.of(dst)
+        scalar_iblt_merge(want, ScalarIBLT.of(src))
         before = src.bucket_rows()
         dst.merge_from(src)
-        assert dst.bucket_rows() == want.bucket_rows()
+        assert dst.bucket_rows() == want.rows()
         assert src.bucket_rows() == before
         assert _outcome(dst.decode) == _outcome(scalar_decode, want)

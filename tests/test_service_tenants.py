@@ -19,6 +19,7 @@ Covers the load-bearing claims of the tentpole:
 from __future__ import annotations
 
 import json
+import logging
 import socket
 import threading
 import zlib
@@ -46,7 +47,7 @@ from repro.service.state import (
     tenant_id_from_filename,
 )
 from repro.streaming import materialize
-from tests.scalar_oracle import v1_service_payload
+from tests.scalar_oracle import v1_position_order, v1_service_payload
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -59,6 +60,10 @@ CHEAP = dict(k=2, d=2, delta=32, seed=11,
 
 def cheap_config(**overrides) -> ServiceConfig:
     return ServiceConfig(**{**CHEAP, **overrides})
+
+
+def _dump(obj) -> bytes:
+    return json.dumps(obj, separators=(",", ":")).encode()
 
 
 def stream_points(stream_id: str, n: int = 24, delta: int = 32,
@@ -192,8 +197,8 @@ class TestEvictionAndRestore:
         """The eviction file of a ``workers=1`` tenant (written by the
         removed worker pool, ``tests/data/make_legacy_pool.py``) restores
         on touch into the tenant's one driver, re-serializes its ingest block
-        byte for byte (through the retired v1 writer), and answers as the
-        pool-backed tenant did."""
+        (through the retired v1 writer) to the committed contents, IBLT rows
+        in position order, and answers as the pool-backed tenant did."""
         legacy = DATA / "legacy_pool_tenant_w1.ckpt.json"
         path = tmp_path / tenant_checkpoint_filename("alpha")
         path.write_bytes(legacy.read_bytes())
@@ -207,9 +212,10 @@ class TestEvictionAndRestore:
             want = json.loads(
                 (DATA / "legacy_pool_tenant_w1.answer.json").read_text())
             assert got.to_dict() == want
-            block = json.dumps(v1_service_payload(svc)["ingest"],
-                               separators=(",", ":")).encode()
-            assert b'"ingest":' + block in legacy.read_bytes()
+            block = json.loads(legacy.read_text())["ingest"]
+            assert b'"ingest":' + _dump(block) in legacy.read_bytes()
+            block["shards"] = [v1_position_order(s) for s in block["shards"]]
+            assert _dump(v1_service_payload(svc)["ingest"]) == _dump(block)
             assert reg.evict("alpha") is True
         again = json.loads(path.read_text())
         assert again["config"]["workers"] == 0
@@ -284,6 +290,31 @@ class TestAsyncWire:
             thread.join(10)
             assert not thread.is_alive()
         finally:
+            reg.close()
+
+    @pytest.mark.parametrize("stop", ["shutdown_op", "shutdown_call"])
+    def test_shutdown_with_idle_client_logs_no_error(self, stop, caplog):
+        """An idle client still connected at shutdown has its connection
+        closed and its handler finished before the loop ends: asyncio logs
+        no cancelled-handler traceback."""
+        reg = TenantRegistry(cheap_config())
+        server, thread = start_async_server(reg)
+        host, port = server.address
+        idle = socket.create_connection((host, port))
+        try:
+            with caplog.at_level(logging.WARNING, logger="asyncio"):
+                with ServiceClient(host, port) as cli:
+                    assert cli.request("ping")["pong"] is True
+                    if stop == "shutdown_op":
+                        cli.shutdown()
+                if stop == "shutdown_call":
+                    server.shutdown()
+                thread.join(10)
+                assert not thread.is_alive()
+                assert idle.recv(1) == b""  # closed by the server
+            assert [r for r in caplog.records if r.name == "asyncio"] == []
+        finally:
+            idle.close()
             reg.close()
 
     def test_empty_live_set_query_over_the_wire(self):

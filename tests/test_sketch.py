@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.streaming.sketch import DecodeFailure, IBLTSketch, SketchHashFamily
+from repro.streaming.sketch import DecodeFailure, IBLTSketch
 
 
 def feed(sk, *ups):
@@ -70,11 +70,12 @@ class TestIBLTBasics:
         assert sk.decode() == {k: 2 for k in keys}
 
     def test_total_count(self):
+        """Row 0 holds every key once: its counts sum to the signed total."""
         sk = IBLTSketch(8, 32, seed=7)
         feed(sk, (1, 5))
         feed(sk, (2, 3))
         feed(sk, (1, -2))
-        assert sk.total_count() == 6
+        assert sum(row[2] for row in sk.bucket_rows() if row[0] == 0) == 6
 
     def test_decode_does_not_mutate(self):
         sk = IBLTSketch(8, 32, seed=8)
@@ -98,20 +99,32 @@ class TestIBLTBasics:
         assert sk.decode() == expected
 
 
+def feed_group(sk, group, *ups):
+    """Apply ``(key, delta)`` updates to one group of a table."""
+    keys, deltas = (np.asarray(col, dtype=np.int64) for col in zip(*ups))
+    sk.apply_hashed(*sk.family.hash_np(keys), keys, deltas,
+                    group=np.full((1, len(keys)), group))
+
+
 class TestSharedFamily:
     def test_shared_family_sketches_independent_content(self):
-        fam = SketchHashFamily(16, 32, seed=1)
-        a = IBLTSketch(8, 32, family=fam)
-        b = IBLTSketch(8, 32, family=fam)
-        feed(a, (5, 1))
-        feed(b, (6, 2))
-        assert a.decode() == {5: 1}
-        assert b.decode() == {6: 2}
+        """The groups of one table share a hash family, not content."""
+        sk = IBLTSketch(8, 32, seed=1, groups=4)
+        feed_group(sk, 1, (5, 1))
+        feed_group(sk, 3, (6, 2), (5, 1))
+        assert sk.peel([0, 1, 3]) == [{}, {5: 1}, {5: 1, 6: 2}]
+        assert [g for g, _ in sk.group_rows()] == [1, 3]
+        assert sk.decode() == {}
 
     def test_family_bucket_mismatch_rejected(self):
-        fam = SketchHashFamily(16, 32, seed=1)
-        with pytest.raises(ValueError):
-            IBLTSketch(100, 32, family=fam)  # would need 200 buckets
+        """Tables of different bucket counts or group counts never add."""
+        with pytest.raises(ValueError, match="shapes"):
+            IBLTSketch(8, 32, seed=1).merge_from(IBLTSketch(100, 32, seed=1))
+        with pytest.raises(ValueError, match="shapes"):
+            IBLTSketch(8, 32, seed=1).merge_from(IBLTSketch(8, 32, seed=1, groups=2))
+        with pytest.raises(ValueError, match="in-range"):
+            IBLTSketch(8, 32, seed=1, groups=2).load_bucket_rows(
+                [[0, 0, 1, 5, 7]], group=np.array([2]))
 
 
 class TestSpaceAccounting:
@@ -127,6 +140,15 @@ class TestSpaceAccounting:
         base = sk.resident_bits()
         feed(sk, (1, 1))
         assert sk.resident_bits() > base
+
+    def test_groups_charge_one_layout_each_and_one_family(self):
+        one = IBLTSketch(8, 32, seed=1)
+        table = IBLTSketch(8, 32, seed=1, groups=5)
+        randomness = one.family.randomness_bits
+        assert table.space_bits() - randomness == 5 * (one.space_bits() - randomness)
+        feed_group(table, 4, (1, 1))
+        assert table.resident_bits() == one.resident_bits() + (
+            3 * (one.space_bits() - randomness) // one.span)
 
     def test_space_scales_with_capacity(self):
         small = IBLTSketch(8, 32, seed=1).space_bits()

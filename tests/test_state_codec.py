@@ -93,7 +93,9 @@ def _column(a: np.ndarray):
 
 
 def _iblt(sk):
-    return (list(sk._slot.items()), _column(sk._count), _column(sk._keysum),
+    if sk is None:
+        return None
+    return (_column(sk._flat), _column(sk._count), _column(sk._keysum),
             _column(sk._fpsum))
 
 
@@ -102,7 +104,7 @@ def _store(store):
         assert not store._log  # restored stores carry no pending log
         return [_column(c) for c in (store._ckeys, store._ccounts, store._pcell,
                                      store._ppoint, store._pcount)]
-    return _iblt(store._cells), [(key, _iblt(sk)) for key, sk in store._nested.items()]
+    return _iblt(store._cells), _iblt(store._points)
 
 
 def _snapshot(sc: StreamingCoreset):
@@ -136,7 +138,7 @@ class TestColumnarCodecMatchesOracle:
     @settings(max_examples=15, deadline=None)
     def test_v1_input_restores_like_the_v1_reference(self, case):
         """The retired v1 writer's output restores to exactly what the
-        entry-by-entry v1 reference restores (IBLT slot order included),
+        entry-by-entry v1 reference restores (IBLT columns included),
         re-encodes to the same v1 bytes, and writes the v2 bytes of the
         driver it came from."""
         sc = _fed(case)
@@ -244,14 +246,63 @@ class TestNonCanonicalBucketInput:
         assert got.instances[0].store_h[0]._cells.bucket_rows() == [
             [0, 1, 2, 10, 14], [1, 2, 1, 5, 7]]
 
-    def test_v1_rows_keep_their_order_in_memory(self):
+    def test_v1_rows_load_in_position_order(self):
         sc = _driver("small", "sketch", seed=2)
         data = v1_streaming_state_to_dict(sc)
         rows = [[1, 2, 1, 5, 7], [0, 1, 2, 10, 14]]
         data["instances"][0]["store_h"][0]["cells"] = rows
         sk = streaming_state_from_dict(data).instances[0].store_h[0]._cells
-        assert list(sk._slot) == [sk.m + 2, 1]
+        assert sk._flat.tolist() == [1, sk.m + 2]
         assert sk.bucket_rows() == rows[::-1]
+
+    def test_v1_nested_last_sketch_wins_and_empty_ones_vanish(self):
+        data = _state(1, "sketch")
+        store = next(s for s in data["instances"][0]["store_hhat"] if len(s["nested"]) >= 2)
+        (r0, p0, rows0), (r1, p1, rows1) = store["nested"][:2]
+        want = v1_streaming_state_to_dict(streaming_state_from_dict(data))
+        taken = {(r, p) for r, p, _ in store["nested"]}
+        free = next((r, p) for r in range(3) for p in range(8) if (r, p) not in taken)
+        store["nested"] = [[r1, p1, []], [r0, p0, rows1]] + store["nested"] + [[*free, []]]
+        got = streaming_state_from_dict(data)
+        assert _snapshot(got) == _snapshot(counter_state_from_dict(data))
+        assert _dump(v1_streaming_state_to_dict(got)) == _dump(want)
+
+    def test_v1_out_of_range_buckets_rejected(self):
+        """A v1 row naming row 3 would alias the next group's row 0."""
+        data = _state(1, "sketch")
+        store = data["instances"][0]["store_hhat"][0]
+        store["cells"] = [[3, 0, 1, 5, 7]]
+        with pytest.raises(ValueError, match="in-range"):
+            streaming_state_from_dict(data)
+        data = _state(1, "sketch")
+        store = next(s for s in data["instances"][0]["store_hhat"] if s["nested"])
+        store["nested"][0][0] = 3
+        with pytest.raises(ValueError, match="in-range"):
+            streaming_state_from_dict(data)
+
+
+class TestCountOnlySketchStores:
+    """A ``store_h`` / ``store_hp`` sketch store keeps no points: nested
+    point sketches there are rejected, not restored and written back."""
+
+    @staticmethod
+    def _stray_nested(data: dict, fmt: int) -> None:
+        if fmt == 1:
+            inst = data["instances"][0]
+            donor = next(s for s in inst["store_hhat"] if s["nested"])
+            inst["store_h"][0]["nested"] = donor["nested"][:1]
+        else:
+            donor = next(s for s in data["stores"] if s["nested"])
+            data["stores"][0]["nested"] = donor["nested"][:1]
+
+    @pytest.mark.parametrize("fmt", [1, 2])
+    def test_nested_on_count_only_store_rejected(self, fmt):
+        data = _state(fmt, "sketch")
+        sc = streaming_state_from_dict(data)
+        assert not sc.instances[0].store_h[0].recover_points
+        self._stray_nested(data, fmt)
+        with pytest.raises(ValueError, match="keeps no points"):
+            streaming_state_from_dict(data)
 
 
 def _fed_v2(backend: str) -> dict:
@@ -377,6 +428,23 @@ class TestNonCanonicalV2Input:
         data = _fed_v2("sketch")
         nested = next(s["nested"] for s in data["stores"] if len(s["nested"]) >= 2)
         nested[0], nested[1] = nested[1], nested[0]
+        self._reject(data)
+
+    @pytest.mark.parametrize("edit", ["repeated", "empty", "out_of_range"])
+    def test_noncanonical_nested_rejected(self, edit):
+        """A nested sketch listed twice (even with its rows split in
+        increasing order), an empty one, or one outside the cell table."""
+        data = _fed_v2("sketch")
+        nested = next(s["nested"] for s in data["stores"]
+                      if any(len(rows) >= 2 for _, _, rows in s["nested"]))
+        j = next(i for i, (_, _, rows) in enumerate(nested) if len(rows) >= 2)
+        r, p, rows = nested[j]
+        if edit == "repeated":
+            nested[j:j + 1] = [[r, p, rows[:1]], [r, p, rows[1:]]]
+        elif edit == "empty":
+            nested[j:j + 1] = [[r, p, []]]
+        else:
+            nested.append([3, 0, rows])
         self._reject(data)
 
 

@@ -36,7 +36,13 @@ from repro.streaming.sketch import DecodeFailure, IBLTSketch, SketchHashFamily
 from repro.streaming.storing import ExactStoring
 from repro.streaming.streaming_coreset import StreamingCoreset
 from repro.utils.validation import FailedConstruction
-from tests.scalar_oracle import CounterStoring, iblt_update, scalar_ingest
+from tests.scalar_oracle import (
+    CounterStoring,
+    ScalarIBLT,
+    iblt_update,
+    scalar_decode,
+    scalar_ingest,
+)
 
 
 # --------------------------------------------------------------------------
@@ -152,18 +158,18 @@ class TestIBLTBatchedIdentity:
            st.integers(min_value=0, max_value=1000))
     @settings(max_examples=40, deadline=None)
     def test_update_many_matches_scalar_buckets_and_decode(self, ups, seed):
-        scalar = IBLTSketch(32, 16, seed=seed)
         batched = IBLTSketch(32, 16, seed=seed)
+        scalar = ScalarIBLT(batched)
         for k, s in ups:
             iblt_update(scalar, k, s)
         if ups:
             keys = np.asarray([k for k, _ in ups], dtype=np.int64)
             signs = np.asarray([s for _, s in ups], dtype=np.int64)
             batched.update_many(keys, signs)
-        # Bucket state — including first-touch ordering — must be identical.
-        assert scalar.buckets == batched.buckets
+        # Bucket state — zero buckets included — must be identical.
+        assert scalar.rows() == batched.bucket_rows()
         try:
-            want = scalar.decode()
+            want = scalar_decode(scalar)
         except DecodeFailure:
             with pytest.raises(DecodeFailure):
                 batched.decode()
