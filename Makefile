@@ -4,7 +4,7 @@ PYTHON ?= python
 
 .PHONY: install test test-verbose bench bench-smoke bench-tenants \
 	bench-tenants-smoke chaos-smoke fleet-smoke perfbench-smoke examples \
-	artifacts lint lint-json clean
+	artifacts lint lint-json src-lines clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -94,6 +94,11 @@ lint:
 # Machine-readable finding list (schema v1) — what CI attaches as annotations.
 lint-json:
 	PYTHONPATH=src $(PYTHON) -m repro.analysis_lint src tests benchmarks examples --format json
+
+# Total lines of src/**/*.py; a change reports its net delta against its
+# parent's figure.
+src-lines:
+	@find src -name '*.py' -print0 | xargs -0 cat | wc -l
 
 artifacts:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt

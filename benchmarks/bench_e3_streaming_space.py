@@ -31,7 +31,7 @@ def _one(n, params, seed=7):
     sc = StreamingCoreset(params, seed=31, backend="sketch",
                           o_range=(pilot / 16, pilot / 4))
     t0 = time.time()
-    sc.process(stream)
+    sc.update_batch(stream)
     cs, inst = sc.finalize_with_instance()
     dt = time.time() - t0
     charged = inst.space_bits()
@@ -77,7 +77,7 @@ def test_e3_exact_backend_throughput(benchmark):
     def run():
         sc = StreamingCoreset(params, seed=9, backend="exact",
                               o_range=(pilot / 64, pilot / 4))
-        sc.process(stream)
+        sc.update_batch(stream)
         return sc.finalize()
 
     cs = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -29,7 +29,7 @@ def _quality_after(stream, k, eps=0.25, eta=0.25, seed=17):
     pilot = estimate_opt_cost(survivors, k, r=2.0, seed=seed)
     sc = StreamingCoreset(params, seed=seed, backend="exact",
                           o_range=(pilot / 64, pilot / 4))
-    sc.process(stream)
+    sc.update_batch(stream)
     cs = sc.finalize()
     n = len(survivors)
     Zs = [kmeans_plusplus(survivors.astype(float), k, seed=s) for s in (1, 2)]

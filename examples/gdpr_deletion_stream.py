@@ -52,7 +52,7 @@ def main() -> None:
     summary = StreamingCoreset(
         params, seed=11, backend="exact", o_range=(pilot / 64, pilot / 4)
     )
-    summary.process(stream)
+    summary.update_batch(stream)
     coreset = summary.finalize()
     print(
         f"maintained coreset: {len(coreset)} weighted points "

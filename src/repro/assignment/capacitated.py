@@ -271,8 +271,11 @@ def _solve_transportation_ssp(D: np.ndarray, w: np.ndarray, caps: np.ndarray):
 # Forestification / integralization (the paper's cycle-canceling procedure)
 # ---------------------------------------------------------------------------
 
-def forestify_support(X: np.ndarray, D: np.ndarray | None = None,
-                      tol: float = 1e-9) -> np.ndarray:
+#: Flow at or below this counts as no support edge in :func:`forestify_support`.
+_SUPPORT_TOL = 1e-9
+
+
+def forestify_support(X: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Cancel cycles in the bipartite support of a transportation solution.
 
     Section 3.3, steps 1-4: while the support graph (points ∪ centers, an
@@ -281,31 +284,29 @@ def forestify_support(X: np.ndarray, D: np.ndarray | None = None,
     directions have zero cost change); one support edge drops per iteration,
     so the result's support is a forest and at most k−1 points remain
     fractionally split.  ``D`` is the (n, k) cost matrix used to pick the
-    direction; if omitted the construction-order direction is used, which is
-    still feasibility-preserving.  A support that is already a forest (every
-    basic optimum, e.g. HiGHS's) is recognised by a union-find over its split
-    points and returned as a copy without the cycle search.
+    direction.  A support that is already a forest (every basic optimum,
+    e.g. HiGHS's) is recognised by a union-find over its split points and
+    returned as a copy without the cycle search.
     """
     X = X.copy()
-    if _support_is_forest(X, tol):
+    if _support_is_forest(X, _SUPPORT_TOL):
         return X
     while True:
-        cycle = _find_support_cycle(X, tol)
+        cycle = _find_support_cycle(X, _SUPPORT_TOL)
         if cycle is None:
             return X
         # The cycle alternates arcs sharing a point / a center, so adding +a
         # to even arcs and -a to odd arcs preserves all row and column sums.
         plus, minus = cycle[0::2], cycle[1::2]
-        if D is not None:
-            delta_cost = sum(D[i, j] for (i, j) in plus) - sum(D[i, j] for (i, j) in minus)
-            if delta_cost > 0:
-                plus, minus = minus, plus
+        delta_cost = sum(D[i, j] for (i, j) in plus) - sum(D[i, j] for (i, j) in minus)
+        if delta_cost > 0:
+            plus, minus = minus, plus
         a = min(X[i, j] for (i, j) in minus)
         for (i, j) in plus:
             X[i, j] += a
         for (i, j) in minus:
             X[i, j] -= a
-            if X[i, j] < tol:
+            if X[i, j] < _SUPPORT_TOL:
                 X[i, j] = 0.0
 
 

@@ -58,7 +58,6 @@ def extend_assignment_to_points(
     centers: np.ndarray,
     t: float,
     r: float = 2.0,
-    coreset_labels: np.ndarray | None = None,
 ) -> np.ndarray:
     """Assign every original point using only the coreset's assignment.
 
@@ -76,12 +75,10 @@ def extend_assignment_to_points(
     if len(coreset) == 0:
         return nearest_center(pts, ctr, r)[0]
 
-    if coreset_labels is None:
-        res = coreset_assignment(coreset, ctr, t, r=r)
-        if res.labels is None:
-            raise ValueError(f"capacity t={t} infeasible for the coreset")
-        coreset_labels = res.labels
-    labels_q = np.asarray(coreset_labels, dtype=np.int64)
+    res = coreset_assignment(coreset, ctr, t, r=r)
+    if res.labels is None:
+        raise ValueError(f"capacity t={t} infeasible for the coreset")
+    labels_q = np.asarray(res.labels, dtype=np.int64)
 
     # --- step 2: per-level canonical half-spaces from the coreset. ---------
     core_levels = coreset.levels()

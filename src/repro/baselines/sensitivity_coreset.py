@@ -32,7 +32,6 @@ def sensitivity_coreset(
     r: float = 2.0,
     weights: np.ndarray | None = None,
     seed=0,
-    bicriteria_factor: int = 2,
 ) -> WeightedPointSet:
     """Importance-sampled coreset of ``size`` points for uncapacitated ℓr."""
     pts = np.asarray(points, dtype=np.float64)
@@ -43,8 +42,8 @@ def sensitivity_coreset(
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
     m = int(min(size, n))
 
-    # Bicriteria solution: k·factor k-means++ seeds.
-    B = kmeans_plusplus(pts, min(n, k * bicriteria_factor), r=r, weights=w,
+    # Bicriteria solution: 2k k-means++ seeds.
+    B = kmeans_plusplus(pts, min(n, 2 * k), r=r, weights=w,
                         seed=derive_seed(int(rng.integers(2**31)), "bicriteria"))
     labels, dr = nearest_center(pts, B, r)
     total = float((dr * w).sum())

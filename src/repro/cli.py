@@ -255,7 +255,7 @@ def _cmd_stream(args) -> int:
     sc = StreamingCoreset(params, seed=args.seed, backend=args.backend,
                           o_range=(pilot / 64, pilot / 4))
     t0 = time.time()
-    sc.process(stream)
+    sc.update_batch(stream)
     cs = sc.finalize()
     save_coreset(args.output, cs, params)
     print(f"stream: {len(stream)} events ({stream.num_deletions()} deletions), "

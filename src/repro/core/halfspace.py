@@ -72,7 +72,6 @@ def canonicalize_assignment(
     labels: np.ndarray,
     centers: np.ndarray,
     r: float = 2.0,
-    max_rounds: int | None = None,
 ) -> np.ndarray:
     """Switch inverted pairs until the assignment is half-space consistent.
 
@@ -84,8 +83,8 @@ def canonicalize_assignment(
 
     Termination: each pairwise pass sorts one pair perfectly and never
     increases cost; the total lexicographic potential strictly decreases on
-    every change, so the loop converges.  ``max_rounds`` (default 4·k²+4)
-    bounds the number of full sweeps as a safety net.
+    every change, so the loop converges.  At most 4·k²+4 full sweeps run,
+    as a safety net.
     """
     pts = np.asarray(points, dtype=np.float64)
     lab = np.asarray(labels, dtype=np.int64).copy()
@@ -94,8 +93,7 @@ def canonicalize_assignment(
         return lab
     F = pairwise_power_distances(pts, np.asarray(centers, dtype=np.float64), r)
     lex = lexicographic_rank(points)
-    rounds = max_rounds if max_rounds is not None else 4 * k * k + 4
-    for _ in range(rounds):
+    for _ in range(4 * k * k + 4):
         changed = False
         for i in range(k):
             for j in range(i + 1, k):

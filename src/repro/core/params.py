@@ -109,8 +109,7 @@ class CoresetParams:
     @classmethod
     def practical(cls, k: int, d: int, delta: int, r: float = 2.0,
                   eps: float = 0.25, eta: float = 0.25,
-                  samples_per_part: float = 32.0,
-                  independence: int | None = None) -> "CoresetParams":
+                  samples_per_part: float = 32.0) -> "CoresetParams":
         """Same functional forms, calibrated absolute constants.
 
         ``samples_per_part`` is the expected number of samples drawn from a
@@ -129,16 +128,14 @@ class CoresetParams:
         # the per-level sampling rate 1/(γT_i) (E9 ablates this floor).
         gamma = min(0.25, max(0.8 * acc, 4.0 * min(eta / (k * L), eps / ((k + dd) * L))))
         xi = 0.25 * acc / (k * (k + dd) * L**2)
-        lam = independence if independence is not None else max(
-            8, int(2 * k * math.ceil(math.log2(max(k * d * L, 2))))
-        )
+        lam = max(8, int(2 * k * math.ceil(math.log2(max(k * d * L, 2)))))
         return cls(
             k=k, d=d, delta=delta, r=r, eps=eps, eta=eta, L=L,
             # threshold_c = 2 (paper: 0.01): a cell is heavy when collapsing
             # it would cost ≥ 2o.  A larger coefficient coarsens the crucial
             # level, which raises T_i there and is what gives the sampling
             # rate φ_i = phi_numerator/(γT_i) its compression (E9 ablates).
-            threshold_c=2.0, gamma=gamma, xi=xi, lam=int(lam),
+            threshold_c=2.0, gamma=gamma, xi=xi, lam=lam,
             lam_est=max(8, 2 * int(math.ceil(math.log2(max(d * L, 2))))),
             phi_numerator=float(samples_per_part) * (0.25 / acc) ** 2,
             # Calibrated FAIL bounds: the theory constants (20000 / 10000)

@@ -254,7 +254,13 @@ _BANNER_RE = re.compile(r"listening on ([\d.]+):(\d+)")
 
 def _serve_argv(config: ServiceConfig, port: int = 0,
                 restore: str | None = None) -> list[str]:
-    """The ``repro serve`` command line reproducing ``config`` exactly."""
+    """The ``repro serve`` command line reproducing ``config`` exactly;
+    ``ValueError`` for an ``o_range``, which ``repro serve`` cannot express
+    (its sites would run another guess schedule)."""
+    if config.o_range is not None:
+        raise ValueError(
+            f"fleet sites cannot run o_range={config.o_range!r}: `repro serve` "
+            "has no flag for it; leave o_range unset (the ℓ₀ pilot)")
     argv = [sys.executable, "-m", "repro", "serve", "--port", str(port),
             "--k", str(config.k), "--d", str(config.d),
             "--delta", str(config.delta), "--r", str(config.r),

@@ -138,15 +138,13 @@ def distributed_coreset(
     params: CoresetParams,
     seed: int = 0,
     o: float | None = None,
-    grids: HierarchicalGrids | None = None,
 ) -> Coreset:
     """Theorem 4.7: leave a strong (η, ε)-coreset at the coordinator.
 
     ``network.total_bits`` afterwards holds the exact communication cost.
     """
-    if grids is None:
-        grids = HierarchicalGrids(params.delta, params.d,
-                                  seed=derive_seed(seed, "grids"))
+    grids = HierarchicalGrids(params.delta, params.d,
+                              seed=derive_seed(seed, "grids"))
     # Round 0: broadcast shared randomness (shift vector + hash seeds).
     network.broadcast(None, bits=params.d * 64 + 64, label="randomness")
     shared = _SharedHashes(params, grids, derive_seed(seed, "hashes"))

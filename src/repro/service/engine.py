@@ -34,6 +34,7 @@ from repro.service.state import (
 )
 from repro.solvers.capacitated_lloyd import CapacitatedKClustering
 from repro.utils.rng import derive_seed
+from repro.utils.validation import check_o_range, coerce_integral_rows
 
 __all__ = [
     "ServiceConfig",
@@ -81,7 +82,8 @@ class ServiceConfig:
     capacity_slack: float = 1.2
     #: k-means++ restarts of the capacitated solver per query.
     restarts: int = 2
-    #: Optional guess window (lo, hi); None = auto-pilot over the full range.
+    #: Optional guess window (lo, hi), finite with 0 <= lo <= hi; None runs
+    #: the ℓ₀ pilot over the full guess range.
     o_range: tuple[float, float] | None = None
 
     def __post_init__(self):
@@ -96,6 +98,7 @@ class ServiceConfig:
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         check_capacity_slack(self.capacity_slack)
+        check_o_range(self.o_range)
 
     def make_params(self) -> CoresetParams:
         """The :class:`CoresetParams` of the service's driver."""
@@ -191,15 +194,16 @@ class ClusteringService:
     # -------------------------------------------------------------- ingest
     def insert(self, points) -> int:
         """Insert rows of an (n, d) int array; returns events applied."""
-        with self._lock:
-            n = self.ingest.insert_points(points)
-            self.bytes_ingested += n * 8 * self.params.d
-            return n
+        return self._apply_rows(points, 1)
 
     def delete(self, points) -> int:
         """Delete rows of an (n, d) int array; returns events applied."""
+        return self._apply_rows(points, -1)
+
+    def _apply_rows(self, points, sign: int) -> int:
+        rows = coerce_integral_rows(points)
         with self._lock:
-            n = self.ingest.delete_points(points)
+            n = self.ingest.apply_arrays(rows, np.full(len(rows), sign, dtype=np.int64))
             self.bytes_ingested += n * 8 * self.params.d
             return n
 

@@ -25,7 +25,7 @@ from repro.core.params import CoresetParams
 from repro.streaming.merge import merge_streaming_states
 from repro.streaming.stream import events_to_arrays
 from repro.streaming.streaming_coreset import StreamingCoreset
-from repro.utils.validation import check_stream_points, coerce_integral_rows
+from repro.utils.validation import coerce_integral_rows
 
 __all__ = ["ShardedIngest"]
 
@@ -40,7 +40,7 @@ class ShardedIngest:
     seed:
         All sketch randomness derives from it; services (or fleet sites)
         with equal ``(params, seed)`` hold summable sketches.
-    backend, o_range, auto_pilot:
+    backend, o_range:
         Forwarded to the :class:`StreamingCoreset`.
 
     Notes
@@ -56,10 +56,9 @@ class ShardedIngest:
         seed: int = 0,
         backend: str = "exact",
         o_range: tuple[float, float] | None = None,
-        auto_pilot: bool | None = None,
     ):
         self.driver = StreamingCoreset(params, seed=seed, backend=backend,
-                                       o_range=o_range, auto_pilot=auto_pilot)
+                                       o_range=o_range)
         self._init_counters()
 
     def _init_counters(self) -> None:
@@ -109,31 +108,18 @@ class ShardedIngest:
     def apply_arrays(self, rows, signs) -> int:
         """Vectorized ingest: (n, d) coordinate rows + sign vector.
 
-        The whole batch is validated before the driver is touched, so a
+        The driver checks the whole batch (coordinates, and signs that are
+        integral ±1, one per row) before it changes anything, so a
         malformed event rejects the batch instead of leaving a partially
         applied, version-less state.
         """
-        rows = check_stream_points(coerce_integral_rows(rows), self.params.delta)
-        signs = np.asarray(signs, dtype=np.int64)
-        n = len(signs)
-        if n == 0:
-            return 0
-        self.driver.update_arrays(rows, signs)
-        ins = int((signs > 0).sum())
-        self.num_insertions += ins
-        self.num_deletions += n - ins
-        self.version += 1
+        n = self.driver.update_arrays(coerce_integral_rows(rows), signs)
+        if n:
+            ins = int((np.asarray(signs) > 0).sum())
+            self.num_insertions += ins
+            self.num_deletions += n - ins
+            self.version += 1
         return n
-
-    def insert_points(self, points) -> int:
-        """Insert each row of an (n, d) array; one version bump."""
-        rows = coerce_integral_rows(points)
-        return self.apply_arrays(rows, np.ones(len(rows), dtype=np.int64))
-
-    def delete_points(self, points) -> int:
-        """Delete each row of an (n, d) array; one version bump."""
-        rows = coerce_integral_rows(points)
-        return self.apply_arrays(rows, np.full(len(rows), -1, dtype=np.int64))
 
     # --------------------------------------------------------------- queries
     def merged_state(self) -> StreamingCoreset:

@@ -9,8 +9,10 @@ The key observation making this cheap: every random choice inside a
 hash polynomials, sketch layouts) is derived deterministically from
 ``(params, seed)``.  A checkpoint therefore stores only
 
-1. the construction arguments (params dict, seed, backend, guess window,
-   ``prefer``, ``auto_pilot``), and
+1. the construction arguments (params dict, seed, backend, guess window)
+   and the two guess-policy fields the window implies (``prefer`` is
+   always ``"largest"``, ``auto_pilot`` is ``o_range is None``; restore
+   rejects a file whose fields say otherwise), and
 2. the *data* the stream wrote: the Storing contents, the pilot ℓ₀-sampler
    buckets, the update counter, and any early-kill verdicts.
 
@@ -237,9 +239,9 @@ def streaming_state_to_dict(sc: StreamingCoreset) -> dict:
         "params": params_to_dict(sc.params),
         "seed": sc.seed,
         "backend": sc.backend,
-        "prefer": sc.prefer,
+        "prefer": "largest",
         "o_range": list(sc.o_range) if sc.o_range is not None else None,
-        "auto_pilot": sc.auto_pilot,
+        "auto_pilot": sc.o_range is None,
         "num_updates": sc.num_updates,
         "instances": [{"o": inst.o, "dead_reason": inst.dead_reason}
                       for inst in sc.instances],
@@ -275,15 +277,13 @@ def streaming_state_from_dict(data: dict) -> StreamingCoreset:
     """
     version = _check_version(data, "streaming-state")
     params = params_from_dict(data["params"])
-    o_range = tuple(data["o_range"]) if data["o_range"] is not None else None
-    sc = StreamingCoreset(
-        params,
-        seed=data["seed"],
-        backend=data["backend"],
-        o_range=o_range,
-        prefer=data["prefer"],
-        auto_pilot=data["auto_pilot"],
-    )
+    o_range = data["o_range"]
+    if data["prefer"] != "largest" or data["auto_pilot"] is not (o_range is None):
+        raise ValueError(
+            f"checkpoint guess policy prefer={data['prefer']!r}, auto_pilot="
+            f"{data['auto_pilot']!r} does not match o_range={o_range!r}")
+    sc = StreamingCoreset(params, seed=data["seed"], backend=data["backend"],
+                          o_range=o_range)
     got = [inst.o for inst in sc.instances]
     want = [rec["o"] for rec in data["instances"]]
     if got != want:

@@ -8,7 +8,7 @@ alternates:
    the loop for speed, the exact successive-shortest-path solve over the k
    centers at the final step);
 2. **center step** — each cluster's center moves to its cost-minimizing
-   point (mean / geometric median), optionally snapped to [Δ]^d.
+   point (mean / geometric median).
 
 Cost is monotone under the exact assignment method; with the greedy inner
 assignment we keep the best iterate seen.  Multiple k-means++ restarts guard
@@ -58,16 +58,16 @@ class CapacitatedKClustering:
         k·t ≥ total weight).
     r:
         ℓr exponent (1 = k-median, 2 = k-means).
-    restarts, max_iter:
-        k-means++ restarts and inner alternation iterations.
-    snap_delta:
-        When set, centers are snapped to the integer grid [Δ]^d (the paper's
-        output model).
+    restarts:
+        k-means++ restarts; each runs at most :attr:`MAX_ITER` alternations.
 
     The inner loop assigns with the ``"greedy"`` method; the returned
     solution is always re-assigned with the exact ``"auto"`` method
     (successive shortest paths over the k centers, no scipy).
     """
+
+    #: Alternation iterations per restart.
+    MAX_ITER = 25
 
     def __init__(
         self,
@@ -75,8 +75,6 @@ class CapacitatedKClustering:
         capacity: float,
         r: float = 2.0,
         restarts: int = 3,
-        max_iter: int = 25,
-        snap_delta: int | None = None,
         seed: int = 0,
     ):
         self.k = int(k)
@@ -87,8 +85,6 @@ class CapacitatedKClustering:
         self.restarts = int(restarts)
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {restarts}")
-        self.max_iter = int(max_iter)
-        self.snap_delta = snap_delta
         self.seed = int(seed)
 
     def fit(self, points: np.ndarray, weights: np.ndarray | None = None) -> CapacitatedSolution:
@@ -117,7 +113,7 @@ class CapacitatedKClustering:
         best_cost = math.inf
         best_centers = centers
         it = 0
-        for it in range(1, self.max_iter + 1):
+        for it in range(1, self.MAX_ITER + 1):
             res = capacitated_assignment(
                 pts, centers, self.capacity, r=self.r, weights=w,
                 method="greedy",
@@ -158,6 +154,4 @@ class CapacitatedKClustering:
             sel = res.labels == c
             if sel.any():
                 new_centers[c] = weighted_center(pts[sel], w[sel], self.r)
-        if self.snap_delta is not None:
-            new_centers = np.clip(np.rint(new_centers), 1, self.snap_delta)
         return new_centers

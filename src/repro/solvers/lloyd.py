@@ -6,10 +6,6 @@ Center updates minimize Σ w·dist^r within each cluster:
 - r = 1 → the weighted geometric median via Weiszfeld iterations;
 - other r → gradient descent on the smooth power cost (rarely needed; the
   paper's headline applications are r ∈ {1, 2}).
-
-Centers may optionally be snapped to the integer grid [Δ]^d at the end — the
-paper's model requires output centers in [Δ]^d, and snapping changes the
-cost by at most an O(√d/dist) relative factor, absorbed by discretization.
 """
 
 from __future__ import annotations
@@ -84,8 +80,6 @@ def lloyd(
     weights: np.ndarray | None = None,
     seed=0,
     max_iter: int = 64,
-    init_centers: np.ndarray | None = None,
-    snap_delta: int | None = None,
 ) -> KMeansResult:
     """k-means++-seeded weighted Lloyd for the uncapacitated ℓr problem."""
     pts = np.asarray(points, dtype=np.float64)
@@ -94,11 +88,7 @@ def lloyd(
         raise ValueError("empty input")
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
     rng = as_rng(seed)
-    centers = (
-        np.asarray(init_centers, dtype=np.float64)
-        if init_centers is not None
-        else kmeans_plusplus(pts, k, r=r, weights=w, seed=rng)
-    )
+    centers = kmeans_plusplus(pts, k, r=r, weights=w, seed=rng)
     labels, dr = nearest_center(pts, centers, r)
     cost = float((dr * w).sum())
     it = 0
@@ -117,8 +107,4 @@ def lloyd(
         centers, labels, cost = new_centers, new_labels, new_cost
         if converged:
             break
-    if snap_delta is not None:
-        centers = np.clip(np.rint(centers), 1, snap_delta).astype(np.int64)
-        labels, dr = nearest_center(pts, centers, r)
-        cost = float((dr * w).sum())
     return KMeansResult(centers=centers, labels=labels, cost=cost, iterations=it)

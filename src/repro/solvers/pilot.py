@@ -21,6 +21,9 @@ from repro.utils.rng import as_rng
 
 __all__ = ["estimate_opt_cost"]
 
+#: Most points the pilot's centers are fit on.
+SAMPLE_SIZE = 4096
+
 
 def estimate_opt_cost(
     points: np.ndarray,
@@ -28,11 +31,10 @@ def estimate_opt_cost(
     r: float = 2.0,
     weights: np.ndarray | None = None,
     seed=0,
-    sample_size: int = 4096,
 ) -> float:
     """Upper-bound estimate of OPT^(r) for the uncapacitated problem.
 
-    Centers are fit on a subsample (≤ ``sample_size`` points, drawn with
+    Centers are fit on a subsample (≤ :data:`SAMPLE_SIZE` points, drawn with
     probability ∝ weight) but the returned cost is evaluated on the *full*
     weighted set, so the estimate is a genuine upper bound on OPT.
     """
@@ -42,8 +44,8 @@ def estimate_opt_cost(
         return 0.0
     rng = as_rng(seed)
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
-    if n > sample_size:
-        idx = rng.choice(n, size=sample_size, replace=False, p=w / w.sum())
+    if n > SAMPLE_SIZE:
+        idx = rng.choice(n, size=SAMPLE_SIZE, replace=False, p=w / w.sum())
         fit_pts, fit_w = pts[idx], None  # proportional sampling ⇒ unit weights
     else:
         fit_pts, fit_w = pts, w

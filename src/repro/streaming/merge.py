@@ -8,7 +8,7 @@ Section 4.3 — here exposed directly so a fleet coordinator can sum its
 sites' drivers, and a restore can fold the shards of an old checkpoint.
 
 Requirements (checked): identical parameters, identical seeds (same grids,
-hash polynomials, and sketch layouts), same backend, same guess preference,
+hash polynomials, and sketch layouts), same backend, same guess schedule,
 and a pilot sampler on both sides or on neither.
 
 :func:`merge_streaming_states` folds any number of drivers in one walk over
@@ -55,11 +55,9 @@ def _check_mergeable(a: StreamingCoreset, b: StreamingCoreset) -> None:
         raise ValueError("cannot merge: different guess schedules")
     if any(x.backend != y.backend for x, y in zip(a.instances, b.instances)):
         raise ValueError("cannot merge: different backends")
-    if a.prefer != b.prefer:
-        raise ValueError("cannot merge: different guess preference (prefer)")
     if (a._pilot_sampler is None) != (b._pilot_sampler is None):
         raise ValueError("cannot merge: one driver has a pilot sampler and "
-                         "the other does not (auto_pilot differs)")
+                         "the other does not (o_range differs)")
     if a.seed != b.seed:
         raise ValueError(f"cannot merge: different seeds ({a.seed} vs {b.seed})")
 
@@ -68,8 +66,9 @@ def merge_streaming_states(a: StreamingCoreset, *others: StreamingCoreset) -> St
     """Merge every driver of ``others`` into ``a`` (in place; returns ``a``).
 
     All drivers must have been constructed with identical ``params``,
-    ``seed``, ``backend``, ``prefer``, ``auto_pilot`` and guess windows —
-    i.e. they are parts of one logical computation, differing only in
+    ``seed`` and ``backend``, and give the same guess schedule with a pilot
+    on every side or on none — i.e. they are parts of one logical
+    computation, differing only in
     which updates they saw.  The driver-level checks run for every side
     before ``a`` changes; the ``others`` are only read.
     """

@@ -72,11 +72,12 @@ def events_to_arrays(events, d: int | None = None):
     """Normalize a batch of events to ``(rows, signs)`` numpy arrays.
 
     Accepts any iterable of :class:`StreamEvent` or ``(point, sign)`` pairs
-    and returns an (n, d) int64 coordinate array plus an (n,) int64 sign
-    vector — the columnar form every batched ingest path consumes.
+    and returns an (n, d) int64 coordinate array plus the (n,) sign vector
+    as given — the columnar form every batched ingest path consumes.
     Non-integral coordinates raise ``ValueError`` (via
     :func:`~repro.utils.validation.coerce_integral_rows`) before any
-    consumer state can be touched.
+    consumer state can be touched; signs are left uncast for
+    :func:`~repro.utils.validation.check_signs` to reject anything but ±1.
     """
     points: list = []
     signs: list = []
@@ -86,11 +87,11 @@ def events_to_arrays(events, d: int | None = None):
             signs.append(ev.sign)
         else:
             points.append(ev[0])
-            signs.append(int(ev[1]))
+            signs.append(ev[1])
     if not points:
         return (np.empty((0, d or 0), dtype=np.int64),
                 np.empty(0, dtype=np.int64))
-    return coerce_integral_rows(points), np.asarray(signs, dtype=np.int64)
+    return coerce_integral_rows(points), np.asarray(signs)
 
 
 def materialize(stream: Iterable[StreamEvent], d: int | None = None) -> np.ndarray:

@@ -20,7 +20,8 @@ At the end of the stream, the decoded counts replay Algorithms 1+2 *exactly*
 :class:`StreamingCoreset` is the Theorem 4.5 driver: it runs one instance
 per guess o ∈ {1, 2, 4, …, Δ^d·(√dΔ)^r} in parallel (all instances *share*
 the underlying hash polynomials — only the acceptance thresholds differ) and
-returns the smallest guess whose instance does not FAIL.
+returns the largest non-FAIL guess at or below the ``o_range`` top or the ℓ₀
+pilot's cap (the offline ``build_coreset_auto`` keeps Theorem 3.19's smallest).
 """
 
 from __future__ import annotations
@@ -38,7 +39,12 @@ from repro.hashing.kwise import KWiseHash, StackedHashes, exact_field_threshold
 from repro.streaming.storing import ExactStoring, SketchStoring
 from repro.streaming.stream import events_to_arrays
 from repro.utils.rng import derive_seed
-from repro.utils.validation import FailedConstruction, check_stream_points
+from repro.utils.validation import (
+    FailedConstruction,
+    check_o_range,
+    check_signs,
+    check_stream_points,
+)
 
 __all__ = ["StreamingCoresetInstance", "StreamingCoreset", "assemble_coreset"]
 
@@ -407,16 +413,13 @@ class StreamingCoreset:
         ``"exact"`` (dictionary Storing; fast reference) or ``"sketch"``
         (true sublinear IBLT sketches; what E3 measures).
     o_range:
-        Optional (lo, hi) to restrict the guesses, standing in for the
-        streaming 2-approximation of OPT the paper runs in parallel
-        ([HSYZ18]); guesses outside the window provably FAIL or lose to a
-        smaller non-FAIL guess.
-    auto_pilot:
-        When True (default if no ``o_range`` is given), maintain an
+        Optional (lo, hi) window, finite with 0 ≤ lo ≤ hi, that restricts the
+        guesses, standing in for the streaming 2-approximation of OPT the
+        paper runs in parallel ([HSYZ18]).  Without one the driver keeps an
         ℓ₀-sampler alongside the sketches; at finalize time a k-means++
         pilot on the recovered uniform sample of the *live* set upper-bounds
-        OPT and anchors the guess selection — the fully single-pass,
-        deletion-proof replacement for the parallel OPT estimator.
+        OPT and caps the guess — the single-pass, deletion-proof
+        replacement for the parallel OPT estimator.
     """
 
     def __init__(
@@ -425,22 +428,7 @@ class StreamingCoreset:
         seed: int = 0,
         backend: str = "exact",
         o_range: tuple[float, float] | None = None,
-        prefer: str | None = None,
-        auto_pilot: bool | None = None,
     ):
-        """``prefer`` picks among non-FAIL guesses at finalize time:
-        ``"smallest"`` is Theorem 3.19's rule (always quality-safe);
-        ``"largest"`` maximizes compression and is the right choice when
-        ``o_range`` is anchored by an OPT estimate (the Theorem 4.5 setting,
-        where o ∈ [OPT/10, OPT]).  Default: largest when an ``o_range`` is
-        given, smallest otherwise."""
-        if auto_pilot is None:
-            auto_pilot = o_range is None
-        if prefer is None:
-            prefer = "largest" if (o_range is not None or auto_pilot) else "smallest"
-        if prefer not in ("largest", "smallest"):
-            raise ValueError(f"prefer must be 'largest' or 'smallest', got {prefer!r}")
-        self.prefer = prefer
         self.params = params
         # Construction arguments, kept so checkpoints (repro.service.state)
         # can rebuild an identical driver — every bit of randomness below is
@@ -448,13 +436,12 @@ class StreamingCoreset:
         # complete, bit-exact description of the state.
         self.seed = int(seed)
         self.backend = backend
-        self.o_range = None if o_range is None else (float(o_range[0]), float(o_range[1]))
-        self.auto_pilot = bool(auto_pilot)
+        self.o_range = check_o_range(o_range)
         self.grids = HierarchicalGrids(params.delta, params.d,
                                        seed=derive_seed(seed, "grids"))
         self.shared = _SharedHashes(params, self.grids, derive_seed(seed, "hashes"))
         top = (params.delta ** params.d) * (math.sqrt(params.d) * params.delta) ** params.r
-        lo, hi = (1.0, top) if o_range is None else (max(1.0, o_range[0]), o_range[1])
+        lo, hi = (1.0, top) if o_range is None else (max(1.0, self.o_range[0]), self.o_range[1])
         self.instances: list[StreamingCoresetInstance] = []
         o = 1.0
         while o <= top * 2:  # scalar-ok: constructor: guess schedule
@@ -466,7 +453,7 @@ class StreamingCoreset:
             o *= 2.0
         self.num_updates = 0
         self._pilot_sampler = None
-        if auto_pilot:
+        if o_range is None:
             from repro.streaming.l0sampler import DistinctSampler
 
             self._pilot_sampler = DistinctSampler(
@@ -499,13 +486,14 @@ class StreamingCoreset:
         point keys covers all L+1 levels; threshold masks and sketch
         scatters run per level.  The resulting state does not depend on how
         the stream is split into batches; the tests and the bench harness
-        pin it to a per-event reference.
+        pin it to a per-event reference.  Rows and signs (integral ±1, one
+        per row) are checked before any state changes.
         """
-        rows = check_stream_points(np.asarray(rows), self.params.delta)
+        rows = check_stream_points(np.asarray(rows), self.params.delta, self.params.d)
+        signs = check_signs(signs, len(rows))
         n = len(rows)
         if n == 0:
             return 0
-        signs = np.asarray(signs, dtype=np.int64)
         pkeys = self.grids.point_codec.encode(rows)
         levels = range(self.params.L + 1)
         cell_keys = [self.grids.cell_keys(rows, i) for i in levels]
@@ -516,10 +504,6 @@ class StreamingCoreset:
             self._pilot_sampler.update_many(pkeys, signs)
         self.num_updates += n
         return n
-
-    def process(self, stream) -> int:
-        """Consume an iterable of :class:`StreamEvent` (or (point, sign) pairs)."""
-        return self.update_batch(stream)
 
     def copy(self) -> "StreamingCoreset":
         """An independent driver with the same sketch contents.
@@ -537,16 +521,14 @@ class StreamingCoreset:
 
     # -- results ---------------------------------------------------------------
     def finalize(self) -> Coreset:
-        """Return the coreset of the preferred non-FAIL guess.
+        """Return the coreset of the largest non-FAIL guess (guesses above
+        the pilot cap last; see :meth:`finalize_with_instance`).
 
         Non-destructive: decoding copies the sketches, so this may be called
         at any point of the stream (a *snapshot* of the current live set)
         and streaming can continue afterwards.
         """
         return self.finalize_with_instance()[0]
-
-    #: Alias making the any-time-query semantics explicit.
-    snapshot = finalize
 
     def finalize_with_instance(self):
         """Like :meth:`finalize` but also returns the winning instance.
@@ -558,10 +540,10 @@ class StreamingCoreset:
         set still finalizes.
         """
         last = "no instances"
-        order = self.instances if self.prefer == "smallest" else self.instances[::-1]
         cap = self._pilot_upper_bound()
-        # Guesses above the OPT estimate are tried last (stable order).
-        order = sorted(order, key=lambda inst: cap is not None and inst.o > cap)
+        # Largest guess first; guesses above the OPT estimate last (stable).
+        order = sorted(self.instances[::-1],
+                       key=lambda inst: cap is not None and inst.o > cap)
         empty = None
         for inst in order:  # scalar-ok: finalize: per guess
             try:
@@ -578,7 +560,7 @@ class StreamingCoreset:
         raise FailedConstruction(f"all streaming guesses failed; last: {last}")
 
     def _pilot_upper_bound(self) -> float | None:
-        """Estimate of OPT/4 from the ℓ₀-sampler (None without auto_pilot).
+        """Estimate of OPT/4 from the ℓ₀-sampler (None with an ``o_range``).
 
         A k-means++/Lloyd solution on a uniform sample of the live set,
         scaled by the estimated live count, upper-bounds OPT up to sampling

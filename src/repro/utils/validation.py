@@ -9,6 +9,8 @@ of Theorem 3.19 catch and interpret as "try the next guess".
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -18,6 +20,8 @@ __all__ = [
     "check_delta",
     "check_epsilon_eta",
     "check_k",
+    "check_o_range",
+    "check_signs",
     "check_weights",
     "coerce_integral_rows",
 ]
@@ -64,19 +68,20 @@ def check_points(points: np.ndarray, delta: int) -> np.ndarray:
     return q.astype(np.int64, copy=False)
 
 
-def check_stream_points(points: np.ndarray, delta: int) -> np.ndarray:
+def check_stream_points(points: np.ndarray, delta: int, d: int) -> np.ndarray:
     """Validate an (n, d) integer array of *encodable* stream points.
 
     The mixed-radix point codec is injective exactly on coordinates in
     [0, Δ] (base Δ+1).  Anything outside that window would silently alias
     to a **different** valid point's key and corrupt every downstream
     sketch, so the streaming/service ingest paths must reject it before
-    touching any state.  (The offline pipeline keeps the paper's stricter
-    [1, Δ] domain via :func:`check_points`.)
+    touching any state; so must a row without exactly ``d`` coordinates,
+    which would broadcast into another point.  (The offline pipeline keeps
+    the paper's stricter [1, Δ] domain via :func:`check_points`.)
     """
     q = np.asarray(points)
-    if q.ndim != 2:
-        raise ValueError(f"points must be a 2-D array (n, d), got shape {q.shape}")
+    if q.ndim != 2 or q.shape[1] != d:
+        raise ValueError(f"points must be a 2-D array (n, {d}), got shape {q.shape}")
     if not np.issubdtype(q.dtype, np.integer):
         raise ValueError(
             "points must be integers in [0, delta]; use repro.grid.discretize "
@@ -132,6 +137,36 @@ def coerce_integral_rows(points) -> np.ndarray:
             raise ValueError(f"point coordinate {bad!r} out of int64 range")
         return floored.astype(np.int64)
     raise ValueError(f"points must be integers, got dtype {arr.dtype}")
+
+
+def check_signs(signs, n: int) -> np.ndarray:
+    """The sign vector of an ``n``-event batch as int64: 1-D, one integral
+    ±1 per row, else ``ValueError`` (an int64 cast would keep 2 and
+    truncate 0.5 to 0, which the sketches and counters read differently)."""
+    s = np.asarray(signs)
+    if s.shape != (n,):
+        raise ValueError(
+            f"signs must be a 1-D array of {n} values, one per row, got shape {s.shape}")
+    if s.dtype.kind not in "biuf":
+        raise ValueError(f"signs must be +1 or -1, got dtype {s.dtype}")
+    ok = (s == 1) | (s == -1)
+    if not ok.all():
+        raise ValueError(f"signs must be +1 or -1, got {s[~ok][0].item()!r}")
+    return s.astype(np.int64, copy=False)
+
+
+def check_o_range(o_range) -> tuple[float, float] | None:
+    """A guess window as a ``(lo, hi)`` float pair, or ``None``;
+    ``ValueError`` unless both ends are finite and 0 ≤ lo ≤ hi."""
+    if o_range is None:
+        return None
+    try:
+        lo, hi = (float(x) for x in o_range)
+    except (TypeError, ValueError):
+        raise ValueError(f"o_range must be a (lo, hi) pair, got {o_range!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo <= hi):
+        raise ValueError(f"o_range must be finite with 0 <= lo <= hi, got {o_range!r}")
+    return lo, hi
 
 
 def check_epsilon_eta(eps: float, eta: float) -> tuple[float, float]:

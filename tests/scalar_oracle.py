@@ -317,7 +317,7 @@ def scalar_ingest(driver, events) -> int:
     the number of events.
     """
     rows, signs = events_to_arrays(events, d=driver.params.d)
-    rows = check_stream_points(rows, driver.params.delta)
+    rows = check_stream_points(rows, driver.params.delta, driver.params.d)
     mirrors = {}
     for inst in driver.instances:
         for store in inst.store_h + inst.store_hp + inst.store_hhat:
@@ -415,9 +415,9 @@ def _header(sc, version: int) -> dict:
         "params": params_to_dict(sc.params),
         "seed": sc.seed,
         "backend": sc.backend,
-        "prefer": sc.prefer,
+        "prefer": "largest",
         "o_range": list(sc.o_range) if sc.o_range is not None else None,
-        "auto_pilot": sc.auto_pilot,
+        "auto_pilot": sc.o_range is None,
         "num_updates": sc.num_updates,
     }
 
@@ -505,10 +505,10 @@ def counter_state_to_dict(sc) -> dict:
 
 def _rebuild(data: dict):
     o_range = tuple(data["o_range"]) if data["o_range"] is not None else None
+    assert data["prefer"] == "largest" and data["auto_pilot"] is (o_range is None)
     sc = StreamingCoreset(
         params_from_dict(data["params"]), seed=data["seed"],
-        backend=data["backend"], o_range=o_range, prefer=data["prefer"],
-        auto_pilot=data["auto_pilot"],
+        backend=data["backend"], o_range=o_range,
     )
     for inst, rec in zip(sc.instances, data["instances"]):
         inst.dead_reason = rec["dead_reason"]

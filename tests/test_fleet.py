@@ -17,6 +17,7 @@ Three layers, cheapest first:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 
@@ -33,7 +34,9 @@ from repro.distributed.fleet import (
     pull_state_bits,
     run_fleet,
 )
-from repro.distributed.fleet import _ingest_json, _reference_service
+from repro.cli import build_parser
+from repro.distributed import fleet
+from repro.distributed.fleet import _ingest_json, _reference_service, _serve_argv
 from repro.service import (
     ClusteringService,
     ServiceClient,
@@ -215,6 +218,33 @@ class TestWireOps:
 
 
 @pytest.mark.slow
+class TestSiteCommandLine:
+    """Sites are spawned from ``_serve_argv(config)``; no process is
+    spawned here."""
+
+    def test_o_range_rejected_before_any_spawn(self, monkeypatch):
+        def no_spawn(*args, **kwargs):
+            raise AssertionError("a site process was spawned")
+
+        monkeypatch.setattr(fleet.subprocess, "Popen", no_spawn)
+        config = ServiceConfig(**CHEAP)
+        with pytest.raises(ValueError, match="o_range"):
+            _serve_argv(config)
+        with pytest.raises(ValueError, match="o_range"):
+            run_fleet(config, np.array([[1, 1], [2, 2]]), 2)
+
+    def test_serve_argv_round_trips_every_other_field(self):
+        config = ServiceConfig(k=3, d=4, delta=128, r=1.0, eps=0.3, eta=0.2,
+                               seed=2**40 + 3, backend="sketch",
+                               capacity_slack=1.45, restarts=3)
+        args = build_parser().parse_args(_serve_argv(config, restore="x.json")[3:])
+        assert (args.command, args.restore) == ("serve", "x.json")
+        names = {"num_shards": "shards"}
+        back = {f.name: getattr(args, names.get(f.name, f.name))
+                for f in dataclasses.fields(ServiceConfig) if f.name != "o_range"}
+        assert ServiceConfig(**back) == config
+
+
 class TestRealFleet:
     """End-to-end over real subprocesses (the acceptance criterion)."""
 

@@ -83,7 +83,7 @@ class TestThreeModelsAgree:
                               o_range=(pilot / 64, pilot / 4))
         from repro.data.workloads import insertion_stream
 
-        sc.process(insertion_stream(pts, seed=3))
+        sc.update_batch(insertion_stream(pts, seed=3))
         streamed = sc.finalize()
 
         net = Network.partition(pts, 4, seed=2)
@@ -106,7 +106,7 @@ class TestStreamingEndToEnd:
         stream = churn_stream(pts, delete_fraction=0.5, seed=6)
         survivors = materialize(stream, d=2)
         sc = StreamingCoreset(params, seed=13, backend="exact")  # auto-pilot
-        sc.process(stream)
+        sc.update_batch(stream)
         cs = sc.finalize()
         t = len(survivors) / k * 1.2
         solver = CapacitatedKClustering(k=k, capacity=cs.total_weight / k * 1.2,

@@ -80,7 +80,7 @@ class TestAutoPilotStreaming:
         stream = churn_stream(pts, delete_fraction=0.4, seed=4)
         survivors = materialize(stream, d=2)
         sc = StreamingCoreset(params, seed=19, backend="exact")
-        sc.process(stream)
+        sc.update_batch(stream)
         cs = sc.finalize()
         surv_set = set(map(tuple, survivors.tolist()))
         assert all(tuple(p) in surv_set for p in cs.points.tolist())
@@ -95,14 +95,14 @@ class TestAutoPilotStreaming:
         params = CoresetParams.practical(k=3, d=2, delta=256)
         stream = insertion_stream(pts, seed=2)
         auto = StreamingCoreset(params, seed=23, backend="exact")
-        auto.process(stream)
+        auto.update_batch(stream)
         cs_auto = auto.finalize()
         from repro.solvers.pilot import estimate_opt_cost
 
         pilot = estimate_opt_cost(pts, 3, r=2.0, seed=1)
         manual = StreamingCoreset(params, seed=23, backend="exact",
                                   o_range=(pilot / 64, pilot / 4))
-        manual.process(stream)
+        manual.update_batch(stream)
         cs_manual = manual.finalize()
         # Same ballpark guess (within a factor of 8) and similar size.
         assert 0.125 <= cs_auto.o / cs_manual.o <= 8.0

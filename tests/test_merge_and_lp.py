@@ -54,15 +54,15 @@ class TestMergeStreaming:
         half = len(pts) // 2
 
         whole = StreamingCoreset(params, seed=41, backend=backend, o_range=orange)
-        whole.process(insertion_stream(pts, seed=9))
+        whole.update_batch(insertion_stream(pts, seed=9))
         want = whole.finalize()
 
         s1 = StreamingCoreset(params, seed=41, backend=backend, o_range=orange)
         s2 = StreamingCoreset(params, seed=41, backend=backend, o_range=orange)
         # Shard by the same global order so the union matches exactly.
         events = list(insertion_stream(pts, seed=9))
-        s1.process(events[:half])
-        s2.process(events[half:])
+        s1.update_batch(events[:half])
+        s2.update_batch(events[half:])
         merged = merge_streaming_states(s1, s2)
         got = merged.finalize()
         assert got.o == want.o

@@ -177,9 +177,7 @@ def _cross_shard_sketches(backend: str):
     rng = np.random.default_rng(11)
     pts = np.unique(rng.integers(1, 64, size=(160, 2)), axis=0)[:120]
     gone = pts[rng.choice(len(pts), 40, replace=False)]
-    shards = [StreamingCoreset(params, seed=7, backend=backend,
-                               o_range=(256.0, 2048.0), auto_pilot=True)
-              for _ in range(3)]
+    shards = [StreamingCoreset(params, seed=7, backend=backend) for _ in range(3)]
     shards[0].update_arrays(pts[:70], np.ones(70, dtype=np.int64))
     shards[1].update_arrays(pts[70:], np.ones(len(pts) - 70, dtype=np.int64))
     shards[2].update_arrays(gone, -np.ones(len(gone), dtype=np.int64))

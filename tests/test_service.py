@@ -137,7 +137,7 @@ class TestShardedMergeExact:
         )
 
         ref = StreamingCoreset(params, seed=9, backend="exact")
-        ref.process(events)
+        ref.update_batch(events)
         want = ref.finalize()
         merged = shards[0]
         for other in shards[1:]:
@@ -157,7 +157,7 @@ class TestShardedMergeExact:
         ing.apply_batch(events[len(events) // 2:])
         got = ing.merged_state().finalize()
         ref = StreamingCoreset(params, seed=9)
-        ref.process(events)
+        ref.update_batch(events)
         assert _coreset_points(got) == _coreset_points(ref.finalize())
         assert first is not None
 
@@ -167,7 +167,7 @@ class TestCheckpointRestore:
     def test_roundtrip_bit_identical(self, world, backend):
         stream, _, params = world
         sc = StreamingCoreset(params, seed=11, backend=backend)
-        sc.process(stream)
+        sc.update_batch(stream)
         blob = json.dumps(streaming_state_to_dict(sc))  # JSON-safe end to end
         restored = streaming_state_from_dict(json.loads(blob))
         want, got = sc.finalize(), restored.finalize()
@@ -184,12 +184,12 @@ class TestCheckpointRestore:
         half = len(events) // 2
 
         sc = StreamingCoreset(params, seed=11)
-        sc.process(events[:half])
+        sc.update_batch(events[:half])
         restored = streaming_state_from_dict(streaming_state_to_dict(sc))
-        restored.process(events[half:])
+        restored.update_batch(events[half:])
 
         ref = StreamingCoreset(params, seed=11)
-        ref.process(events)
+        ref.update_batch(events)
         want, got = ref.finalize(), restored.finalize()
         assert got.o == want.o
         assert _coreset_points(got) == _coreset_points(want)
@@ -197,7 +197,7 @@ class TestCheckpointRestore:
     def test_file_roundtrip_is_atomic(self, world, tmp_path):
         stream, _, params = world
         sc = StreamingCoreset(params, seed=11)
-        sc.process(stream)
+        sc.update_batch(stream)
         path = tmp_path / "state.json"
         save_streaming_state(path, sc)
         assert path.exists()
@@ -334,7 +334,7 @@ class TestQueryEngine:
         merged = svc.ingest.merged_state()
         coreset, instance = merged.finalize_with_instance()
         assert len(coreset) == 0
-        assert instance is merged.instances[-1]  # prefer="largest" order
+        assert instance is merged.instances[-1]  # largest guess first
 
     @pytest.mark.parametrize("num_shards", [1, 4])
     def test_empty_live_set_answers_empty(self, num_shards):

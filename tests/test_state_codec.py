@@ -536,6 +536,23 @@ class TestPilotLevelCount:
             streaming_state_from_dict(data)
 
 
+class TestGuessPolicyFields:
+    """``prefer`` and ``auto_pilot`` are written as ``o_range`` implies
+    ("largest"; ``o_range is None``), and restore rejects a file whose
+    fields say otherwise instead of obeying them."""
+
+    @pytest.mark.parametrize("fmt", [1, 2])
+    @pytest.mark.parametrize("backend", ["exact", "sketch"])
+    @pytest.mark.parametrize("field,value", [("prefer", "smallest"),
+                                             ("prefer", None),
+                                             ("auto_pilot", "flip")])
+    def test_inconsistent_fields_rejected(self, fmt, backend, field, value):
+        data = _state(fmt, backend)
+        data[field] = not data[field] if value == "flip" else value
+        with pytest.raises(ValueError, match="guess policy"):
+            streaming_state_from_dict(data)
+
+
 # ------------------------------------------------------------ atomic writes
 DATA = Path(__file__).resolve().parent / "data"
 

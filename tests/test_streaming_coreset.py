@@ -11,6 +11,8 @@ from repro.core import CoresetParams
 from repro.data.synthetic import gaussian_mixture
 from repro.data.workloads import churn_stream, deletion_heavy_stream, insertion_stream
 from repro.metrics.evaluation import evaluate_coreset_quality
+from repro.service import ServiceConfig
+from repro.service.state import streaming_state_from_dict, streaming_state_to_dict
 from repro.solvers.kmeanspp import kmeans_plusplus
 from repro.solvers.pilot import estimate_opt_cost
 from repro.streaming import StreamingCoreset, materialize
@@ -32,7 +34,7 @@ class TestStreamingMatchesOffline:
         pts, params, pilot = setup
         sc = StreamingCoreset(params, seed=21, backend="exact",
                               o_range=(pilot / 64, pilot / 4))
-        sc.process(insertion_stream(pts, seed=5))
+        sc.update_batch(insertion_stream(pts, seed=5))
         cs = sc.finalize()
         assert len(cs) > 0
         # The streaming coreset must be a subset of the input with sane weights.
@@ -47,7 +49,7 @@ class TestStreamingMatchesOffline:
         for order_seed in (1, 2):
             sc = StreamingCoreset(params, seed=33, backend="exact",
                                   o_range=(pilot / 64, pilot / 4))
-            sc.process(insertion_stream(pts, seed=order_seed))
+            sc.update_batch(insertion_stream(pts, seed=order_seed))
             cs = sc.finalize()
             results.append(sorted(map(tuple, cs.points.tolist())))
         assert results[0] == results[1]
@@ -65,10 +67,10 @@ class TestStreamingMatchesOffline:
         pilot = estimate_opt_cost(keep, 3, r=2.0, seed=4)
         a = StreamingCoreset(params, seed=44, backend="exact",
                              o_range=(pilot / 64, pilot / 4))
-        a.process(Stream(events))
+        a.update_batch(Stream(events))
         b = StreamingCoreset(params, seed=44, backend="exact",
                              o_range=(pilot / 64, pilot / 4))
-        b.process(Stream([StreamEvent(tuple(map(int, p)), INSERT) for p in keep]))
+        b.update_batch(Stream([StreamEvent(tuple(map(int, p)), INSERT) for p in keep]))
         ca, cb = a.finalize(), b.finalize()
         assert sorted(map(tuple, ca.points.tolist())) == sorted(map(tuple, cb.points.tolist()))
         assert ca.o == cb.o
@@ -82,7 +84,7 @@ class TestStreamingQuality:
         pilot = estimate_opt_cost(survivors, 3, r=2.0, seed=4)
         sc = StreamingCoreset(params, seed=13, backend="exact",
                               o_range=(pilot / 64, pilot / 4))
-        sc.process(stream)
+        sc.update_batch(stream)
         cs = sc.finalize()
         n = len(survivors)
         Zs = [kmeans_plusplus(survivors.astype(float), 3, seed=s) for s in (1, 2)]
@@ -104,7 +106,7 @@ class TestStreamingQuality:
         pilot = estimate_opt_cost(survivors, 2, r=2.0, seed=4)
         sc = StreamingCoreset(params, seed=31, backend="exact",
                               o_range=(pilot / 64, pilot / 4))
-        sc.process(stream)
+        sc.update_batch(stream)
         cs = sc.finalize()
         surv_set = set(map(tuple, survivors.tolist()))
         assert all(tuple(p) in surv_set for p in cs.points.tolist())
@@ -124,11 +126,11 @@ class TestSnapshots:
         sc = StreamingCoreset(params, seed=77, backend="exact", o_range=orange)
         from repro.streaming.stream import Stream
 
-        sc.process(insertion_stream(prefix, seed=1))
-        snap = sc.snapshot()
+        sc.update_batch(insertion_stream(prefix, seed=1))
+        snap = sc.finalize()
 
         fresh = StreamingCoreset(params, seed=77, backend="exact", o_range=orange)
-        fresh.process(insertion_stream(prefix, seed=1))
+        fresh.update_batch(insertion_stream(prefix, seed=1))
         ref = fresh.finalize()
         assert sorted(map(tuple, snap.points.tolist())) == sorted(
             map(tuple, ref.points.tolist())
@@ -136,12 +138,12 @@ class TestSnapshots:
 
         # Continue streaming after the snapshot; the final result equals a
         # single uninterrupted run.
-        sc.process(insertion_stream(rest, seed=2))
+        sc.update_batch(insertion_stream(rest, seed=2))
         full = sc.finalize()
         uninterrupted = StreamingCoreset(params, seed=77, backend="exact",
                                          o_range=orange)
-        uninterrupted.process(insertion_stream(prefix, seed=1))
-        uninterrupted.process(insertion_stream(rest, seed=2))
+        uninterrupted.update_batch(insertion_stream(prefix, seed=1))
+        uninterrupted.update_batch(insertion_stream(rest, seed=2))
         want = uninterrupted.finalize()
         assert sorted(map(tuple, full.points.tolist())) == sorted(
             map(tuple, want.points.tolist())
@@ -155,11 +157,11 @@ class TestSketchBackend:
         sub_pilot = estimate_opt_cost(sub, 3, r=2.0, seed=4)
         exact = StreamingCoreset(params, seed=55, backend="exact",
                                  o_range=(sub_pilot / 16, sub_pilot / 4))
-        exact.process(insertion_stream(sub, seed=3))
+        exact.update_batch(insertion_stream(sub, seed=3))
         cs_e, inst = exact.finalize_with_instance()
         sketch = StreamingCoreset(params, seed=55, backend="sketch",
                                   o_range=(cs_e.o, cs_e.o))
-        sketch.process(insertion_stream(sub, seed=3))
+        sketch.update_batch(insertion_stream(sub, seed=3))
         cs_s = sketch.finalize()
         assert sorted(map(tuple, cs_e.points.tolist())) == sorted(
             map(tuple, cs_s.points.tolist())
@@ -185,9 +187,9 @@ class TestUpdateBatchAndValidation:
         sub = pts[:80]
         orange = (pilot / 64, pilot / 4)
         arr = StreamingCoreset(params, seed=7, backend="exact", o_range=orange)
-        arr.process(Stream([StreamEvent(np.asarray(p), INSERT) for p in sub]))
+        arr.update_batch(Stream([StreamEvent(np.asarray(p), INSERT) for p in sub]))
         tup = StreamingCoreset(params, seed=7, backend="exact", o_range=orange)
-        tup.process(Stream([StreamEvent(tuple(map(int, p)), INSERT)
+        tup.update_batch(Stream([StreamEvent(tuple(map(int, p)), INSERT)
                             for p in sub]))
         from repro.service.state import streaming_state_to_dict
 
@@ -242,11 +244,40 @@ class TestFailurePaths:
         pts, params, _ = setup
         sc = StreamingCoreset(params, seed=5, backend="exact",
                               o_range=(1e17, 1e18))  # absurd: root never heavy
-        sc.process(insertion_stream(pts[:100], seed=1))
+        sc.update_batch(insertion_stream(pts[:100], seed=1))
         with pytest.raises(FailedConstruction):
             sc.finalize()
 
-    def test_prefer_validation(self, setup):
+
+class TestGuessWindow:
+    """``o_range`` is the driver's only guess-policy input: finite
+    0 <= lo <= hi, checked by the driver and by ``ServiceConfig`` (so a
+    restored checkpoint is checked too)."""
+
+    BAD = {"reversed": (8.0, 1.0), "nan": (float("nan"), 8.0),
+           "negative": (-5.0, 4.0), "inf": (1.0, float("inf")),
+           "one end": (1.0,), "not numbers": ("a", "b")}
+
+    @pytest.mark.parametrize("case", list(BAD))
+    def test_bad_window_rejected(self, setup, case):
         _, params, _ = setup
-        with pytest.raises(ValueError):
-            StreamingCoreset(params, prefer="median")
+        with pytest.raises(ValueError, match="o_range"):
+            StreamingCoreset(params, o_range=self.BAD[case])
+        with pytest.raises(ValueError, match="o_range"):
+            ServiceConfig(k=3, d=2, delta=256, o_range=self.BAD[case])
+
+    @pytest.mark.parametrize("window", [(4, 64), (1.0, 1e9), (1e17, 1e18),
+                                        (0.0, 0.0), (0.5, 2.0)])
+    def test_windows_in_use_accepted(self, setup, window):
+        _, params, _ = setup
+        sc = StreamingCoreset(params, o_range=window)
+        assert sc.o_range == (float(window[0]), float(window[1]))
+        assert sc._pilot_sampler is None
+        ServiceConfig(k=3, d=2, delta=256, o_range=window)
+
+    def test_restore_checks_window(self, setup):
+        _, params, _ = setup
+        data = streaming_state_to_dict(StreamingCoreset(params, o_range=(1.0, 8.0)))
+        data["o_range"] = [8.0, 1.0]
+        with pytest.raises(ValueError, match="o_range"):
+            streaming_state_from_dict(data)

@@ -29,6 +29,7 @@ from repro.hashing.kwise import (
     exact_field_threshold,
     horner,
 )
+from repro.service.engine import ClusteringService, ServiceConfig
 from repro.service.protocol import ProtocolError, parse_points
 from repro.service.shards import ShardedIngest
 from repro.service.state import streaming_state_to_dict
@@ -468,11 +469,12 @@ class TestNonIntegralRejection:
         after = json.dumps(streaming_state_to_dict(sc), sort_keys=True)
         assert before == after  # nothing ingested from the bad batch
 
-    def test_sharded_insert_rejects(self, params):
-        ing = ShardedIngest(params, seed=0, o_range=(8.0, 64.0))
+    def test_sharded_insert_rejects(self):
+        """A service insert coerces its rows before they reach the ingest."""
+        svc = ClusteringService(ServiceConfig(k=2, d=2, delta=64, o_range=(8.0, 64.0)))
         with pytest.raises(ValueError, match="integral"):
-            ing.insert_points([[1.5, 2.0]])
-        assert ing.num_events == 0 and ing.version == 0
+            svc.insert([[1.5, 2.0]])
+        assert svc.ingest.num_events == 0 and svc.ingest.version == 0
 
     def test_wire_parse_points_rejects(self):
         with pytest.raises(ProtocolError, match="integ"):
@@ -499,22 +501,37 @@ class TestNonIntegralRejection:
             call()
         assert (sc.num_updates, _state(sc)) == before
 
-    @pytest.mark.parametrize("entry", ["apply_batch", "apply_arrays",
-                                       "insert_points"])
+    @pytest.mark.parametrize("entry", ["apply_batch", "apply_arrays", "insert"])
     def test_sharded_entry_points_reject_fraction(self, params, entry):
         ing = ShardedIngest(params, seed=0, o_range=(8.0, 64.0))
         ing.apply_batch([((1, 1), 1)])
         before = (ing.version, json.dumps(ing.to_state_dict(), sort_keys=True))
+        svc = ClusteringService(ServiceConfig(k=2, d=2, delta=64, eps=0.45, eta=0.45,
+                                              o_range=(8.0, 64.0)), ingest=ing)
         call = {
             "apply_batch": lambda: ing.apply_batch([((1, 2), 1), ((2.5, 3), 1)]),
             "apply_arrays": lambda: ing.apply_arrays(
                 [[1, 2], [2.5, 3]], np.ones(2, dtype=np.int64)),
-            "insert_points": lambda: ing.insert_points([[1, 2], [2.5, 3]]),
+            "insert": lambda: svc.insert([[1, 2], [2.5, 3]]),
         }[entry]
         with pytest.raises(ValueError, match="integral"):
             call()
         assert (ing.version,
                 json.dumps(ing.to_state_dict(), sort_keys=True)) == before
+
+    @pytest.mark.parametrize("rows", [[[5]], [[1, 2, 3]], []],
+                             ids=["narrow", "wide", "empty list"])
+    def test_wrong_width_rows_rejected(self, params, rows):
+        """A (1, 1) row was read as the point (5, 0) of a d = 2 driver."""
+        sc = StreamingCoreset(params, seed=0, o_range=(8.0, 64.0))
+        before = _state(sc)
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            sc.update_arrays(np.array(rows, dtype=np.int64).reshape(1, -1), [1])
+        assert (sc.num_updates, _state(sc)) == (0, before)
+        svc = ClusteringService(ServiceConfig(k=2, d=2, delta=64, o_range=(8.0, 64.0)))
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            svc.insert(rows)
+        assert svc.ingest.num_events == svc.ingest.version == 0
 
     def test_nan_and_overflow_rejected(self, params):
         sc = StreamingCoreset(params, seed=0, o_range=(8.0, 64.0))
@@ -522,6 +539,64 @@ class TestNonIntegralRejection:
             sc.update((float("nan"), 1), 1)
         with pytest.raises(ValueError):
             sc.update((1e30, 1), 1)
+
+
+# --------------------------------------------------------------------------
+# Signs other than integral ±1 are rejected, never truncated.
+# --------------------------------------------------------------------------
+#: Bad sign vectors for a two-row batch.  An int64 cast would keep 2 (sketch
+#: weight 2, one insertion counted), truncate 0.5 to 0 (no sketch change, a
+#: deletion counted) and let a short vector fail with ``IndexError``.
+_BAD_SIGNS = {
+    "two": [1, 2],
+    "half": [1, 0.5],
+    "zero": [1, 0],
+    "short": [1],
+    "long": [1, -1, 1],
+    "2-d": [[1, -1]],
+    "nan": [1, float("nan")],
+    "str": ["1", "-1"],
+}
+
+
+class TestSignRejection:
+    @pytest.fixture
+    def ingest(self):
+        params = CoresetParams.practical(k=2, d=2, delta=64, eps=0.45, eta=0.45)
+        ing = ShardedIngest(params, seed=0)  # pilot on: its sketches too
+        ing.apply_batch([((1, 1), 1), ((2, 2), 1)])
+        return ing
+
+    @staticmethod
+    def _snapshot(ing):
+        return (ing.version, ing.num_insertions, ing.num_deletions,
+                ing.driver.num_updates,
+                json.dumps(ing.to_state_dict(), sort_keys=True))
+
+    @pytest.mark.parametrize("entry", ["apply_arrays", "update_arrays"])
+    @pytest.mark.parametrize("case", list(_BAD_SIGNS))
+    def test_array_signs_rejected(self, ingest, entry, case):
+        apply = (ingest.apply_arrays if entry == "apply_arrays"
+                 else ingest.driver.update_arrays)
+        before = self._snapshot(ingest)
+        with pytest.raises(ValueError, match="signs"):
+            apply(np.array([[3, 3], [4, 4]]), _BAD_SIGNS[case])
+        assert self._snapshot(ingest) == before
+
+    @pytest.mark.parametrize("sign", [2, 0.5, 0])
+    def test_event_pair_signs_rejected(self, ingest, sign):
+        before = self._snapshot(ingest)
+        with pytest.raises(ValueError, match="signs"):
+            ingest.apply_batch([((3, 3), 1), ((4, 4), sign)])
+        assert self._snapshot(ingest) == before
+
+    def test_integral_float_signs_accepted(self, ingest):
+        twin = ShardedIngest(ingest.params, seed=0)
+        twin.apply_batch([((1, 1), 1.0), ((2, 2), 1.0)])
+        ingest.apply_arrays([[3, 3], [1, 1]], np.array([1.0, -1.0]))
+        twin.apply_arrays([[3, 3], [1, 1]], [1, -1])
+        assert self._snapshot(ingest) == self._snapshot(twin)
+        assert (ingest.num_insertions, ingest.num_deletions) == (3, 1)
 
 
 # --------------------------------------------------------------------------
