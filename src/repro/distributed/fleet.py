@@ -63,7 +63,12 @@ import numpy as np
 
 from repro.distributed.network import Machine, Network
 from repro.service.client import ServiceClient, ServiceUnavailable
-from repro.service.engine import ClusteringService, ServiceConfig
+from repro.service.engine import (
+    ClusteringService,
+    ServiceConfig,
+    check_sketch_params,
+    envelope_bytes_ingested,
+)
 from repro.service.faults import fault_point
 from repro.service.protocol import DEFAULT_STREAM_ID, encode_message
 from repro.service.state import sharded_state_from_dict
@@ -196,8 +201,9 @@ class Coordinator:
 
         Returns ``(shared config, rebuilt ShardedIngest per site, raw
         envelopes)``.  Verifies all sites were built from one logical
-        config (seed/params/backend) — anything else would make
-        the merge silently wrong.
+        config (seed/params/backend), and that every rebuilt sketch was
+        built from that config's parameters — anything else would make the
+        merge silently wrong.
         """
         envelopes = []
         for j, cli in enumerate(self._clients):
@@ -214,6 +220,7 @@ class Coordinator:
         ingests = []
         for j, env in enumerate(envelopes):
             ingest = sharded_state_from_dict(env["ingest"])
+            check_sketch_params(base, ingest, f"site {j}")
             self.network.send_up(j, None, bits=pull_state_bits(ingest),
                                  label="pull_state")
             ingests.append(ingest)
@@ -231,9 +238,7 @@ class Coordinator:
         self.last_envelopes = envelopes
         merged = merge_sharded(ingests)
         service = ClusteringService(config, ingest=merged)
-        service.bytes_ingested = sum(
-            int(env.get("counters", {}).get("bytes_ingested", 0))
-            for env in envelopes)
+        service.bytes_ingested = sum(map(envelope_bytes_ingested, envelopes))
         return service
 
     def close(self) -> None:

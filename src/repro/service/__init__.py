@@ -5,8 +5,8 @@ service needs: one streaming driver per stream takes inserts and deletes
 (:mod:`repro.service.shards`), is persisted and restored bit-identically
 (:mod:`repro.service.state`), queried with result memoization
 (:mod:`repro.service.engine`), multiplexed across any number
-of named streams with cold-tenant eviction (:mod:`repro.service.tenants` /
-:mod:`repro.service.eviction`), and exposed over a wire protocol
+of named streams with LRU eviction of cold tenants
+(:mod:`repro.service.tenants`), and exposed over a wire protocol
 (:mod:`repro.service.aserver` / :mod:`repro.service.client`).
 
 Layering: ``state`` (codec) → ``shards`` (ingest) → ``engine`` (queries)
@@ -36,7 +36,6 @@ from repro.service.client import (
     ServiceUnavailable,
 )
 from repro.service.engine import ClusteringService, QueryResult, ServiceConfig
-from repro.service.eviction import LRUEvictionPolicy
 from repro.service.faults import FaultPlan, FaultRule
 from repro.service.shards import ShardedIngest
 from repro.service.state import (
@@ -60,7 +59,6 @@ __all__ = [
     "ClusteringService",
     "FaultPlan",
     "FaultRule",
-    "LRUEvictionPolicy",
     "QueryResult",
     "QuotaExceeded",
     "ServiceClient",

@@ -29,6 +29,7 @@ from repro.service.shards import ShardedIngest
 from repro.service.state import (
     READABLE_FORMAT_VERSIONS,
     STATE_FORMAT_VERSION,
+    check_count,
     sharded_state_from_dict,
     write_checkpoint,
 )
@@ -41,6 +42,8 @@ __all__ = [
     "QueryResult",
     "ClusteringService",
     "check_capacity_slack",
+    "check_sketch_params",
+    "envelope_bytes_ingested",
 ]
 
 
@@ -55,6 +58,21 @@ def check_capacity_slack(value) -> float:
         raise ValueError(
             f"capacity_slack must be finite and >= 1, got {value!r}")
     return slack
+
+
+def check_sketch_params(config: ServiceConfig, ingest: ShardedIngest,
+                        what: str) -> None:
+    """``ValueError`` unless a restored sketch was built from its config's
+    parameters (a ``k = 3`` driver must not run under a ``k = 2`` config)."""
+    if ingest.params != config.make_params():
+        raise ValueError(f"{what} sketch parameters do not match its config")
+
+
+def envelope_bytes_ingested(payload: dict) -> int:
+    """A checkpoint envelope's ``counters.bytes_ingested``, a non-negative
+    JSON integer (a negative one would grant that much extra byte quota)."""
+    return check_count(payload.get("counters", {}).get("bytes_ingested", 0),
+                       "bytes_ingested")
 
 
 @dataclass(frozen=True)
@@ -342,11 +360,9 @@ class ClusteringService:
             )
         config = ServiceConfig.from_dict(payload["config"])
         ingest = sharded_state_from_dict(payload["ingest"])
-        if ingest.params != config.make_params():
-            raise ValueError("checkpoint sketch parameters do not match its config")
+        check_sketch_params(config, ingest, "checkpoint")
         service = cls(config, ingest=ingest)
-        service.bytes_ingested = int(
-            payload.get("counters", {}).get("bytes_ingested", 0))
+        service.bytes_ingested = envelope_bytes_ingested(payload)
         return service
 
     def restore_in_place(self, path) -> None:

@@ -85,6 +85,7 @@ from repro.streaming.streaming_coreset import StreamingCoreset
 __all__ = [
     "READABLE_FORMAT_VERSIONS",
     "STATE_FORMAT_VERSION",
+    "check_count",
     "streaming_state_to_dict",
     "streaming_state_from_dict",
     "sharded_state_to_dict",
@@ -257,7 +258,7 @@ def _check_version(data: dict, what: str) -> int:
     return version
 
 
-def _count(value, what: str) -> int:
+def check_count(value, what: str) -> int:
     """A non-negative JSON integer counter, else ``ValueError`` (``true``,
     ``1.5`` and ``"3"`` are not counters)."""
     if type(value) is not int or value < 0:
@@ -324,7 +325,7 @@ def streaming_state_from_dict(data: dict) -> StreamingCoreset:
                 f"match rebuilt {len(levels)}")
         for sk, rows in zip(levels, data["pilot"]):
             sk.load_bucket_rows(rows, canonical=version > 1)
-    sc.num_updates = _count(data["num_updates"], "num_updates")
+    sc.num_updates = check_count(data["num_updates"], "num_updates")
     return sc
 
 
@@ -355,13 +356,13 @@ def sharded_state_from_dict(data: dict):
 
     _check_version(data, "sharded-state")
     drivers = [streaming_state_from_dict(rec) for rec in data["shards"]]
-    if len(drivers) != _count(data["num_shards"], "num_shards"):
+    if len(drivers) != check_count(data["num_shards"], "num_shards"):
         raise ValueError("checkpoint shard count mismatch")
-    per_shard = [_count(x, "events_per_shard") for x in data["events_per_shard"]]
+    per_shard = [check_count(x, "events_per_shard") for x in data["events_per_shard"]]
     ingest = ShardedIngest.from_drivers(drivers)
-    ingest.version = _count(data["version"], "version")
-    ingest.num_insertions = _count(data["num_insertions"], "num_insertions")
-    ingest.num_deletions = _count(data["num_deletions"], "num_deletions")
+    ingest.version = check_count(data["version"], "version")
+    ingest.num_insertions = check_count(data["num_insertions"], "num_insertions")
+    ingest.num_deletions = check_count(data["num_deletions"], "num_deletions")
     if len(per_shard) != len(drivers) or sum(per_shard) != ingest.num_events:
         raise ValueError("checkpoint event counts do not add up")
     return ingest

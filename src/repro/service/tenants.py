@@ -21,8 +21,9 @@ threads):
 - Within a tenant, the service's own lock serializes mutation — per-tenant
   serialization, no global ingest lock.  Queries snapshot the merged state
   under that lock and solve outside it, so reads do not block ingest.
-- The registry's global lock protects only the record map and the
-  recency clock; it is never held across sketch work, so tenants do not
+- The registry's global lock protects only the record map and the live
+  index (kept in lease order, so its first unpinned entries are the LRU
+  victims); it is never held across sketch work, so tenants do not
   contend with each other.
 
 Per-tenant randomness is derived from the base config's seed and the
@@ -53,9 +54,8 @@ from repro.service.engine import (
     ServiceConfig,
     check_capacity_slack,
 )
-from repro.service.eviction import LRUEvictionPolicy
 from repro.service.protocol import DEFAULT_STREAM_ID, ProtocolError
-from repro.service.state import tenant_checkpoint_filename, tenant_id_from_filename
+from repro.service.state import check_count, tenant_checkpoint_filename, tenant_id_from_filename
 from repro.utils.rng import derive_seed
 
 __all__ = [
@@ -114,25 +114,25 @@ class CircuitBreaker:
     """Per-tenant fail-fast switch for the async front end.
 
     Closed (normal) → records consecutive failures; at
-    ``failure_threshold`` it **opens**: operations are refused immediately
-    (the server answers a structured ``degraded`` envelope instead of
-    queueing callers behind a broken or recovering backend).  After
-    ``cooldown_s`` one probe operation is let through (**half-open**);
-    success closes the breaker, failure re-opens it for another cooldown.
+    :attr:`FAILURE_THRESHOLD` it **opens**: operations are refused
+    immediately (the server answers a structured ``degraded`` envelope
+    instead of queueing callers behind a broken or recovering backend).
+    After :attr:`COOLDOWN_S` one probe operation is let through
+    (**half-open**); success closes the breaker, failure re-opens it for
+    another cooldown.
 
     ``clock`` is injectable for deterministic tests.  Thread-safe: wire
     handler threads for one tenant may race.
     """
 
-    def __init__(self, failure_threshold: int = 3, cooldown_s: float = 5.0,
-                 clock=None):
-        if failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1, got {failure_threshold}")
-        self.failure_threshold = int(failure_threshold)
-        self.cooldown_s = float(cooldown_s)
+    #: Consecutive failed operations that open the breaker.
+    FAILURE_THRESHOLD = 3
+    #: Seconds an open breaker refuses operations before one probe.
+    COOLDOWN_S = 5.0
+
+    def __init__(self, clock=None):
         self._clock = clock if clock is not None else time.monotonic
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()  # snapshot() calls retry_after_s()
         self._state = "closed"
         self._consecutive_failures = 0
         self._opened_at = 0.0
@@ -152,7 +152,7 @@ class CircuitBreaker:
                 return True
             now = self._clock()
             if self._state == "open":
-                if now - self._opened_at < self.cooldown_s:
+                if now - self._opened_at < self.COOLDOWN_S:
                     return False
                 self._state = "half-open"
                 self._probing = True
@@ -174,7 +174,7 @@ class CircuitBreaker:
             self._consecutive_failures += 1
             self._probing = False
             if (self._state == "half-open"
-                    or self._consecutive_failures >= self.failure_threshold):
+                    or self._consecutive_failures >= self.FAILURE_THRESHOLD):
                 if self._state != "open":
                     self.times_opened += 1
                 self._state = "open"
@@ -185,20 +185,16 @@ class CircuitBreaker:
         with self._lock:
             if self._state != "open":
                 return 0.0
-            return max(0.0, self.cooldown_s - (self._clock() - self._opened_at))
+            return max(0.0, self.COOLDOWN_S - (self._clock() - self._opened_at))
 
     def snapshot(self) -> dict:
         """JSON-safe state for ``stats``/``tenants`` rows."""
         with self._lock:
-            remaining = 0.0
-            if self._state == "open":
-                remaining = max(0.0, self.cooldown_s
-                                - (self._clock() - self._opened_at))
             return {
                 "state": self._state,
                 "consecutive_failures": self._consecutive_failures,
                 "times_opened": self.times_opened,
-                "retry_after_s": round(remaining, 3),
+                "retry_after_s": round(self.retry_after_s(), 3),
             }
 
 
@@ -206,7 +202,7 @@ class _TenantRecord:
     """Registry-internal bookkeeping for one stream id."""
 
     __slots__ = ("stream_id", "service", "lock", "pins", "evictions",
-                 "restores", "last_known")
+                 "restores", "last_known", "breaker")
 
     def __init__(self, stream_id: str):
         self.stream_id = stream_id
@@ -216,6 +212,7 @@ class _TenantRecord:
         self.evictions = 0
         self.restores = 0
         self.last_known: dict = {}    # counters snapshot from the last evict
+        self.breaker = CircuitBreaker()
 
 
 class TenantRegistry:
@@ -234,20 +231,18 @@ class TenantRegistry:
         unbounded.
     quota:
         Optional :class:`TenantQuota` applied to every tenant.
-    breaker_threshold / breaker_cooldown_s:
-        Per-tenant circuit breaker: after ``breaker_threshold`` consecutive
-        failed operations a tenant is *degraded* — its requests are
-        rejected fast with :class:`TenantDegraded` for ``breaker_cooldown_s``
-        seconds, then a single probe request is let through (half-open).
-        Failures are counted per tenant, so one tenant's broken workload
-        (bad disk for its checkpoints, say) cannot brown-out the rest.
+
+    Each tenant has its own :class:`CircuitBreaker`: after
+    ``CircuitBreaker.FAILURE_THRESHOLD`` consecutive failed operations its
+    requests are rejected fast with :class:`TenantDegraded` for
+    ``CircuitBreaker.COOLDOWN_S`` seconds, then a single probe request is
+    let through (half-open).  One tenant's broken workload (bad disk for
+    its checkpoints, say) cannot brown-out the rest.
     """
 
     def __init__(self, config: ServiceConfig, tenants_dir=None,
                  max_live_tenants: int | None = None,
-                 quota: TenantQuota | None = None,
-                 breaker_threshold: int = 3,
-                 breaker_cooldown_s: float = 5.0):
+                 quota: TenantQuota | None = None):
         if max_live_tenants is not None:
             if max_live_tenants < 1:
                 raise ValueError(
@@ -261,19 +256,17 @@ class TenantRegistry:
             self.tenants_dir.mkdir(parents=True, exist_ok=True)
         self.max_live_tenants = max_live_tenants
         self.quota = quota
-        self._policy = LRUEvictionPolicy()
         self._records: dict[str, _TenantRecord] = {}
         #: Live-tenant index: exactly the records whose ``service`` is
-        #: resident.  Kept in lockstep with every load/evict/close
-        #: transition so the eviction victim scan and ``live_count`` are
-        #: O(live tenants), not O(known tenants) — with thousands of cold
-        #: tenants on disk, scanning ``_records`` per lease would dominate.
+        #: resident, least recently leased first (a lease moves its tenant
+        #: to the end, a load appends it).  Kept in lockstep with every
+        #: load/evict/close transition so the eviction victim scan and
+        #: ``live_count`` are O(live tenants), not O(known tenants) — with
+        #: thousands of cold tenants on disk, scanning ``_records`` per
+        #: lease would dominate.
         self._live: dict[str, _TenantRecord] = {}
         self._lock = threading.RLock()
         self._closed = False
-        self._breaker_threshold = int(breaker_threshold)
-        self._breaker_cooldown_s = float(breaker_cooldown_s)
-        self._breakers: dict[str, CircuitBreaker] = {}
         #: Bounded log of eviction checkpoints that failed to write (the
         #: victim stays live; surfaced via ``tenants``/``stats``).
         self.eviction_failures: list[dict] = []
@@ -293,16 +286,6 @@ class TenantRegistry:
     def _tenant_path(self, stream_id: str) -> Path:
         return self.tenants_dir / tenant_checkpoint_filename(stream_id)
 
-    def _breaker(self, stream_id: str) -> CircuitBreaker:
-        """The tenant's circuit breaker (created on first touch).
-        Caller holds the registry lock."""
-        br = self._breakers.get(stream_id)
-        if br is None:
-            br = self._breakers[stream_id] = CircuitBreaker(
-                failure_threshold=self._breaker_threshold,
-                cooldown_s=self._breaker_cooldown_s)
-        return br
-
     # -------------------------------------------------------------- leases
     @contextmanager
     def _lease(self, stream_id: str):
@@ -321,9 +304,10 @@ class TenantRegistry:
             rec = self._records.get(stream_id)
             if rec is None:
                 rec = self._records[stream_id] = _TenantRecord(stream_id)
+            elif self._live.pop(stream_id, None) is not None:
+                self._live[stream_id] = rec  # most recently leased: last
             rec.pins += 1
-            self._policy.touch(stream_id)
-            breaker = self._breaker(stream_id)
+        breaker = rec.breaker
         try:
             if not breaker.allow():
                 raise TenantDegraded(stream_id, breaker.retry_after_s())
@@ -359,7 +343,8 @@ class TenantRegistry:
                     f"tenant checkpoint {path} is stamped for stream "
                     f"{stamped!r}, not {rec.stream_id!r}")
             rec.service = ClusteringService.from_payload(payload)
-            rec.evictions = max(rec.evictions, int(meta.get("evictions", 0)))
+            rec.evictions = max(rec.evictions, check_count(
+                meta.get("evictions", 0), "tenant evictions"))
             rec.restores += 1
         else:
             rec.service = ClusteringService(self.tenant_config(rec.stream_id))
@@ -376,40 +361,49 @@ class TenantRegistry:
         failed: set[str] = set()  # victims whose checkpoint write failed this pass
         while True:
             with self._lock:
+                if len(self._live) < self.max_live_tenants:
+                    return
                 # O(live): only the live index is scanned, never the full
                 # record map — with 1000 known tenants and a budget of 4,
-                # this loop touches 4 records, not 1000.
-                excess = len(self._live) - self.max_live_tenants + 1
-                evictable = [sid for sid, r in self._live.items()
-                             if r.pins == 0 and sid != exclude
-                             and sid not in failed]
-                victims = self._policy.victims(evictable, excess)
-                if not victims:
+                # this loop touches 4 records, not 1000.  The index is in
+                # lease order, so the first evictable entry is the LRU one.
+                victim = next((r for sid, r in self._live.items()
+                               if r.pins == 0 and sid != exclude
+                               and sid not in failed), None)
+                if victim is None:
                     return
-                vrec = self._records[victims[0]]
-                vrec.pins += 1  # reserve: no competing evictor, no surprise close
+                victim.pins += 1
             try:
-                with vrec.lock:
-                    with self._lock:
-                        busy = vrec.pins > 1
-                    if not busy and vrec.service is not None:
-                        try:
-                            self._evict_locked(vrec)
-                        except OSError as exc:
-                            # Disk said no (full volume, injected fault).
-                            # The victim keeps its in-memory state — losing
-                            # it would lose events — and the budget is
-                            # allowed to overshoot; the next lease retries.
-                            failed.add(vrec.stream_id)
-                            with self._lock:
-                                if len(self.eviction_failures) < 100:
-                                    self.eviction_failures.append({
-                                        "stream_id": vrec.stream_id,
-                                        "error": str(exc),
-                                    })
-            finally:
+                self._evict_pinned(victim)
+            except OSError as exc:
+                # Disk said no (full volume, injected fault).  The victim
+                # keeps its in-memory state — losing it would lose events —
+                # and the budget is allowed to overshoot; the next lease
+                # retries.
+                failed.add(victim.stream_id)
                 with self._lock:
-                    vrec.pins -= 1
+                    if len(self.eviction_failures) < 100:
+                        self.eviction_failures.append({
+                            "stream_id": victim.stream_id,
+                            "error": str(exc),
+                        })
+
+    def _evict_pinned(self, rec: _TenantRecord) -> bool:
+        """Evict a tenant the caller pinned once under the registry lock
+        (the pin reserves it: no competing evictor, no surprise close), then
+        unpin it.  False when another lease holds it or it is already cold.
+        """
+        try:
+            with rec.lock:
+                with self._lock:
+                    busy = rec.pins > 1
+                if busy or rec.service is None:
+                    return False
+                self._evict_locked(rec)
+                return True
+        finally:
+            with self._lock:
+                rec.pins -= 1
 
     def _evict_locked(self, rec: _TenantRecord) -> None:
         """Checkpoint one live tenant to disk and release its memory.
@@ -429,10 +423,7 @@ class TenantRegistry:
         rec.service = None
         rec.evictions += 1
         with self._lock:
-            # Recency bookkeeping for a cold tenant is dead weight; its
-            # next touch re-registers it.
             self._live.pop(rec.stream_id, None)
-            self._policy.forget(rec.stream_id)
 
     def evict(self, stream_id: str) -> bool:
         """Explicitly checkpoint one tenant to disk and drop it from memory
@@ -441,21 +432,11 @@ class TenantRegistry:
         if self.tenants_dir is None:
             raise RuntimeError("eviction requires a tenants_dir")
         with self._lock:
-            rec = self._records.get(stream_id)
-            if rec is None or rec.service is None or rec.pins > 0:
+            rec = self._live.get(stream_id)
+            if rec is None or rec.pins > 0:
                 return False
             rec.pins += 1
-        try:
-            with rec.lock:
-                with self._lock:
-                    busy = rec.pins > 1
-                if busy or rec.service is None:
-                    return False
-                self._evict_locked(rec)
-                return True
-        finally:
-            with self._lock:
-                rec.pins -= 1
+        return self._evict_pinned(rec)
 
     # ---------------------------------------------------------------- quota
     def _check_quota(self, rec: _TenantRecord, n_events: int) -> None:
@@ -503,14 +484,6 @@ class TenantRegistry:
             applied = apply(service, arr)
             return {"applied": applied, "version": service.ingest.version}
 
-    def apply_events(self, stream_id: str, events) -> dict:
-        """Apply a mixed (point, ±1) batch to one tenant's stream."""
-        events = list(events)
-        with self._lease(stream_id) as rec:
-            self._check_quota(rec, len(events))
-            applied = rec.service.apply_events(events)
-            return {"applied": applied, "version": rec.service.ingest.version}
-
     def query(self, stream_id: str, capacity_slack: float | None = None):
         """Solve (or fetch the memoized) clustering of one tenant's stream;
         returns ``(QueryResult, cache_hit)``.  The solve runs outside the
@@ -529,7 +502,6 @@ class TenantRegistry:
         with self._lease(stream_id) as rec:
             stats = rec.service.stats()
             with self._lock:
-                breaker = self._breaker(rec.stream_id).snapshot()
                 failures = [f for f in self.eviction_failures
                             if f["stream_id"] == rec.stream_id]
             stats.update({
@@ -537,7 +509,7 @@ class TenantRegistry:
                 "seed": rec.service.config.seed,
                 "evictions": rec.evictions,
                 "restores": rec.restores,
-                "breaker": breaker,
+                "breaker": rec.breaker.snapshot(),
                 "eviction_failures": failures,
             })
             return stats
@@ -614,11 +586,9 @@ class TenantRegistry:
                     row = {"stream_id": sid, "live": False, **rec.last_known}
                 row["evictions"] = rec.evictions
                 row["restores"] = rec.restores
-                breaker = self._breakers.get(sid)
-                if breaker is not None:
-                    snap = breaker.snapshot()
-                    row["degraded"] = snap["state"] != "closed"
-                    row["breaker"] = snap
+                snap = rec.breaker.snapshot()
+                row["degraded"] = snap["state"] != "closed"
+                row["breaker"] = snap
                 rows[sid] = row
         if self.tenants_dir is not None and not live_only:
             for path in sorted(self.tenants_dir.iterdir()):

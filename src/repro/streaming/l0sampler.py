@@ -13,10 +13,10 @@ decodes yields up to O(m) uniformly-sampled live keys plus an unbiased
 estimate ``|decoded| · 2^j`` of the number of live items.  Everything is
 linear, so insertions and deletions in any order are handled.
 
-:class:`DistinctSampler` is used by
-:class:`~repro.streaming.streaming_coreset.StreamingCoreset` (``pilot="auto"``)
-to estimate OPT at finalize time and select the guess — making the whole
-pipeline genuinely single-pass on dynamic streams.
+:class:`DistinctSampler` is the pilot that
+:class:`~repro.streaming.streaming_coreset.StreamingCoreset` keeps when its
+``o_range`` is None, to estimate OPT at finalize time and select the guess
+— making the whole pipeline genuinely single-pass on dynamic streams.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ class DistinctSampler:
     def __init__(self, sample_size: int, universe_bits: int, seed=0):
         self.m = int(sample_size)
         self.universe_bits = int(universe_bits)
-        # Enough levels to thin any stream below m: live sets are at most
-        # 2^universe_bits, but practically bounded by stream length; 64
-        # levels cover everything representable.
+        # Enough levels to thin any stream below m: level j keeps a 2^-j
+        # share of the keys, so universe_bits + 2 levels thin the whole
+        # universe, and the cap of 48 any live set under 2^47·m keys.
         self.num_levels = min(48, self.universe_bits + 2)
         self._level_hash = KWiseHash(independence=8, universe_bits=universe_bits,
                                      seed=derive_seed(seed, "l0-level"))

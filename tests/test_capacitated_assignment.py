@@ -353,3 +353,46 @@ class TestExactSolveMatchesHighs:
         X, pushes = _solve_transportation_ssp(D, np.ones(2), np.ones(2))
         assert pushes == 0
         np.testing.assert_array_equal(X, [[1.0, 0.0], [0.0, 1.0]])
+
+
+def milp_optimum(D, w, t) -> float:
+    """Exact integral optimum of the capacitated assignment: binaries
+    x_ij, Σ_j x_ij = 1, Σ_i w_i x_ij ≤ t, minimizing Σ w_i D_ij x_ij
+    (HiGHS branch and bound through ``scipy.optimize.milp``); ``inf`` when
+    no integral assignment fits."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    n, k = D.shape
+    one_center = np.kron(np.eye(n), np.ones(k))      # row i: x_i1 + … + x_ik
+    loads = np.kron(w[None, :], np.eye(k))           # row j: Σ_i w_i x_ij
+    res = milp((w[:, None] * D).ravel(), integrality=np.ones(n * k),
+               bounds=Bounds(0, 1),
+               constraints=[LinearConstraint(one_center, 1, 1),
+                            LinearConstraint(loads, -np.inf, t)])
+    return res.fun if res.status == 0 else math.inf
+
+
+class TestAgainstMilp:
+    """The forest rounding against an exact integral optimum: the LP value
+    is a lower bound on it, rounding split points to their nearest support
+    center only lowers the cost, at most k−1 points are split, and each
+    center's load overshoots t by at most (k−1)·max w (Section 3.3)."""
+
+    @pytest.mark.parametrize("r", [1.0, 2.0])
+    def test_rounding_bounds_on_small_instances(self, r):
+        rng = np.random.default_rng(int(r))
+        feasible = 0
+        for _ in range(60):
+            n, k = int(rng.integers(2, 13)), int(rng.integers(1, 4))
+            pts = rng.integers(0, 20, size=(n, 2)).astype(float)
+            ctr = rng.integers(0, 20, size=(k, 2)).astype(float)
+            w = rng.uniform(0.5, 3.0, size=n)
+            t = rng.uniform(1.0, 1.5) * w.sum() / k
+            res = capacitated_assignment(pts, ctr, t, r=r, weights=w)
+            opt = milp_optimum(pairwise_power_distances(pts, ctr, r), w, t)
+            feasible += math.isfinite(opt)
+            assert res.fractional_cost <= opt * (1 + 1e-9) + 1e-9
+            assert res.cost <= res.fractional_cost * (1 + 1e-9) + 1e-9
+            assert res.num_split <= k - 1
+            assert (res.sizes <= t + (k - 1) * w.max() + 1e-9).all()
+        assert feasible >= 45  # the MILP bound was not vacuous

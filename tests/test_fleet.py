@@ -206,6 +206,43 @@ class TestWireOps:
         assert encoded_on["other"] == thread.name
         assert encoded_on["pull_state"] != thread.name
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("k", 3, "site 0 sketch parameters"),
+        ("bytes_ingested", -1_000_000_000, "bytes_ingested"),
+        ("bytes_ingested", 1.5, "bytes_ingested"),
+        ("bytes_ingested", "7", "bytes_ingested"),
+        ("bytes_ingested", True, "bytes_ingested"),
+    ])
+    def test_tampered_envelope_rejected(self, monkeypatch, field, value, match):
+        """The coordinator checks a pulled envelope as restore does: its
+        sketch must be built from its config's parameters (a ``k = 3``
+        driver under a ``k = 2`` config would answer with the wrong k), and
+        its ``bytes_ingested`` must be a non-negative integer."""
+        real_pull = ServiceClient.pull_state
+
+        def tampered_pull(cli):
+            env = real_pull(cli)
+            if field == "k":
+                env["ingest"]["shards"][0]["params"]["k"] = value
+            else:
+                env["counters"]["bytes_ingested"] = value
+            return env
+
+        reg = TenantRegistry(ServiceConfig(**CHEAP))
+        server, thread = start_async_server(reg)
+        try:
+            with ServiceClient(*server.address) as cli:
+                cli.insert(self._workload())
+            with fleet.Coordinator([server.address]) as coord:
+                assert coord.merged_service().bytes_ingested == 40 * 16
+                monkeypatch.setattr(ServiceClient, "pull_state", tampered_pull)
+                with pytest.raises(ValueError, match=match):
+                    coord.merged_service()
+        finally:
+            server.shutdown()
+            thread.join(10)
+            reg.close(persist=False)
+
     def test_pull_state_bits_policy_is_structural(self):
         """The charge depends on sketch structure, not JSON encoding."""
         cfg = ServiceConfig(**CHEAP)

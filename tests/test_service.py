@@ -249,6 +249,19 @@ class TestCheckpointRestore:
         with pytest.raises(ValueError):
             sharded_state_from_dict(data)
 
+    @pytest.mark.parametrize("value", [-1_000_000_000, 1.5, "7", True])
+    def test_bytes_ingested_must_be_a_counter(self, value):
+        """A negative ``bytes_ingested`` would hand the tenant that much
+        extra byte quota; a float, string or bool is no counter either."""
+        svc = ClusteringService(ServiceConfig(k=2, d=2, delta=32, seed=3))
+        svc.insert(np.array([[1, 1], [5, 9]]))
+        payload = json.loads(json.dumps(svc.state_payload()))
+        assert ClusteringService.from_payload(payload).bytes_ingested == 32
+        payload["counters"]["bytes_ingested"] = value
+        with pytest.raises(ValueError, match="bytes_ingested"):
+            ClusteringService.from_payload(payload)
+        svc.close()
+
     def test_bad_format_version_rejected(self, world):
         _, _, params = world
         sc = StreamingCoreset(params, seed=11)

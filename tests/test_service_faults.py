@@ -311,10 +311,11 @@ class TestResilientClient:
 
 # ========================================================== circuit breaker
 class TestCircuitBreaker:
-    def test_state_machine_with_fake_clock(self):
+    def test_state_machine_with_fake_clock(self, monkeypatch):
+        monkeypatch.setattr(CircuitBreaker, "FAILURE_THRESHOLD", 2)
+        monkeypatch.setattr(CircuitBreaker, "COOLDOWN_S", 10.0)
         now = [0.0]
-        br = CircuitBreaker(failure_threshold=2, cooldown_s=10.0,
-                            clock=lambda: now[0])
+        br = CircuitBreaker(clock=lambda: now[0])
         assert br.allow() and br.state == "closed"
         br.record_failure()
         assert br.allow()  # one failure is below threshold
@@ -334,13 +335,17 @@ class TestCircuitBreaker:
         assert br.state == "closed"
         assert br.snapshot()["consecutive_failures"] == 0
 
-    def test_degraded_envelope_over_the_wire(self, tmp_path):
+    def test_defaults(self):
+        assert CircuitBreaker.FAILURE_THRESHOLD == 3
+        assert CircuitBreaker.COOLDOWN_S == 5.0
+
+    def test_degraded_envelope_over_the_wire(self, tmp_path, monkeypatch):
         """Trip a tenant's breaker (failing restores), then watch the
         structured degraded envelope, the tenants-row flag, and recovery
         after cooldown."""
-        registry = TenantRegistry(
-            ServiceConfig(k=2, d=2, delta=32, seed=13),
-            breaker_threshold=2, breaker_cooldown_s=0.5)
+        monkeypatch.setattr(CircuitBreaker, "FAILURE_THRESHOLD", 2)
+        monkeypatch.setattr(CircuitBreaker, "COOLDOWN_S", 0.5)
+        registry = TenantRegistry(ServiceConfig(k=2, d=2, delta=32, seed=13))
         server, _ = start_async_server(registry)
         host, port = server.address
         try:
@@ -376,9 +381,7 @@ class TestCircuitBreaker:
         a malformed request, not a tenant failure: the registry rejects it
         before the lease and the wire as a protocol error, so the breaker
         stays closed and the next good query is answered."""
-        registry = TenantRegistry(
-            ServiceConfig(k=2, d=2, delta=32, seed=13),
-            breaker_threshold=3)
+        registry = TenantRegistry(ServiceConfig(k=2, d=2, delta=32, seed=13))
         server, _ = start_async_server(registry)
         host, port = server.address
         try:
@@ -400,12 +403,13 @@ class TestCircuitBreaker:
             server.shutdown()
             registry.close()
 
-    def test_quota_rejections_do_not_trip_breaker(self):
+    def test_quota_rejections_do_not_trip_breaker(self, monkeypatch):
         from repro.service import TenantQuota
 
+        monkeypatch.setattr(CircuitBreaker, "FAILURE_THRESHOLD", 1)
         registry = TenantRegistry(
             ServiceConfig(k=2, d=2, delta=32, seed=13),
-            quota=TenantQuota(max_events=1), breaker_threshold=1)
+            quota=TenantQuota(max_events=1))
         try:
             registry.insert("t", np.array([[1, 1]]))
             from repro.service import QuotaExceeded

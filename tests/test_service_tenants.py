@@ -170,6 +170,32 @@ class TestEvictionAndRestore:
             assert live == {"a", "c"}
             assert (tmp_path / tenant_checkpoint_filename("b")).exists()
 
+    @pytest.mark.parametrize("value", [-1_000_000_000, 1.5, "7", True])
+    def test_eviction_stamp_must_be_a_counter(self, tmp_path, value):
+        with TenantRegistry(cheap_config(), tenants_dir=tmp_path) as reg:
+            reg.insert("t", stream_points("t"))
+            assert reg.evict("t") is True
+            path = tmp_path / tenant_checkpoint_filename("t")
+            payload = json.loads(path.read_text())
+            assert payload["tenant"] == {"stream_id": "t", "evictions": 1}
+            payload["tenant"]["evictions"] = value
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ValueError, match="evictions"):
+                reg.stats("t")
+
+    def test_lease_refreshes_recency(self, tmp_path):
+        """Any lease counts as a use: querying ``a`` makes ``b`` the least
+        recently used, so loading ``c`` into a budget of 2 evicts ``b``."""
+        with TenantRegistry(cheap_config(), tenants_dir=tmp_path,
+                            max_live_tenants=2) as reg:
+            for sid in ("a", "b"):
+                reg.insert(sid, stream_points(sid))
+            reg.query("a")
+            reg.insert("c", stream_points("c"))
+            live = {t["stream_id"] for t in reg.overview() if t["live"]}
+            assert live == {"a", "c"}
+            assert (tmp_path / tenant_checkpoint_filename("b")).exists()
+
     def test_evict_restore_answers_bit_identically(self, tmp_path):
         with TenantRegistry(cheap_config(), tenants_dir=tmp_path) as reg:
             reg.insert("t", stream_points("t"))
@@ -475,25 +501,22 @@ class TestThousandKnownTenants:
             path = tmp_path / tenant_checkpoint_filename(f"cold-{i:04d}")
             path.write_text("!not json!")
 
-        # Spy on the eviction policy: the candidate list handed to it must
-        # be the *live* population (<= budget + 1 pinned), never the 1000
-        # known tenants.
+        # The victim scan walks the live index: every walk must see the
+        # *live* population (<= budget + 1 pinned), never the 1000 known
+        # tenants.
         scans: list[int] = []
-        orig_victims = reg._policy.victims
 
-        def spying_victims(evictable, excess):
-            scans.append(len(evictable))
-            return orig_victims(evictable, excess)
+        class CountingIndex(dict):
+            def items(self):
+                scans.append(len(self))
+                return super().items()
 
-        reg._policy.victims = spying_victims
-        try:
-            for i in range(6):  # 6 tenants through a budget of 4: evicts
-                reg.insert(f"hot-{i}", stream_points(f"hot-{i}", n=4))
-        finally:
-            reg._policy.victims = orig_victims
+        reg._live = CountingIndex()
+        for i in range(6):  # 6 tenants through a budget of 4: evicts
+            reg.insert(f"hot-{i}", stream_points(f"hot-{i}", n=4))
 
         assert reg.live_count() == 4
-        assert scans, "eviction never consulted the policy"
+        assert scans, "eviction never scanned for a victim"
         assert max(scans) <= 5, \
             f"victim scan saw {max(scans)} candidates; should be O(live)"
 
