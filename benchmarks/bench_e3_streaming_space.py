@@ -35,11 +35,7 @@ def _one(n, params, seed=7):
     cs, inst = sc.finalize_with_instance()
     dt = time.time() - t0
     charged = inst.space_bits()
-    resident = sum(
-        s.resident_bits()
-        for group in (inst.store_h, inst.store_hp, inst.store_hhat)
-        for s in group
-    )
+    resident = sum(s.resident_bits() for s in inst.stores())
     raw = len(survivors) * point_bits(2, 1024)
     return [len(stream), len(survivors), len(cs),
             charged // 8000, resident // 8000, raw // 8000,

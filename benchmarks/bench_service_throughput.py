@@ -34,7 +34,7 @@ import pytest
 from common import append_bench_record, make_mixture, print_table
 from repro.core import CoresetParams
 from repro.data.workloads import churn_stream
-from repro.service import ClusteringService, ServiceConfig, ShardedIngest
+from repro.service import ClusteringService, ServiceConfig
 from repro.solvers.pilot import estimate_opt_cost
 from repro.streaming import materialize
 
@@ -204,15 +204,16 @@ def run_solve_identity(n: int = 1500, delta: int = 256, batch: int = 512,
     from repro.metrics.distances import pairwise_power_distances
     from repro.solvers.capacitated_lloyd import CapacitatedKClustering
     from repro.solvers.kmeanspp import kmeans_plusplus
+    from repro.streaming.streaming_coreset import StreamingCoreset
 
     k = 3
     params = CoresetParams.practical(k=k, d=2, delta=delta)
     stream, _, _ = _workload(n=n, delta=delta, seed=seed)
     events = list(stream)
-    ingest = ShardedIngest(params, seed=9)
+    driver = StreamingCoreset(params, seed=9)
     for lo in range(0, len(events), batch):
-        ingest.apply_batch(events[lo: lo + batch])
-    coreset = ingest.merged_state().finalize()
+        driver.update_batch(events[lo: lo + batch])
+    coreset = driver.finalize()
     pts, w = coreset.points.astype(float), coreset.weights
     cap = coreset.total_weight / k * slack
     centers = {

@@ -113,6 +113,10 @@ class DeterminismRule(Rule):
         "repro/service/state.py",
         "repro/service/protocol.py",
         "repro/streaming/merge.py",
+        "repro/streaming/storing.py",
+        "repro/streaming/sketch.py",
+        "repro/streaming/l0sampler.py",
+        "repro/streaming/streaming_coreset.py",
         "repro/core/io.py",
         "repro/utils/rng.py",
     )

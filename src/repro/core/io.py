@@ -7,13 +7,11 @@ loaded coreset can (a) be solved against, (b) extend assignments via
 Section 3.3 (it retains part provenance and the accepted guess ``o``), and
 (c) be validated against the parameters it was built with.
 
-Beyond finished coresets, this module persists *live* sketch state for the
-long-running service: :func:`atomic_write_json` is the crash-safe primitive
-(write temp, fsync, rename — a checkpoint is either the complete old file
-or the complete new one, never a torn mix), and
-:func:`save_streaming_state` / :func:`load_streaming_state` round-trip a
-mid-stream :class:`~repro.streaming.streaming_coreset.StreamingCoreset`
-bit-identically via the codec in :mod:`repro.service.state`.
+Beyond finished coresets, :func:`atomic_write_json` is the crash-safe
+primitive every checkpoint of live sketch state goes through (write temp,
+fsync, rename — a checkpoint is either the complete old file or the
+complete new one, never a torn mix); the live-state codec itself is
+:mod:`repro.service.state`.
 """
 
 from __future__ import annotations
@@ -35,8 +33,6 @@ __all__ = [
     "params_from_dict",
     "atomic_write_json",
     "read_json",
-    "save_streaming_state",
-    "load_streaming_state",
 ]
 
 _FORMAT_VERSION = 1
@@ -141,24 +137,3 @@ def read_json(path):
     """Read a JSON file written by :func:`atomic_write_json`."""
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def save_streaming_state(path, sc) -> None:
-    """Checkpoint a live :class:`StreamingCoreset` mid-stream (atomic).
-
-    Unlike :func:`save_coreset` this persists the *sketches themselves* —
-    hash-seed provenance, per-level Storing contents, pilot sampler, update
-    counter — so the restored driver can keep ingesting.
-    """
-    # Imported lazily: the codec lives with the service subsystem, and core
-    # must stay importable without it.
-    from repro.service.state import streaming_state_to_dict
-
-    atomic_write_json(path, streaming_state_to_dict(sc))
-
-
-def load_streaming_state(path):
-    """Inverse of :func:`save_streaming_state`; returns a live driver."""
-    from repro.service.state import streaming_state_from_dict
-
-    return streaming_state_from_dict(read_json(path))

@@ -78,10 +78,6 @@ class HeavyCellPartition:
         """Σᵢ sᵢ — the quantity Algorithm 2 line 5 FAIL-checks."""
         return int(self.heavy_counts.sum())
 
-    def parts_at_level(self, level: int):
-        """All parts Q_{level, ·}."""
-        return [p for p in self.parts if p.level == level]
-
     def level_mass(self, level: int) -> int:
         """Σⱼ |Q_{i,j}| (exact; estimates are handled by the caller)."""
         return int(sum(p.size for p in self.parts if p.level == level))

@@ -66,7 +66,7 @@ from repro.service.client import ServiceClient, ServiceUnavailable
 from repro.service.engine import (
     ClusteringService,
     ServiceConfig,
-    check_sketch_params,
+    check_driver_identity,
     envelope_bytes_ingested,
 )
 from repro.service.faults import fault_point
@@ -201,9 +201,9 @@ class Coordinator:
 
         Returns ``(shared config, rebuilt ShardedIngest per site, raw
         envelopes)``.  Verifies all sites were built from one logical
-        config (seed/params/backend), and that every rebuilt sketch was
-        built from that config's parameters — anything else would make the
-        merge silently wrong.
+        config (seed/params/backend), and that every rebuilt driver was
+        built from that config (:func:`check_driver_identity`) — anything
+        else would make the merge silently wrong.
         """
         envelopes = []
         for j, cli in enumerate(self._clients):
@@ -220,7 +220,7 @@ class Coordinator:
         ingests = []
         for j, env in enumerate(envelopes):
             ingest = sharded_state_from_dict(env["ingest"])
-            check_sketch_params(base, ingest, f"site {j}")
+            check_driver_identity(base, ingest, f"site {j}")
             self.network.send_up(j, None, bits=pull_state_bits(ingest),
                                  label="pull_state")
             ingests.append(ingest)

@@ -34,7 +34,7 @@ from repro.grid.grids import HierarchicalGrids
 from repro.metrics.costs import uncapacitated_cost
 from repro.solvers.kmeanspp import kmeans_plusplus
 from repro.streaming.storing import StoringResult
-from repro.streaming.streaming_coreset import _SharedHashes, assemble_coreset, sample_masks
+from repro.streaming.streaming_coreset import _SharedHashes, assemble_coreset
 from repro.utils.bits import cells_bits, float_bits, point_bits
 from repro.utils.rng import as_rng, derive_seed
 from repro.utils.validation import FailedConstruction
@@ -82,13 +82,16 @@ def distributed_storing(
         for c, p in small_local.items():
             merged_points.setdefault(c, Counter()).update(p)
 
+    # Ascending keys, as the Storing sketches decode: the coreset's point
+    # order then does not depend on how the input was split over machines.
+    cells = dict(sorted(merged_cells.items()))
     small = {}
     if recover_points:
-        for c, cnt in merged_cells.items():
+        for c, cnt in cells.items():
             if cnt <= beta:
                 # Every machine's local share was ≤ β, so all points arrived.
-                small[c] = dict(merged_points.get(c, {}))
-    return StoringResult(cells=dict(merged_cells), small_points=small)
+                small[c] = dict(sorted(merged_points.get(c, {}).items()))
+    return StoringResult(cells=cells, small_points=small)
 
 
 def _machine_substreams(points: np.ndarray, grids: HierarchicalGrids,
@@ -99,7 +102,8 @@ def _machine_substreams(points: np.ndarray, grids: HierarchicalGrids,
     if points.shape[0] == 0:
         return tuple([[] for _ in levels] for _ in range(3))
     pkeys = grids.point_keys(points)
-    masks = sample_masks(shared.values_np(pkeys), shared.thresholds(params, o))
+    masks = (shared.values_np(pkeys) < shared.thresholds(params, o)).reshape(
+        3, params.L + 1, len(pkeys))
     ckeys = [grids.cell_keys(points, i) for i in levels]
     return tuple([list(zip(ckeys[i][m[i]].tolist(), pkeys[m[i]].tolist())) for i in levels]
                  for m in masks)

@@ -28,9 +28,8 @@ import socket
 import time
 import uuid
 
-import numpy as np
-
 from repro.service.protocol import encode_message
+from repro.utils.validation import coerce_integral_rows
 
 __all__ = ["ServiceClient", "ServiceError", "ServiceUnavailable", "ServiceDegraded"]
 
@@ -274,11 +273,11 @@ class ServiceClient:
 
     # ------------------------------------------------------------- helpers
     def _send_points(self, op: str, points, batch_size: int) -> int:
-        rows = np.asarray(points, dtype=np.int64)
-        if rows.ndim != 2:
-            raise ValueError(f"points must be (n, d), got shape {rows.shape}")
+        # Coerced, not cast: an int64 cast would send 2.7 as the point 2.
+        rows = coerce_integral_rows(points)
+        step = max(1, int(batch_size))
         total = 0
-        for lo in range(0, len(rows), max(1, int(batch_size))):  # scalar-ok: wire chunking, not data plane
-            chunk = rows[lo: lo + batch_size].tolist()
+        for lo in range(0, len(rows), step):  # scalar-ok: wire chunking, not data plane
+            chunk = rows[lo: lo + step].tolist()
             total += int(self.request(op, points=chunk)["applied"])
         return total

@@ -34,6 +34,7 @@ from repro.service.state import (
     write_checkpoint,
 )
 from repro.solvers.capacitated_lloyd import CapacitatedKClustering
+from repro.streaming.stream import events_to_arrays
 from repro.utils.rng import derive_seed
 from repro.utils.validation import check_o_range, coerce_integral_rows
 
@@ -42,7 +43,7 @@ __all__ = [
     "QueryResult",
     "ClusteringService",
     "check_capacity_slack",
-    "check_sketch_params",
+    "check_driver_identity",
     "envelope_bytes_ingested",
 ]
 
@@ -60,12 +61,17 @@ def check_capacity_slack(value) -> float:
     return slack
 
 
-def check_sketch_params(config: ServiceConfig, ingest: ShardedIngest,
-                        what: str) -> None:
-    """``ValueError`` unless a restored sketch was built from its config's
-    parameters (a ``k = 3`` driver must not run under a ``k = 2`` config)."""
-    if ingest.params != config.make_params():
-        raise ValueError(f"{what} sketch parameters do not match its config")
+def check_driver_identity(config: ServiceConfig, ingest: ShardedIngest,
+                          what: str) -> None:
+    """``ValueError`` unless a restored driver was built from its config:
+    the same parameters, seed, backend and guess window (a ``k = 3`` or
+    seed-6 driver must not run under a ``k = 2``, seed-5 config)."""
+    driver = ingest.driver
+    if (driver.params, driver.seed, driver.backend, driver.o_range) != (
+            config.make_params(), config.seed, config.backend,
+            check_o_range(config.o_range)):
+        raise ValueError(f"{what} sketch parameters, seed, backend or o_range "
+                         "do not match its config")
 
 
 def envelope_bytes_ingested(payload: dict) -> int:
@@ -227,8 +233,9 @@ class ClusteringService:
 
     def apply_events(self, events) -> int:
         """Apply a mixed batch of (point, ±1) events."""
+        rows, signs = events_to_arrays(events, d=self.params.d)
         with self._lock:
-            n = self.ingest.apply_batch(events)
+            n = self.ingest.apply_arrays(rows, signs)
             self.bytes_ingested += n * 8 * self.params.d
             return n
 
@@ -360,7 +367,7 @@ class ClusteringService:
             )
         config = ServiceConfig.from_dict(payload["config"])
         ingest = sharded_state_from_dict(payload["ingest"])
-        check_sketch_params(config, ingest, "checkpoint")
+        check_driver_identity(config, ingest, "checkpoint")
         service = cls(config, ingest=ingest)
         service.bytes_ingested = envelope_bytes_ingested(payload)
         return service

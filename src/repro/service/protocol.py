@@ -23,7 +23,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.utils.validation import coerce_integral_rows
+from repro.utils.validation import check_stream_points
 
 __all__ = [
     "DEFAULT_MAX_REQUEST_BYTES",
@@ -108,29 +108,21 @@ def parse_stream_id(req: dict) -> str:
 def parse_points(req: dict, d: int, delta: int) -> np.ndarray:
     """Validate a request's ``points`` field into an (n, d) int array.
 
-    Range-checks coordinates against the codec's injective window [0, Δ]:
-    an out-of-range coordinate would alias to a *different* valid point's
-    key under the mixed-radix encoding and silently corrupt the sketches,
-    so it is rejected at the wire boundary before any sketch is touched.
-    Non-integral coordinates (JSON numbers like 2.7) are likewise rejected
-    rather than truncated — truncation would silently ingest a different
-    point (integral floats such as 2.0 are accepted).
+    The wire check is a non-empty list of rows; the rows themselves go
+    through the driver's stream-row rule
+    (:func:`~repro.utils.validation.check_stream_points`), whose
+    ``ValueError`` becomes a :class:`ProtocolError`.  So a coordinate
+    outside the codec's injective window [0, Δ], a non-integral one (2.7;
+    2.0 is accepted) or a row that is not ``d`` wide is rejected at the
+    wire boundary, before any sketch is touched.
     """
     pts = req.get("points")
     if not isinstance(pts, list) or not pts:
         raise ProtocolError("'points' must be a non-empty list of rows")
     try:
-        arr = coerce_integral_rows(pts)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ProtocolError(f"'points' rows must be integers: {exc}") from exc
-    if arr.ndim != 2 or arr.shape[1] != d:
-        raise ProtocolError(f"'points' must be (n, {d}), got shape {arr.shape}")
-    if arr.size and (arr.min() < 0 or arr.max() > delta):
-        raise ProtocolError(
-            f"point coordinates must lie in [0, {delta}], got range "
-            f"[{arr.min()}, {arr.max()}]"
-        )
-    return arr
+        return check_stream_points(pts, delta, d)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
 
 
 def encode_message(obj: dict) -> bytes:

@@ -23,9 +23,7 @@ import numpy as np
 
 from repro.core.params import CoresetParams
 from repro.streaming.merge import merge_streaming_states
-from repro.streaming.stream import events_to_arrays
 from repro.streaming.streaming_coreset import StreamingCoreset
-from repro.utils.validation import coerce_integral_rows
 
 __all__ = ["ShardedIngest"]
 
@@ -95,16 +93,6 @@ class ShardedIngest:
         return 0
 
     # -------------------------------------------------------------- ingest
-    def apply_batch(self, events) -> int:
-        """Apply a batch of events (StreamEvent or (point, sign) pairs).
-
-        The batch is normalized to coordinate/sign arrays and applied by
-        :meth:`apply_arrays`.  Returns the number of events applied; bumps
-        :attr:`version` once.
-        """
-        rows, signs = events_to_arrays(events, d=self.params.d)
-        return self.apply_arrays(rows, signs)
-
     def apply_arrays(self, rows, signs) -> int:
         """Vectorized ingest: (n, d) coordinate rows + sign vector.
 
@@ -113,7 +101,7 @@ class ShardedIngest:
         malformed event rejects the batch instead of leaving a partially
         applied, version-less state.
         """
-        n = self.driver.update_arrays(coerce_integral_rows(rows), signs)
+        n = self.driver.update_arrays(rows, signs)
         if n:
             ins = int((np.asarray(signs) > 0).sum())
             self.num_insertions += ins

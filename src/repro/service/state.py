@@ -150,8 +150,7 @@ def write_checkpoint(path, payload: dict) -> None:
 def _stores(sc: StreamingCoreset) -> list:
     """Every Storing of a driver in schedule order: instance, then
     ``store_h`` / ``store_hp`` / ``store_hhat``, then level."""
-    return [store for inst in sc.instances
-            for store in inst.store_h + inst.store_hp + inst.store_hhat]
+    return [store for inst in sc.instances for store in inst.stores()]
 
 
 def _sketch_storing_to_dict(store: SketchStoring) -> dict:
@@ -293,19 +292,16 @@ def streaming_state_from_dict(data: dict) -> StreamingCoreset:
         )
     for inst, rec in zip(sc.instances, data["instances"]):
         inst.dead_reason = rec["dead_reason"]
+    stores = _stores(sc)
     if version == 1:
         for inst, rec in zip(sc.instances, data["instances"]):
-            for group, payload in (
-                (inst.store_h, rec["store_h"]),
-                (inst.store_hp, rec["store_hp"]),
-                (inst.store_hhat, rec["store_hhat"]),
-            ):
-                if len(group) != len(payload):
-                    raise ValueError("checkpoint level count mismatch")
-                for store, d in zip(group, payload):
-                    _v1_storing_from_dict(store, d)
+            groups = [rec[g] for g in ("store_h", "store_hp", "store_hhat")]
+            if any(len(g) != params.L + 1 for g in groups):
+                raise ValueError("checkpoint level count mismatch")
+            for store, d in zip(inst.stores(), chain.from_iterable(groups)):
+                _v1_storing_from_dict(store, d)
     else:
-        stores, payload = _stores(sc), data["stores"]
+        payload = data["stores"]
         if sc.backend == "exact":
             if not isinstance(payload, dict):
                 raise ValueError("v2 state: exact stores must be one column set")
@@ -315,6 +311,8 @@ def streaming_state_from_dict(data: dict) -> StreamingCoreset:
                 raise ValueError("v2 state: one entry per sketch store expected")
             for store, d in zip(stores, payload):
                 _sketch_storing_from_dict(store, d, canonical=True)
+    if sc.backend == "exact":
+        ExactStoring.check_pair_sums(stores)
     if data["pilot"] is not None:
         if sc._pilot_sampler is None:
             raise ValueError("checkpoint has pilot state but rebuilt driver has none")

@@ -80,9 +80,8 @@ def merge_streaming_states(a: StreamingCoreset, *others: StreamingCoreset) -> St
         # The smallest kill reason, so the text does not follow fold order.
         reasons = [x.dead_reason for x in (ia, *ibs) if x.dead_reason is not None]
         ia.dead_reason = min(reasons, default=None)
-        for group in ("store_h", "store_hp", "store_hhat"):
-            for sa, *sbs in zip(getattr(ia, group), *(getattr(ib, group) for ib in ibs)):
-                merge_storing(sa, *sbs)
+        for sa, *sbs in zip(ia.stores(), *(ib.stores() for ib in ibs)):
+            merge_storing(sa, *sbs)
     if a._pilot_sampler is not None:
         for b in others:
             for sa, sb in zip(a._pilot_sampler._sketches, b._pilot_sampler._sketches):

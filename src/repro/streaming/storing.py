@@ -50,9 +50,10 @@ __all__ = ["StoringResult", "ExactStoring", "SketchStoring"]
 class StoringResult:
     """Decoded contents of a Storing structure."""
 
-    #: Non-empty cells: cell key → exact count.
+    #: Non-empty cells: cell key → exact count, in ascending key order.
     cells: dict = field(default_factory=dict)
-    #: Cells with ≤ β points: cell key → {point key: count}.
+    #: Cells with ≤ β points: cell key → {point key: count}, both levels
+    #: in ascending key order (the coreset's point order follows them).
     small_points: dict = field(default_factory=dict)
 
 
@@ -373,6 +374,7 @@ class ExactStoring:
 
     @_cells.setter
     def _cells(self, mapping) -> None:
+        # repro-lint: disable=DET104 the rows are sorted before they are stored
         items = sorted((int(k), int(v)) for k, v in mapping.items() if v)
         self._ckeys = as_keys([k for k, _ in items])
         self._ccounts = np.asarray([v for _, v in items], dtype=np.int64)
@@ -390,8 +392,8 @@ class ExactStoring:
     @_points.setter
     def _points(self, mapping) -> None:
         flat = sorted((int(c), int(p), int(v))
-                      for c, pts in mapping.items()
-                      for p, v in pts.items() if v)
+                      for c, pts in mapping.items()  # repro-lint: disable=DET104 flat is sorted
+                      for p, v in pts.items() if v)  # repro-lint: disable=DET104 flat is sorted
         self._pcell = as_keys([c for c, _, _ in flat])
         self._ppoint = as_keys([p for _, p, _ in flat])
         self._pcount = np.asarray([v for _, _, v in flat], dtype=np.int64)
@@ -436,6 +438,7 @@ class ExactStoring:
             "points": _restart_diff(_concat([s._ppoint for s in stores]), lengths),
             "pair_counts": _concat([s._pcount for s in stores]),
         }
+        # repro-lint: disable=DET104 the literal above fixes the v2 column order
         return {name: col.tolist() for name, col in columns.items()}  # scalar-ok: checkpoint encode, one call per column
 
     @staticmethod
@@ -472,6 +475,38 @@ class ExactStoring:
             store._ckeys, store._ccounts = k, c
             store._pcell = np.repeat(h, r) if len(r) else _EMPTY
             store._ppoint, store._pcount = p, v
+
+    @staticmethod
+    def check_pair_sums(stores) -> None:
+        """``ValueError`` unless, in every point-keeping store of ``stores``,
+        each cell's count is the sum of its (cell, point) pair counts and
+        every cell with a nonzero pair sum is listed.
+
+        Every stream leaves stores that agree, and :meth:`merge_from` logs
+        only the pairs, so restore runs this on what it loaded.  One pass
+        over the stores' concatenated columns.
+        """
+        keep = [s for s in stores if s.recover_points]
+        for store in keep:  # scalar-ok: per store, flushes a pending log
+            store._flush()
+        store_ids = np.arange(len(keep))
+        pair_store = np.repeat(store_ids, _lengths(s._pcount for s in keep))
+        pcell = _concat([s._pcell for s in keep])
+        first = np.ones(len(pcell), dtype=bool)
+        first[1:] = (pair_store[1:] != pair_store[:-1]) | np.asarray(
+            pcell[1:] != pcell[:-1], dtype=bool)
+        starts = np.flatnonzero(first)
+        sums = (np.add.reduceat(_concat([s._pcount for s in keep]), starts)
+                if len(starts) else _EMPTY)
+        live = sums != 0
+        want = (np.repeat(store_ids, _lengths(s._ckeys for s in keep)),
+                _concat([s._ckeys for s in keep]),
+                _concat([s._ccounts for s in keep]))
+        got = (pair_store[starts][live], pcell[starts][live], sums[live])
+        if not all(len(g) == len(w) and np.asarray(g == w, dtype=bool).all()
+                   for g, w in zip(got, want)):
+            raise ValueError("checkpoint cell counts of a point-keeping store "
+                             "do not equal the sums of their point counts")
 
     def load_lists(self, cells, points) -> None:
         """The v1 reader: restore one store from its v1 ``cells`` rows
@@ -542,6 +577,7 @@ class ExactStoring:
         small = {}
         if self.recover_points:
             pcell = self._pcell
+            # repro-lint: disable=DET104 cells follows the sorted key column
             for cell, cnt in cells.items():  # scalar-ok: decode, ≤ alpha cells
                 if cnt > self.beta:
                     continue
@@ -653,6 +689,7 @@ class SketchStoring:
             }
             wanted = sorted(set(chain.from_iterable(tries.values())))
             decoded = dict(zip(wanted, self._points.peel(wanted)))
+            # repro-lint: disable=DET104 tries follows decode()'s ascending keys
             for cell, groups in tries.items():  # scalar-ok: decode, ≤ alpha cells
                 points = None
                 for g in groups:  # scalar-ok: ROWS=3

@@ -94,6 +94,7 @@ def assemble_coreset(params: CoresetParams, o: float, grids: HierarchicalGrids,
     for i in range(0, L):  # scalar-ok: finalize: per level
         psi = params.psi(i, o)
         level_heavy = set()
+        # repro-lint: disable=DET104 fills a set; the order reaches no output
         for cell, cnt in res_h[i].cells.items():  # scalar-ok: finalize: <= alpha cells
             if cnt / psi < params.threshold(i, o):
                 continue
@@ -113,6 +114,7 @@ def assemble_coreset(params: CoresetParams, o: float, grids: HierarchicalGrids,
     for i in range(0, L + 1):  # scalar-ok: finalize: per level
         psip = params.psi_part(i, o)
         level_mass = 0.0
+        # repro-lint: disable=DET104 StoringResult maps are in ascending key order
         for cell, cnt in res_hp[i].cells.items():  # scalar-ok: finalize: <= alpha cells
             if i < L and cell in heavy[i]:
                 continue
@@ -140,6 +142,7 @@ def assemble_coreset(params: CoresetParams, o: float, grids: HierarchicalGrids,
         cutoff = params.small_part_cutoff(i, o)
         res = res_hhat[i]
         beta = params.storing_beta(i, o)
+        # repro-lint: disable=DET104 StoringResult maps are in ascending key order
         for cell, cnt in res.cells.items():  # scalar-ok: finalize: <= alpha cells
             # Crucial-cell test mirrors the h'-stream logic.
             if i < L and cell in heavy[i]:
@@ -163,6 +166,7 @@ def assemble_coreset(params: CoresetParams, o: float, grids: HierarchicalGrids,
                     size_estimate=tau, phi=phi,
                 ))
             pid = retained[key]
+            # repro-lint: disable=DET104 StoringResult maps are in ascending key order
             for pkey, pcnt in res.small_points.get(cell, {}).items():  # scalar-ok: finalize: <= beta samples per cell
                 row = grids.point_codec.decode(pkey)
                 for _ in range(int(pcnt)):  # scalar-ok: finalize: multiplicity expansion
@@ -194,7 +198,8 @@ class _SharedHashes:
     :class:`~repro.hashing.kwise.StackedHashes` (they share a prime), so a
     batch evaluates all L+1 levels in a single broadcast Horner sweep.  The
     streaming instances and the Theorem 4.7 simulation sample through the
-    same :meth:`values_np`, :meth:`thresholds` and :func:`sample_masks`."""
+    same rule: :meth:`values_np` ``<`` :meth:`thresholds`, one row per
+    store in schedule order (h, then h′, then ĥ, each by level)."""
 
     def __init__(self, params: CoresetParams, grids: HierarchicalGrids, seed: int):
         ub = grids.point_codec.universe_bits
@@ -206,34 +211,29 @@ class _SharedHashes:
                      for i in range(params.L + 1)]
         self.stacked = tuple(StackedHashes(f) for f in (self.h, self.hp, self.hhat))
 
-    def values_np(self, pkeys) -> tuple[np.ndarray, ...]:
-        """``(L+1, n)`` field values of the h, h′ and ĥ polynomials at
-        ``pkeys``.  Each distinct key is hashed once: churn streams (delete
-        = re-hash of an earlier insert) and duplicate-heavy batches pay per
-        distinct key."""
-        uniq, inverse = np.unique(pkeys, return_inverse=True)
-        return tuple(st.values_np(uniq)[:, inverse] for st in self.stacked)
+    def values_np(self, pkeys) -> np.ndarray:
+        """``(3(L+1), n)`` field values at ``pkeys``: the h, h′ and ĥ
+        polynomials of every level, stacked in that order.  One Horner
+        sweep per sub-stream: h and h′ are λ′-wise and ĥ λ-wise, so one
+        sweep padded to λ would multiply the h and h′ work."""
+        return np.concatenate([st.values_np(pkeys) for st in self.stacked])
 
-    def thresholds(self, params: CoresetParams, o: float) -> tuple[np.ndarray, ...]:
-        """Guess ``o``'s acceptance thresholds ⌊ψ_i·p⌋, ⌊ψ′_i·p⌋, ⌊φ_i·p⌋ as
-        ``(L+1, 1)`` columns.  They are exact integers: the float product
-        ``int(psi * prime)`` deviates from ⌊ψ·p⌋ once the prime outgrows
-        float64's 53-bit mantissa, skewing every realized sampling rate."""
-        return tuple(
-            np.array([exact_field_threshold(rate(i, o), st.prime) for i in range(params.L + 1)],
-                     dtype=np.int64 if st.prime < 1 << 63 else object)[:, None]
-            for rate, st in zip((params.psi, params.psi_part, params.phi), self.stacked))
+    def thresholds(self, params: CoresetParams, o: float) -> np.ndarray:
+        """Guess ``o``'s acceptance thresholds ⌊ψ_i·p⌋, ⌊ψ′_i·p⌋, ⌊φ_i·p⌋
+        as one ``(3(L+1), 1)`` column, rows aligned with :meth:`values_np`.
+        They are exact integers: the float product ``int(psi * prime)``
+        deviates from ⌊ψ·p⌋ once the prime outgrows float64's 53-bit
+        mantissa, skewing every realized sampling rate."""
+        rates = (params.psi, params.psi_part, params.phi)
+        wide = any(st.prime >= 1 << 63 for st in self.stacked)
+        return np.array([exact_field_threshold(rate(i, o), st.prime)
+                         for rate, st in zip(rates, self.stacked)
+                         for i in range(params.L + 1)],
+                        dtype=object if wide else np.int64)[:, None]
 
     def randomness_bits(self) -> int:
         """Total bits of stored hash-polynomial randomness."""
         return sum(f.randomness_bits for f in self.h + self.hp + self.hhat)
-
-
-def sample_masks(values, thresholds) -> list[np.ndarray]:
-    """The sampling rule of Algorithms 3–4: per sub-stream, the ``(L+1, n)``
-    mask ``value < threshold`` of :meth:`_SharedHashes.values_np` against
-    :meth:`_SharedHashes.thresholds`."""
-    return [np.asarray(v < t, dtype=bool) for v, t in zip(values, thresholds)]
 
 
 class StreamingCoresetInstance:
@@ -291,29 +291,19 @@ class StreamingCoresetInstance:
                 True, f"st-hhat-{i}"))
 
     # -- streaming -----------------------------------------------------------
-    @staticmethod
-    def _scatter(store, cell_keys, pkeys, signs, mask, nsel: int, n: int) -> None:
-        """Feed the mask-selected events of a batch into one store.
+    def stores(self) -> list:
+        """Every Storing of this guess in schedule order — ``store_h``,
+        ``store_hp``, ``store_hhat``, each by level — which is the row
+        order of :meth:`_SharedHashes.values_np`."""
+        return self.store_h + self.store_hp + self.store_hhat
 
-        A fully-selected level (ψ or φ = 1, the common case for the winning
-        guesses) hands over the shared batch arrays without copying.
-        """
-        if not nsel:
-            return
-        if nsel == n:
-            store.update_many(cell_keys, pkeys, signs)
-            return
-        idx = np.flatnonzero(mask)
-        store.update_many(cell_keys[idx], pkeys[idx], signs[idx])
-
-    def update_batch_arrays(self, pkeys, cell_keys, signs,
-                            vh, vhp, vhhat) -> None:
+    def update_batch_arrays(self, pkeys, cell_keys, signs, values) -> None:
         """Feed one batch into every Storing structure of this guess.
 
-        ``cell_keys`` is a list indexed by level; ``vh``/``vhp``/``vhhat``
-        are ``(L+1, n)`` value matrices aligned with ``pkeys``/``signs``.
-        Threshold masks come from one broadcast compare per sub-stream and
-        Storing scatters run per level.
+        ``cell_keys`` is a list indexed by level; ``values`` is the
+        ``(3(L+1), n)`` matrix of :meth:`_SharedHashes.values_np`, aligned
+        with ``pkeys``/``signs``.  One compare against the threshold column
+        gives every store's sample mask, one row sum its selected count.
 
         Early kill: the instance dies at the first event after which some
         level's h-store holds more than ``EARLY_KILL_FACTOR · α`` live
@@ -327,22 +317,28 @@ class StreamingCoresetInstance:
         if self.dead_reason is not None:
             return
         n = len(signs)
-        mh, mhp, mhh = sample_masks((vh, vhp, vhhat), self._thresholds)
-        nh = mh.sum(axis=1)
+        L1 = self.params.L + 1
+        mask = values < self._thresholds
+        counts = mask.sum(axis=1)
         kill = None
         if self._early_kill is not None:
-            kill = self._first_kill(cell_keys, signs, mh, nh)
+            kill = self._first_kill(cell_keys, signs, mask[:L1], counts[:L1])
         if kill is not None:
             j, lvl = kill
-            mh[:, j + 1:] = mhp[:, j + 1:] = mhh[:, j + 1:] = False
-            mh[lvl + 1:, j] = mhp[lvl:, j] = mhh[lvl:, j] = False
-            nh = mh.sum(axis=1)
-        nhp, nhh = mhp.sum(axis=1), mhh.sum(axis=1)
-        for i in range(self.params.L + 1):  # scalar-ok: per level per batch
-            ck = cell_keys[i]
-            self._scatter(self.store_h[i], ck, pkeys, signs, mh[i], int(nh[i]), n)
-            self._scatter(self.store_hp[i], ck, pkeys, signs, mhp[i], int(nhp[i]), n)
-            self._scatter(self.store_hhat[i], ck, pkeys, signs, mhh[i], int(nhh[i]), n)
+            cut = mask.reshape(3, L1, n)
+            cut[:, :, j + 1:] = False
+            cut[0, lvl + 1:, j] = False
+            cut[1:, lvl:, j] = False
+            counts = mask.sum(axis=1)
+        # A fully selected store (rate 1, the common case for the winning
+        # guesses) takes the shared batch arrays without a copy.
+        selected = counts.tolist()  # scalar-ok: one count per store
+        for store, ck, m, k in zip(self.stores(), cell_keys * 3, mask, selected):  # scalar-ok: per store per batch
+            if k == n:
+                store.update_many(ck, pkeys, signs)
+            elif k:
+                idx = np.flatnonzero(m)
+                store.update_many(ck[idx], pkeys[idx], signs[idx])
         if kill is not None:
             self.dead_reason = (
                 f"level {kill[1]} cell count blew past "
@@ -385,20 +381,15 @@ class StreamingCoresetInstance:
         """Replay Algorithms 1+2 from the decoded sketches; may FAIL."""
         if self.dead_reason is not None:
             raise FailedConstruction(self.dead_reason)
-        res_h = [s.result() for s in self.store_h]
-        res_hp = [s.result() for s in self.store_hp]
-        res_hhat = [s.result() for s in self.store_hhat]
+        L1 = self.params.L + 1
+        res = [s.result() for s in self.stores()]
         return assemble_coreset(self.params, self.o, self.grids,
-                                res_h, res_hp, res_hhat)
+                                res[:L1], res[L1:2 * L1], res[2 * L1:])
 
     # -- accounting -----------------------------------------------------------
     def space_bits(self) -> int:
         """Total sketch space (bits) of this instance."""
-        total = 0
-        for group in (self.store_h, self.store_hp, self.store_hhat):  # scalar-ok: accounting, per store group
-            for s in group:  # scalar-ok: accounting, per store
-                total += s.space_bits()
-        return total
+        return sum(s.space_bits() for s in self.stores())
 
 
 class StreamingCoreset:
@@ -463,10 +454,6 @@ class StreamingCoreset:
             )
 
     # -- streaming ------------------------------------------------------------
-    def update(self, point, sign: int) -> None:
-        """Process one insertion (+1) / deletion (−1): a one-event batch."""
-        self.update_batch([(point, sign)])
-
     def update_batch(self, events) -> int:
         """Apply a batch of :class:`StreamEvent` / ``(point, sign)`` pairs.
 
@@ -482,14 +469,14 @@ class StreamingCoreset:
     def update_arrays(self, rows, signs) -> int:
         """Vectorized ingest of an (n, d) coordinate array + sign vector.
 
-        One stacked Horner sweep per sub-stream over the batch's *distinct*
-        point keys covers all L+1 levels; threshold masks and sketch
-        scatters run per level.  The resulting state does not depend on how
-        the stream is split into batches; the tests and the bench harness
-        pin it to a per-event reference.  Rows and signs (integral ±1, one
-        per row) are checked before any state changes.
+        One stacked Horner sweep per sub-stream covers all L+1 levels, and
+        every guess takes its sample masks from that one value matrix.  The
+        resulting state does not depend on how the stream is split into
+        batches; the tests and the bench harness pin it to a per-event
+        reference.  Rows (:func:`check_stream_points`) and signs (integral
+        ±1, one per row) are checked before any state changes.
         """
-        rows = check_stream_points(np.asarray(rows), self.params.delta, self.params.d)
+        rows = check_stream_points(rows, self.params.delta, self.params.d)
         signs = check_signs(signs, len(rows))
         n = len(rows)
         if n == 0:
@@ -497,9 +484,9 @@ class StreamingCoreset:
         pkeys = self.grids.point_codec.encode(rows)
         levels = range(self.params.L + 1)
         cell_keys = [self.grids.cell_keys(rows, i) for i in levels]
-        vh, vhp, vhh = self.shared.values_np(pkeys)
+        values = self.shared.values_np(pkeys)
         for inst in self.instances:  # scalar-ok: per instance per batch
-            inst.update_batch_arrays(pkeys, cell_keys, signs, vh, vhp, vhh)
+            inst.update_batch_arrays(pkeys, cell_keys, signs, values)
         if self._pilot_sampler is not None:
             self._pilot_sampler.update_many(pkeys, signs)
         self.num_updates += n

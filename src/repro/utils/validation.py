@@ -68,31 +68,29 @@ def check_points(points: np.ndarray, delta: int) -> np.ndarray:
     return q.astype(np.int64, copy=False)
 
 
-def check_stream_points(points: np.ndarray, delta: int, d: int) -> np.ndarray:
-    """Validate an (n, d) integer array of *encodable* stream points.
+def check_stream_points(points, delta: int, d: int) -> np.ndarray:
+    """The stream-row rule: ``points`` as an (n, d) int64 array of
+    *encodable* stream points, else ``ValueError``.
 
-    The mixed-radix point codec is injective exactly on coordinates in
-    [0, Δ] (base Δ+1).  Anything outside that window would silently alias
-    to a **different** valid point's key and corrupt every downstream
-    sketch, so the streaming/service ingest paths must reject it before
-    touching any state; so must a row without exactly ``d`` coordinates,
-    which would broadcast into another point.  (The offline pipeline keeps
-    the paper's stricter [1, Δ] domain via :func:`check_points`.)
+    Coordinates go through :func:`coerce_integral_rows` (integral floats
+    such as 2.0 pass, 2.7 does not).  The mixed-radix point codec is
+    injective exactly on coordinates in [0, Δ] (base Δ+1).  Anything
+    outside that window would silently alias to a **different** valid
+    point's key and corrupt every downstream sketch, so the streaming and
+    service ingest paths reject it before touching any state; so must a
+    row without exactly ``d`` coordinates, which would broadcast into
+    another point.  (The offline pipeline keeps the paper's stricter
+    [1, Δ] domain via :func:`check_points`.)
     """
-    q = np.asarray(points)
-    if q.ndim != 2 or q.shape[1] != d:
-        raise ValueError(f"points must be a 2-D array (n, {d}), got shape {q.shape}")
-    if not np.issubdtype(q.dtype, np.integer):
-        raise ValueError(
-            "points must be integers in [0, delta]; use repro.grid.discretize "
-            f"for real-valued data (got dtype {q.dtype})"
-        )
+    q = coerce_integral_rows(points)
+    if q.shape[1] != d:
+        raise ValueError(f"points must be (n, {d}), got shape {q.shape}")
     if q.size and (q.min() < 0 or q.max() > delta):
         raise ValueError(
             f"point coordinates must lie in [0, {delta}], got range "
             f"[{q.min()}, {q.max()}]"
         )
-    return q.astype(np.int64, copy=False)
+    return q
 
 
 def coerce_integral_rows(points) -> np.ndarray:
@@ -119,7 +117,7 @@ def coerce_integral_rows(points) -> np.ndarray:
         # error names the offender instead of a generic cast failure.
         try:
             arr = arr.astype(np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"point coordinates must be numeric: {exc}") from exc
     if np.issubdtype(arr.dtype, np.floating):
         if arr.size and not np.isfinite(arr).all():

@@ -290,7 +290,7 @@ def _instance_update(inst, mirrors, pkey, cells, sign, vh, vhp, vhh) -> None:
     """Algorithm 4 for one event and one guess: per level, the h, h' and ĥ
     sub-streams in order; an h-store past the kill line kills the guess
     on the spot, before the rest of this event reaches it."""
-    thr_h, thr_hp, thr_hhat = (col[:, 0] for col in inst._thresholds)
+    thr_h, thr_hp, thr_hhat = inst._thresholds[:, 0].reshape(3, -1)
     for i in range(inst.params.L + 1):
         if vh[i] < thr_h[i]:
             store = inst.store_h[i]
@@ -320,7 +320,7 @@ def scalar_ingest(driver, events) -> int:
     rows = check_stream_points(rows, driver.params.delta, driver.params.d)
     mirrors = {}
     for inst in driver.instances:
-        for store in inst.store_h + inst.store_hp + inst.store_hhat:
+        for store in inst.stores():
             mirrors[store] = (CounterStoring(store) if isinstance(store, ExactStoring)
                               else ScalarSketchStoring(store))
     sampler = driver._pilot_sampler

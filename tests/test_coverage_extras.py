@@ -68,11 +68,12 @@ class TestMachineSubstreams:
         drifted = 0
         for o in (2.0 ** 7, 2.0 ** 30, 2.0 ** 61, 2.0 ** 90):
             inst = StreamingCoresetInstance(params, o, grids, shared)
-            forced = tuple(np.array([[int(t) - 1 + int(b) for b in odd] for t in col[:, 0]],
-                                    dtype=object) for col in inst._thresholds)
+            forced = np.array([[int(t) - 1 + int(b) for b in odd] for t in inst._thresholds[:, 0]],
+                              dtype=object)
             monkeypatch.setattr(shared, "values_np", lambda keys, v=forced: v)
             subs = _machine_substreams(pts, grids, shared, params, o)
-            for rate, col, sub in zip(rates, inst._thresholds, subs):
+            columns = inst._thresholds.reshape(3, params.L + 1, 1)
+            for rate, col, sub in zip(rates, columns, subs):
                 for i in range(params.L + 1):
                     drifted += int(rate(i, o) * prime) != int(col[i, 0])
                     cells = grids.cell_keys(pts, i).tolist()

@@ -208,6 +208,9 @@ class TestWireOps:
 
     @pytest.mark.parametrize("field,value,match", [
         ("k", 3, "site 0 sketch parameters"),
+        ("seed", 12, "site 0 sketch parameters, seed"),
+        ("backend", "sketch", "site 0 sketch parameters, seed, backend"),
+        ("o_range", None, "site 0 sketch parameters, seed, backend or o_range"),
         ("bytes_ingested", -1_000_000_000, "bytes_ingested"),
         ("bytes_ingested", 1.5, "bytes_ingested"),
         ("bytes_ingested", "7", "bytes_ingested"),
@@ -215,17 +218,20 @@ class TestWireOps:
     ])
     def test_tampered_envelope_rejected(self, monkeypatch, field, value, match):
         """The coordinator checks a pulled envelope as restore does: its
-        sketch must be built from its config's parameters (a ``k = 3``
-        driver under a ``k = 2`` config would answer with the wrong k), and
-        its ``bytes_ingested`` must be a non-negative integer."""
+        driver must be built from its config's parameters, seed, backend
+        and guess window (a ``k = 3`` driver under a ``k = 2`` config would
+        answer with the wrong k), and its ``bytes_ingested`` must be a
+        non-negative integer."""
         real_pull = ServiceClient.pull_state
 
         def tampered_pull(cli):
             env = real_pull(cli)
             if field == "k":
                 env["ingest"]["shards"][0]["params"]["k"] = value
-            else:
+            elif field == "bytes_ingested":
                 env["counters"]["bytes_ingested"] = value
+            else:
+                env["config"][field] = value
             return env
 
         reg = TenantRegistry(ServiceConfig(**CHEAP))

@@ -113,3 +113,41 @@ def test_golden_format_version():
             assert payload["format_version"] == version
             assert payload["ingest"]["format_version"] == version
             assert {s["format_version"] for s in payload["ingest"]["shards"]} == {version}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seed", 6), ("backend", "sketch"), ("o_range", [1, 8])])
+def test_config_must_match_driver(field, value):
+    """Restore compares the driver's (params, seed, backend, o_range) with
+    the envelope's config: a seed-5 exact pilot driver must not run under a
+    config that says otherwise."""
+    payload = json.loads((DATA / "golden_v2_single_exact.ckpt.json").read_text())
+    payload["config"][field] = value
+    with pytest.raises(ValueError, match="seed, backend or o_range"):
+        ClusteringService.from_payload(payload)
+
+
+def _bump_hhat_count(payload: dict) -> None:
+    """Add one to the first cell count of the first point-keeping store of
+    the first driver, leaving its pair counts as they were."""
+    shard = payload["ingest"]["shards"][0]
+    if shard["format_version"] == 1:
+        shard["instances"][0]["store_hhat"][0]["cells"][0][1] += 1
+        return
+    driver = streaming_state_from_dict(shard)
+    stores = [s for inst in driver.instances for s in inst.stores()]
+    first = next(i for i, s in enumerate(stores) if s.recover_points and len(s._ckeys))
+    shard["stores"]["counts"][sum(shard["stores"]["cells"][:first])] += 1
+
+
+@pytest.mark.parametrize("name", ["golden_v1_exact", "golden_v2_exact",
+                                  "golden_v2_single_exact"])
+def test_hhat_counts_must_equal_pair_sums(name):
+    """A point-keeping exact store's cell count is the sum of its pair
+    counts in any stream; restore rejects a file where one is off by one
+    (``merge_from`` logs only the pairs, so the count would change in a
+    fold)."""
+    payload = json.loads((DATA / f"{name}.ckpt.json").read_text())
+    _bump_hhat_count(payload)
+    with pytest.raises(ValueError, match="sums of their point counts"):
+        ClusteringService.from_payload(payload)

@@ -36,6 +36,7 @@ from repro.service import ClusteringService, ServiceConfig, ShardedIngest
 from repro.service.state import streaming_state_to_dict
 from repro.streaming import StreamingCoreset
 from repro.streaming.merge import merge_storing, merge_streaming_states
+from repro.streaming.stream import events_to_arrays
 from repro.streaming.storing import ExactStoring, _group_sum, _group_sum_pairs
 from repro.utils.validation import FailedConstruction
 
@@ -275,16 +276,16 @@ class TestMergedStateIsolation:
                                            monkeypatch):
         events, params = small_world
         ing = ShardedIngest(params, seed=9, backend=backend)
-        ing.apply_batch(events[: len(events) // 2])
+        ing.apply_arrays(*events_to_arrays(events[: len(events) // 2], d=2))
         m = ing.merged_state()
         before = copy.deepcopy(m)
         # Every later batch compacts its stores, rebinding their columns.
         monkeypatch.setattr(ExactStoring, "FLUSH_THRESHOLD", 0)
         rest = events[len(events) // 2:]
         for lo in range(0, len(rest), 16):
-            ing.apply_batch(rest[lo: lo + 16])
+            ing.apply_arrays(*events_to_arrays(rest[lo: lo + 16], d=2))
         for inst in ing.driver.instances:
-            for store in inst.store_h + inst.store_hp + inst.store_hhat:
+            for store in inst.stores():
                 if isinstance(store, ExactStoring):
                     store.live_cells()
         assert_same_answer(m, before)

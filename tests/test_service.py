@@ -23,12 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core import CoresetParams, build_coreset_auto
-from repro.core.io import (
-    atomic_write_json,
-    load_streaming_state,
-    read_json,
-    save_streaming_state,
-)
+from repro.core.io import atomic_write_json, read_json
 from repro.data.synthetic import gaussian_mixture
 from repro.data.workloads import churn_stream
 from repro.metrics.costs import capacitated_cost
@@ -49,6 +44,7 @@ from repro.service.state import (
 )
 from repro.solvers.capacitated_lloyd import CapacitatedKClustering
 from repro.streaming import StreamingCoreset, materialize
+from repro.streaming.stream import events_to_arrays
 from repro.streaming.merge import merge_streaming_states
 
 
@@ -79,15 +75,20 @@ def _coreset_points(cs):
     return sorted(map(tuple, cs.points.tolist()))
 
 
+def _apply(ing, events):
+    """A batch of (point, sign) events into a :class:`ShardedIngest`."""
+    return ing.apply_arrays(*events_to_arrays(events, d=ing.params.d))
+
+
 class TestShardRouting:
     def test_version_bumps_per_batch_not_per_event(self, world):
         stream, _, params = world
         ing = ShardedIngest(params, seed=3)
-        ing.apply_batch(list(stream)[:10])
+        _apply(ing, list(stream)[:10])
         assert ing.version == 1
-        ing.apply_batch(list(stream)[10:20])
+        _apply(ing, list(stream)[10:20])
         assert ing.version == 2
-        ing.apply_batch(list(stream)[20:21])
+        _apply(ing, list(stream)[20:21])
         assert ing.version == 3
 
 
@@ -100,7 +101,7 @@ class TestShardedMergeExact:
         stream, _, params = world
         events = list(stream)
         ing = ShardedIngest(params, seed=9, backend=backend)
-        assert ing.apply_batch(stream) == len(stream)
+        assert _apply(ing, stream) == len(stream)
         want = ing.merged_state().finalize()
         want_state = json.dumps(streaming_state_to_dict(ing.driver))
 
@@ -150,11 +151,11 @@ class TestShardedMergeExact:
         stream, _, params = world
         ing = ShardedIngest(params, seed=9)
         events = list(stream)
-        ing.apply_batch(events[: len(events) // 2])
+        _apply(ing, events[: len(events) // 2])
         first = ing.merged_state().finalize()
         # Querying must not consume the driver: keep ingesting and the
         # final answer matches a fresh run of the whole stream.
-        ing.apply_batch(events[len(events) // 2:])
+        _apply(ing, events[len(events) // 2:])
         got = ing.merged_state().finalize()
         ref = StreamingCoreset(params, seed=9)
         ref.update_batch(events)
@@ -199,10 +200,10 @@ class TestCheckpointRestore:
         sc = StreamingCoreset(params, seed=11)
         sc.update_batch(stream)
         path = tmp_path / "state.json"
-        save_streaming_state(path, sc)
+        atomic_write_json(path, streaming_state_to_dict(sc))
         assert path.exists()
         assert not list(tmp_path.glob("*.tmp.*"))  # temp file cleaned up
-        restored = load_streaming_state(path)
+        restored = streaming_state_from_dict(read_json(path))
         assert _coreset_points(restored.finalize()) == _coreset_points(sc.finalize())
 
     def test_atomic_write_replaces_whole_file(self, tmp_path):
@@ -218,7 +219,7 @@ class TestCheckpointRestore:
         stream, _, params = world
         events = list(stream)
         ing = ShardedIngest(params, seed=9)
-        ing.apply_batch(events)
+        _apply(ing, events)
         data = sharded_state_to_dict(ing)
         assert data["num_shards"] == 1
         assert data["events_per_shard"] == [len(events)]
@@ -516,6 +517,32 @@ class TestServiceEndToEnd:
         finally:
             server.shutdown()
             registry.close()
+
+    @pytest.fixture
+    def client(self):
+        registry = TenantRegistry(ServiceConfig(k=3, d=2, delta=64, seed=1))
+        server, _ = start_async_server(registry)
+        try:
+            with ServiceClient(*server.address) as cli:
+                yield cli
+        finally:
+            server.shutdown()
+            registry.close()
+
+    def test_client_rejects_fractional_rows(self, client):
+        """[[2.7, 3.0]] raises before anything is sent; an int64 cast
+        applied it as the point (2, 3).  Integral floats still pass."""
+        with pytest.raises(ValueError, match="integral"):
+            client.insert([[2.7, 3.0]])
+        assert client.stats()["events"] == 0
+        assert client.insert([[2.0, 3.0]]) == 1
+
+    def test_client_batch_size_zero_sends_one_row_per_frame(self, client):
+        """``batch_size=0`` chunks by one row; it used to send empty
+        frames, which the server rejects."""
+        assert client.insert([[2, 3], [4, 5], [6, 7]], batch_size=0) == 3
+        stats = client.stats()
+        assert (stats["events"], stats["version"]) == (3, 3)
 
     def test_oversized_request_line_rejected(self, world):
         """Regression: the handler read request lines with an unbounded

@@ -171,7 +171,7 @@ class TestSketchBackend:
         pts, params, pilot = setup
         sc = StreamingCoreset(params, seed=5, backend="sketch",
                               o_range=(pilot / 8, pilot / 8))
-        sc.update(tuple(map(int, pts[0])), +1)
+        sc.update_batch([(tuple(map(int, pts[0])), +1)])
         assert sc.space_bits() > 0
 
 
@@ -196,8 +196,8 @@ class TestUpdateBatchAndValidation:
         assert streaming_state_to_dict(arr) == streaming_state_to_dict(tup)
 
     def test_update_batch_equals_event_loop(self, setup):
-        """The vectorized batched path is bit-identical to one update() per
-        event (same cache entries, same sampler feed order)."""
+        """The vectorized batched path is bit-identical to one one-event
+        batch per event (same cache entries, same sampler feed order)."""
         pts, params, pilot = setup
         sub = pts[:60]
         orange = (pilot / 64, pilot / 4)
@@ -208,7 +208,7 @@ class TestUpdateBatchAndValidation:
         looped = StreamingCoreset(params, seed=19, backend="exact",
                                   o_range=orange)
         for p in sub:
-            looped.update(tuple(map(int, p)), 1)
+            looped.update_batch([(tuple(map(int, p)), 1)])
         from repro.service.state import streaming_state_to_dict
 
         assert streaming_state_to_dict(batched) == streaming_state_to_dict(looped)
@@ -221,7 +221,7 @@ class TestUpdateBatchAndValidation:
         sc = StreamingCoreset(params, seed=3, backend="exact")
         for bad in ((1, -1), (1, 257), (-5, 0)):
             with pytest.raises(ValueError, match=r"\[0, 256\]"):
-                sc.update(bad, +1)
+                sc.update_batch([(bad, +1)])
         with pytest.raises(ValueError, match=r"\[0, 256\]"):
             sc.update_batch([((3, 3), 1), ((5, 5), 1), ((1, -1), 1)])
         assert sc.num_updates == 0
@@ -234,7 +234,7 @@ class TestUpdateBatchAndValidation:
         rejected by streaming ingest (the offline [1, Δ] check is stricter)."""
         _, params, _ = setup
         sc = StreamingCoreset(params, seed=3, backend="exact")
-        sc.update((0, 0), +1)
+        sc.update_batch([((0, 0), +1)])
         sc.update_batch([((0, 256), 1), ((256, 0), 1)])
         assert sc.num_updates == 3
 

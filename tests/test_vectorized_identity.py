@@ -35,6 +35,7 @@ from repro.service.shards import ShardedIngest
 from repro.service.state import streaming_state_to_dict
 from repro.streaming.sketch import DecodeFailure, IBLTSketch, SketchHashFamily
 from repro.streaming.storing import ExactStoring
+from repro.streaming.stream import events_to_arrays
 from repro.streaming.streaming_coreset import StreamingCoreset
 from repro.utils.validation import FailedConstruction
 from tests.scalar_oracle import (
@@ -458,8 +459,8 @@ class TestNonIntegralRejection:
     def test_update_rejects(self, params):
         sc = StreamingCoreset(params, seed=0, o_range=(8.0, 64.0))
         with pytest.raises(ValueError, match="integral"):
-            sc.update((2.5, 3), 1)
-        sc.update((2.0, 3.0), 1)  # integral floats are fine
+            sc.update_batch([((2.5, 3), 1)])
+        sc.update_batch([((2.0, 3.0), 1)])  # integral floats are fine
 
     def test_update_batch_rejects_atomically(self, params):
         sc = StreamingCoreset(params, seed=0, o_range=(8.0, 64.0))
@@ -482,8 +483,7 @@ class TestNonIntegralRejection:
         arr = parse_points({"points": [[1, 2.0]]}, d=2, delta=64)
         assert arr.dtype == np.int64 and arr.tolist() == [[1, 2]]
 
-    @pytest.mark.parametrize("entry", ["update", "update_batch",
-                                       "update_arrays"])
+    @pytest.mark.parametrize("entry", ["update_batch", "update_arrays"])
     def test_driver_entry_points_reject_fraction(self, params, entry):
         """(2.5, 3) is rejected, never ingested as (2, 3), and the driver's
         update count and checkpoint bytes do not move."""
@@ -491,7 +491,6 @@ class TestNonIntegralRejection:
         sc.update_batch([((1, 1), 1)])
         before = (sc.num_updates, _state(sc))
         call = {
-            "update": lambda: sc.update((2.5, 3), 1),
             "update_batch": lambda: sc.update_batch([((1, 2), 1),
                                                      ((2.5, 3), 1)]),
             "update_arrays": lambda: sc.update_arrays(
@@ -501,15 +500,14 @@ class TestNonIntegralRejection:
             call()
         assert (sc.num_updates, _state(sc)) == before
 
-    @pytest.mark.parametrize("entry", ["apply_batch", "apply_arrays", "insert"])
+    @pytest.mark.parametrize("entry", ["apply_arrays", "insert"])
     def test_sharded_entry_points_reject_fraction(self, params, entry):
         ing = ShardedIngest(params, seed=0, o_range=(8.0, 64.0))
-        ing.apply_batch([((1, 1), 1)])
+        ing.apply_arrays([[1, 1]], [1])
         before = (ing.version, json.dumps(ing.to_state_dict(), sort_keys=True))
         svc = ClusteringService(ServiceConfig(k=2, d=2, delta=64, eps=0.45, eta=0.45,
                                               o_range=(8.0, 64.0)), ingest=ing)
         call = {
-            "apply_batch": lambda: ing.apply_batch([((1, 2), 1), ((2.5, 3), 1)]),
             "apply_arrays": lambda: ing.apply_arrays(
                 [[1, 2], [2.5, 3]], np.ones(2, dtype=np.int64)),
             "insert": lambda: svc.insert([[1, 2], [2.5, 3]]),
@@ -536,9 +534,9 @@ class TestNonIntegralRejection:
     def test_nan_and_overflow_rejected(self, params):
         sc = StreamingCoreset(params, seed=0, o_range=(8.0, 64.0))
         with pytest.raises(ValueError, match="finite"):
-            sc.update((float("nan"), 1), 1)
+            sc.update_batch([((float("nan"), 1), 1)])
         with pytest.raises(ValueError):
-            sc.update((1e30, 1), 1)
+            sc.update_batch([((1e30, 1), 1)])
 
 
 # --------------------------------------------------------------------------
@@ -564,7 +562,7 @@ class TestSignRejection:
     def ingest(self):
         params = CoresetParams.practical(k=2, d=2, delta=64, eps=0.45, eta=0.45)
         ing = ShardedIngest(params, seed=0)  # pilot on: its sketches too
-        ing.apply_batch([((1, 1), 1), ((2, 2), 1)])
+        ing.apply_arrays([[1, 1], [2, 2]], [1, 1])
         return ing
 
     @staticmethod
@@ -587,12 +585,12 @@ class TestSignRejection:
     def test_event_pair_signs_rejected(self, ingest, sign):
         before = self._snapshot(ingest)
         with pytest.raises(ValueError, match="signs"):
-            ingest.apply_batch([((3, 3), 1), ((4, 4), sign)])
+            ingest.apply_arrays(*events_to_arrays([((3, 3), 1), ((4, 4), sign)], d=2))
         assert self._snapshot(ingest) == before
 
     def test_integral_float_signs_accepted(self, ingest):
         twin = ShardedIngest(ingest.params, seed=0)
-        twin.apply_batch([((1, 1), 1.0), ((2, 2), 1.0)])
+        twin.apply_arrays(*events_to_arrays([((1, 1), 1.0), ((2, 2), 1.0)], d=2))
         ingest.apply_arrays([[3, 3], [1, 1]], np.array([1.0, -1.0]))
         twin.apply_arrays([[3, 3], [1, 1]], [1, -1])
         assert self._snapshot(ingest) == self._snapshot(twin)
